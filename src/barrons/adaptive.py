@@ -35,6 +35,7 @@ __all__ = [
     "AdaConfig",
     "AdaState",
     "EpochBudgetError",
+    "EpochHistory",
     "ada_init",
     "ada_step",
     "alpha",
@@ -87,13 +88,59 @@ class AdaConfig:
         return AdaConfig(self.beta_init, eta, self.gamma)
 
 
+def _cap(largest: float) -> float:
+    """``min(1/2, 1 / (8 largest))``, and 1/2 when nothing constrains (largest 0)."""
+    return 0.5 if largest <= 0.25 else 1.0 / (8.0 * largest)
+
+
+class EpochHistory:
+    """Rounds, gradients and ``<x_s, g_s>`` of the current epoch, in preallocated rows.
+
+    Appending a round and clearing the epoch cost O(n) however long the
+    epoch is; only the leader refit and the ceiling read all rows.  The
+    controller and the trace verifier both compute the ceiling here, so the
+    recorded and the recomputed values agree.  A history that outgrows its
+    capacity doubles it.
+    """
+
+    def __init__(self, capacity: int, n: int):
+        self._r = np.empty((capacity, n))
+        self._g = np.empty((capacity, n))
+        self._xg = np.empty(capacity)
+        self.size = 0
+
+    def append(self, r: np.ndarray, x: np.ndarray, g: np.ndarray):
+        i = self.size
+        if i == len(self._xg):
+            self._r, self._g, self._xg = (
+                np.concatenate([a, np.empty_like(a)]) for a in (self._r, self._g, self._xg)
+            )
+        self._r[i] = r
+        self._g[i] = g
+        self._xg[i] = (x * g).sum()  # fixed once round s is played
+        self.size = i + 1
+
+    def clear(self):
+        self.size = 0
+
+    @property
+    def rounds(self) -> np.ndarray:
+        """The epoch's price relatives as an (m, n) view; valid until the next append or clear."""
+        return self._r[: self.size]
+
+    def ceiling(self, u: np.ndarray) -> float:
+        """``alpha(u, xs, grads)`` from the cached rows: 1/2 capped by max_s |<u, g_s> - <x_s, g_s>|."""
+        m = self.size
+        return _cap(float(np.abs((self._g[:m] * u).sum(axis=1) - self._xg[:m]).max(initial=0.0)))
+
+
 class AdaState:
     """Mutable controller state.  Single-owner: one run, one instance.
 
     ``last_alpha``/``last_u`` describe the most recently completed round and
     survive a restart; ``epoch_prev_alpha`` is the ceiling of the previous
     round of the *current* epoch (None on epoch-opening rounds), kept so a
-    restart can assert that the ceiling actually held one round earlier.
+    restart can check that the ceiling actually held one round earlier.
     """
 
     def __init__(self, dims: ProblemDims, cfg: AdaConfig):
@@ -105,11 +152,16 @@ class AdaState:
         self.epoch = 1
         self.global_round = 0
         self.inner: BarronsState = barrons_init(dims, self.beta, self.eta_base)
-        self.rounds: list[np.ndarray] = []   # price relatives of the current epoch
+        self.history = EpochHistory(dims.t, dims.n)  # rows of the current epoch
         self.u: Optional[np.ndarray] = None  # current epoch leader (warm start)
         self.last_alpha: Optional[float] = None
         self.last_u: Optional[np.ndarray] = None
         self.epoch_prev_alpha: Optional[float] = None
+
+    @property
+    def rounds(self) -> list:
+        """Price relatives of the current epoch, oldest first (copies)."""
+        return list(self.history.rounds.copy())
 
 
 def ada_init(dims: ProblemDims, cfg: Optional[AdaConfig] = None) -> AdaState:
@@ -150,13 +202,14 @@ def regularized_leader(
 ) -> PortfolioState:
     """Minimizer of epoch log-loss plus barrier over the clipped simplex.
 
-    The barrier term keeps the leader a multiple of gamma away from the
-    faces, which is what makes consecutive leaders stable round to round.
+    `rounds` is an (m, n) array, used without a copy, or a sequence of
+    rounds.  The barrier term keeps the leader a multiple of gamma away
+    from the faces, which is what makes consecutive leaders stable round to
+    round.
     """
-    rows = [np.asarray(r, dtype=float) for r in rounds]
-    if not rows:
+    r_mat = np.asarray(rounds, dtype=float)
+    if len(r_mat) == 0:
         raise ValueError("need at least one round to fit a leader")
-    r_mat = np.stack(rows)
     if r_mat.ndim != 2 or r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must be vectors of {dims.n} price relatives")
     obj = leader_objective(r_mat, gamma)
@@ -174,10 +227,7 @@ def alpha(u: np.ndarray, xs: np.ndarray, grads: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float)
     vals = np.abs(((u - np.asarray(xs)) * np.asarray(grads)).sum(axis=1))
-    vals = vals[vals > 0.0]
-    if vals.size == 0:
-        return 0.5
-    return min(0.5, 1.0 / (8.0 * float(vals.max())))
+    return _cap(float(vals.max(initial=0.0)))
 
 
 def ada_step(
@@ -197,21 +247,24 @@ def ada_step(
     prev_in_epoch = state.epoch_prev_alpha
 
     _, record = barrons_step(state.inner, rnd, solver_cfg)
-    state.rounds.append(np.array(rnd.r))
+    state.history.append(rnd.r, state.inner.xs[-1], record.gradient)
 
     warm = state.u if state.u is not None else uniform_portfolio(state.dims).x
-    leader = regularized_leader(state.rounds, state.gamma, warm, state.dims, solver_cfg)
+    leader = regularized_leader(state.history.rounds, state.gamma, warm, state.dims, solver_cfg)
     state.u = np.array(leader.x)
     state.last_u = state.u
 
-    ceiling = alpha(state.u, np.stack(state.inner.xs), np.stack(state.inner.grads))
+    ceiling = state.history.ceiling(state.u)
     state.last_alpha = ceiling
 
     restarted = state.beta > ceiling
     if restarted:
         # Had the ceiling been this low a round earlier, the restart would
         # already have fired then (beta has not changed in between).
-        assert prev_in_epoch is None or state.beta <= prev_in_epoch
+        if prev_in_epoch is not None and state.beta > prev_in_epoch:
+            raise RuntimeError(
+                f"the ceiling {prev_in_epoch!r} was already below beta {state.beta!r} a round earlier"
+            )
         if state.epoch + 1 > epoch_budget(state.dims):
             raise EpochBudgetError(
                 f"epoch {state.epoch + 1} would exceed the budget {epoch_budget(state.dims)}"
@@ -219,7 +272,7 @@ def ada_step(
         state.beta *= 0.5
         state.epoch += 1
         state.inner = barrons_init(state.dims, state.beta, state.eta_base)
-        state.rounds = []
+        state.history.clear()
         state.u = None
         state.epoch_prev_alpha = None
     else:

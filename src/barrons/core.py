@@ -124,7 +124,8 @@ def barrons_step(
     r = rnd.r
     if r.size != dims.n:
         raise ValueError(f"round has {r.size} assets, expected {dims.n}")
-    assert r.max() == 1.0, "round must be normalized before stepping"
+    if r.max() != 1.0:
+        raise ValueError("round must be normalized before stepping: max entry must be exactly 1")
 
     x_t = state.x
     loss, grad = loss_grad_arrays(x_t, r)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import AdaConfig, ada_init, ada_step, alpha, default_eta, epoch_budget
+from .adaptive import AdaConfig, EpochHistory, ada_init, ada_step, default_eta, epoch_budget
 from .baselines import (
     EgLearner,
     OgdLearner,
@@ -107,6 +107,15 @@ def _check_simplex(x, dims, clipped, t, violations, strict):
 
 def _ratio_dev(cur, prev) -> float:
     return float(np.max(np.abs(np.asarray(cur) / np.asarray(prev) - 1.0)))
+
+
+def _log_rates(x, dims) -> np.ndarray:
+    """Per-coordinate exponents of the rate schedule earned by playing x.
+
+    The schedule after a round is ``eta * exp(running max of these over the
+    epoch's plays)``.
+    """
+    return np.clip(np.log(1.0 / (dims.n * x)) / np.log(dims.t), 0.0, None)
 
 
 def _ratio_max(u, xs_rows) -> float:
@@ -242,6 +251,7 @@ def _run_ada(rounds, dims, params, solver_cfg, strict, records, violations, per_
 
     cum = 0.0
     epoch_xs: list = []        # played points of the current epoch (harness copy)
+    log_max = None             # running max of _log_rates over epoch_xs
     prev_u = None              # previous round's leader within the epoch
     prev_eta = None
     for t, rnd in enumerate(rounds, start=1):
@@ -272,9 +282,9 @@ def _run_ada(rounds, dims, params, solver_cfg, strict, records, violations, per_
             _note(violations, strict, f"round {t}: epoch {epoch_played} exceeds budget {budget}")
 
         # Rate schedule: recomputable from played points, banded, monotone.
-        eta_now = eta_base * np.exp(
-            np.clip(np.log(1.0 / (dims.n * np.stack(epoch_xs))) / np.log(dims.t), 0.0, None).max(axis=0)
-        )
+        log_rates = _log_rates(x_played, dims)
+        log_max = log_rates if log_max is None else np.maximum(log_max, log_rates)
+        eta_now = eta_base * np.exp(log_max)
         band_hi = math.e * eta_base * (1.0 + 1e-12)
         if eta_now.min() < eta_base * (1.0 - 1e-12) or eta_now.max() > band_hi:
             _note(violations, strict, f"round {t}: rate schedule left [eta, e*eta]")
@@ -311,6 +321,7 @@ def _run_ada(rounds, dims, params, solver_cfg, strict, records, violations, per_
                     if prev_rec["alpha"] < beta_played:
                         _note(violations, strict, f"round {t}: ceiling was already below beta a round earlier")
             epoch_xs = []
+            log_max = None
             prev_u = None
             prev_eta = None
         else:
@@ -447,7 +458,8 @@ def verify_trace(trace: dict) -> list:
 
     cum = 0.0
     epoch_xs: list = []
-    epoch_grads: list = []
+    history = EpochHistory(dims.t, dims.n)
+    log_max = None
     prev_rec = None
     prev_u = None
     for rec in records:
@@ -488,8 +500,8 @@ def verify_trace(trace: dict) -> list:
             if abs(u.sum() - 1.0) > SUM_TOL or float(u.min()) < dims.floor - FLOOR_TOL:
                 problems.append(f"round {t}: leader leaves the clipped simplex")
             epoch_xs.append(x)
-            epoch_grads.append(grad)
-            ceiling = alpha(u, np.stack(epoch_xs), np.stack(epoch_grads))
+            history.append(r, x, grad)
+            ceiling = history.ceiling(u)
             if abs(ceiling - rec["alpha"]) > 1e-12:
                 problems.append(f"round {t}: recorded ceiling {rec['alpha']!r} != recomputed {ceiling!r}")
             if not (alpha_floor <= rec["alpha"] <= 0.5):
@@ -497,9 +509,9 @@ def verify_trace(trace: dict) -> list:
             if restart != (beta > ceiling):
                 problems.append(f"round {t}: restart flag contradicts the ceiling test")
 
-            eta_now = eta_base * np.exp(
-                np.clip(np.log(1.0 / (dims.n * np.stack(epoch_xs))) / np.log(dims.t), 0.0, None).max(axis=0)
-            )
+            log_rates = _log_rates(x, dims)
+            log_max = log_rates if log_max is None else np.maximum(log_max, log_rates)
+            eta_now = eta_base * np.exp(log_max)
             if eta_now.min() < eta_base * (1 - 1e-12) or eta_now.max() > math.e * eta_base * (1 + 1e-12):
                 problems.append(f"round {t}: rate schedule left its band")
 
@@ -523,7 +535,8 @@ def verify_trace(trace: dict) -> list:
                     if prev_rec is not None and prev_rec["epoch"] == epoch and prev_rec["alpha"] < beta:
                         problems.append(f"round {t}: ceiling had already failed a round earlier")
                 epoch_xs = []
-                epoch_grads = []
+                history.clear()
+                log_max = None
                 prev_u = None
             else:
                 prev_u = u

@@ -1,10 +1,22 @@
-"""Newton barrier solver for strictly convex minimization over the clipped simplex.
+"""Newton solver for strictly convex minimization over the clipped simplex.
 
 Feasible set: ``sum(x) == 1`` and ``x_i >= 1/(n*t)``.  The equality
-constraint is kept exact by stepping inside the zero-sum subspace; the
-coordinate floor is handled with a path-following log-barrier so minimizers
-are allowed to sit on the floor (the barrier weight is driven down to
-``min_barrier_mu``, which parks face-active coordinates within ~1e-12 of it).
+constraint is kept exact by stepping inside the zero-sum subspace.  A solve
+has two phases:
+
+- The affine phase runs first: feasible-start Newton on the hyperplane
+  ``sum(x) == 1`` with no barrier term (Boyd and Vandenberghe, *Convex
+  Optimization*, section 10.2).  When the minimizer is interior, as it is
+  for the learners' steps and leaders, this converges in two or three
+  iterations and its answer must pass ``kkt_certificate``.  The phase gives
+  up as soon as a full Newton step would cut some coordinate's distance to
+  the floor to 1 % of its value or less, and on any exit short of the
+  certificate.
+- The barrier path then restarts from the warm start.  It handles the
+  coordinate floor with a path-following log-barrier so minimizers are
+  allowed to sit on the floor (the barrier weight is driven down to
+  ``min_barrier_mu``, which parks face-active coordinates within ~1e-12 of
+  it).  Only this path raises ``SolverFailure``.
 
 Callers supply the objective as value/gradient/Hessian closures.  The
 Hessian must be positive definite on the interior; every target objective in
@@ -26,6 +38,7 @@ __all__ = [
     "SolverConfig",
     "SolverFailure",
     "SolveDiagnostics",
+    "kkt_certificate",
     "minimize_over_clipped_simplex",
     "grid_search_oracle",
 ]
@@ -33,6 +46,10 @@ __all__ = [
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _BOUNDARY_FRACTION = 0.99
+# The affine phase gives up when a full step would keep 1 % of a slack or less.
+_AFFINE_KEEP = 0.01
+# Distance to the floor under which kkt_certificate counts a coordinate as on it.
+_ON_FLOOR = 1e-9
 
 
 @dataclass
@@ -87,10 +104,15 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class SolveDiagnostics:
-    """Optional per-solve instrumentation (iteration counts, stage descent)."""
+    """Optional per-solve instrumentation (iteration counts, stage descent).
+
+    The affine phase records itself as the first stage, with ``mu == 0.0``;
+    ``fell_back`` tells whether the barrier stages after it ran.
+    """
 
     newton_iters: int = 0
     stages: list = field(default_factory=list)  # dicts: mu, iters, residual, phi
+    fell_back: bool = False
 
 
 def _null_basis(n: int) -> np.ndarray:
@@ -105,6 +127,117 @@ def _stage_residual(obj, s, floor, mu):
     g = obj.gradient(floor + s) - mu / s
     resid = g - g.mean()
     return g, float(np.linalg.norm(resid))
+
+
+def _float_pin(h_obj, s, floor, mu) -> float:
+    """Smallest residual doubles can express at ``floor + s``.
+
+    Moving any coordinate by one ulp jolts the gradient by curvature * ulp.
+    Objectives with 1/eta ~ 1e5 barrier curvature pin this above kkt_tol,
+    and no representable iterate does better.
+    """
+    return float(np.max(
+        np.abs(np.diagonal(h_obj)) * np.spacing(np.abs(floor + s))
+        + (mu / s**2) * np.spacing(s)
+    ))
+
+
+def _newton_direction(h, g, basis):
+    """Newton step inside the zero-sum subspace and its directional slope."""
+    hz = basis.T @ h @ basis
+    rhs = -(basis.T @ g)
+    try:
+        y = np.linalg.solve(hz, rhs)
+    except np.linalg.LinAlgError:
+        y = None
+    if y is None or not np.all(np.isfinite(y)):
+        ridge = 1e-10 * max(1.0, float(np.trace(hz)) / hz.shape[0])
+        y = np.linalg.solve(hz + ridge * np.eye(hz.shape[0]), rhs)
+    ds = basis @ y
+    return ds, float(g @ ds)
+
+
+def _penalized(obj, s, floor, mu) -> float:
+    return float(obj.evaluate(floor + s)) - mu * float(np.log(s).sum())
+
+
+def _armijo(obj, s, floor, mu, ds, slope, step, phi0):
+    """Backtracking line search from `step`.
+
+    Returns the accepted ``(slacks, value)``, or None when no step makes
+    measurable progress at this floating-point scale.
+    """
+    # Comparisons below float noise carry no information; near the
+    # optimum the predicted decrease sinks under roundoff of phi itself.
+    noise = 1e-12 * (1.0 + abs(phi0))
+    while step > 1e-16:
+        sn = s + step * ds
+        if np.array_equal(sn, s):
+            # The step rounds away entirely; shorter ones will too.
+            return None
+        if sn.min() > 0.0:
+            phin = _penalized(obj, sn, floor, mu)
+            if phin <= phi0 + _ARMIJO * step * slope + noise:
+                return sn, phin
+        step *= _BACKTRACK
+    return None
+
+
+def _kkt_violation(g, x, floor) -> float:
+    """Largest breach of the first-order conditions, as kkt_certificate defines them."""
+    on_floor = x - floor <= _ON_FLOOR
+    dev = g - g[~on_floor].mean()
+    return max(float(np.abs(dev[~on_floor]).max()), float(np.max(-dev[on_floor], initial=0.0)))
+
+
+def kkt_certificate(obj: Objective, x, dims: ProblemDims, tol: float) -> bool:
+    """Whether `x` meets the first-order optimality conditions to within `tol`.
+
+    With g the gradient at x and lam the mean of g over the coordinates
+    above the floor, each coordinate above the floor needs
+    ``|g_i - lam| <= tol`` and each coordinate on it (within 1e-9) needs
+    ``g_i - lam >= -tol``.  For a convex objective this certifies a
+    minimizer over the clipped simplex for any n, unlike the grid oracle.
+    """
+    x = np.asarray(getattr(x, "x", x), dtype=float)
+    return _kkt_violation(obj.gradient(x), x, dims.floor) <= tol
+
+
+def _affine_phase(obj, s, floor, cfg, basis, diag):
+    """Feasible-start Newton on the hyperplane sum(x) == 1, with no barrier.
+
+    Returns the slacks of a point that passes the KKT certificate, or None
+    when the phase gives up: a full Newton step would cut some slack to 1 %
+    of its value or less, the step is not a descent direction, the line
+    search stalls short of tolerance, or the iteration budget runs out.
+    """
+    stage = {"mu": 0.0, "iters": 0, "residual": np.inf, "phi": []}
+    if diag is not None:
+        diag.stages.append(stage)
+    phi = _penalized(obj, s, floor, 0.0)
+    for _ in range(cfg.max_newton_iters):
+        x = floor + s
+        g = obj.gradient(x)
+        stage["residual"] = _kkt_violation(g, x, floor)
+        if stage["residual"] <= cfg.kkt_tol:
+            return s
+        h = obj.hessian(x)
+        pin = _float_pin(h, s, floor, 0.0)
+        if stage["residual"] <= 4.0 * pin:
+            return s
+
+        ds, slope = _newton_direction(h, g, basis)
+        if slope >= 0.0 or np.any(s + ds <= _AFFINE_KEEP * s):
+            return None
+        accepted = _armijo(obj, s, floor, 0.0, ds, slope, 1.0, phi)
+        if accepted is None:
+            return s if stage["residual"] <= max(10.0 * cfg.kkt_tol, 4.0 * pin) else None
+        s, phi = accepted
+        stage["iters"] += 1
+        stage["phi"].append(phi)
+        if diag is not None:
+            diag.newton_iters += 1
+    return None
 
 
 def _center(obj, s, floor, mu, tol, cfg, basis, diag):
@@ -125,29 +258,11 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
             break
 
         h_obj = obj.hessian(floor + s)
-        # Smallest residual doubles can express here: moving any coordinate
-        # by one ulp jolts the gradient by curvature * ulp.  Objectives with
-        # 1/eta ~ 1e5 barrier curvature pin this above kkt_tol, and no
-        # representable iterate does better.
-        pin = float(np.max(
-            np.abs(np.diagonal(h_obj)) * np.spacing(np.abs(floor + s))
-            + (mu / s**2) * np.spacing(s)
-        ))
+        pin = _float_pin(h_obj, s, floor, mu)
         if resid_norm <= max(tol, 4.0 * pin):
             break
 
-        h = h_obj + np.diag(mu / s**2)
-        hz = basis.T @ h @ basis
-        rhs = -(basis.T @ g)
-        try:
-            y = np.linalg.solve(hz, rhs)
-        except np.linalg.LinAlgError:
-            y = None
-        if y is None or not np.all(np.isfinite(y)):
-            ridge = 1e-10 * max(1.0, float(np.trace(hz)) / hz.shape[0])
-            y = np.linalg.solve(hz + ridge * np.eye(hz.shape[0]), rhs)
-        ds = basis @ y
-        slope = float(g @ ds)
+        ds, slope = _newton_direction(h_obj + np.diag(mu / s**2), g, basis)
         if slope >= 0.0:
             # Numerically indefinite reduced Hessian; fall back to steepest
             # descent inside the subspace.
@@ -161,29 +276,15 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
         if np.any(shrinking):
             step = min(1.0, _BOUNDARY_FRACTION * float(np.min(s[shrinking] / -ds[shrinking])))
 
-        phi0 = float(obj.evaluate(floor + s)) - mu * float(np.log(s).sum())
-        # Comparisons below float noise carry no information; near the
-        # optimum the predicted decrease sinks under roundoff of phi itself.
-        noise = 1e-12 * (1.0 + abs(phi0))
-        accepted = False
-        while step > 1e-16:
-            sn = s + step * ds
-            if np.array_equal(sn, s):
-                # The step rounds away entirely; shorter ones will too.
-                break
-            if sn.min() > 0.0:
-                phin = float(obj.evaluate(floor + sn)) - mu * float(np.log(sn).sum())
-                if phin <= phi0 + _ARMIJO * step * slope + noise:
-                    accepted = True
-                    break
-            step *= _BACKTRACK
-        if not accepted:
+        phi0 = _penalized(obj, s, floor, mu)
+        accepted = _armijo(obj, s, floor, mu, ds, slope, step, phi0)
+        if accepted is None:
             # No measurable progress left at this floating-point scale.
             if resid_norm <= max(10.0 * cfg.kkt_tol, tol, 4.0 * pin):
                 break
             raise SolverFailure("line search stalled", floor + s, resid_norm, mu)
 
-        s = sn
+        s, phin = accepted
         stage["iters"] += 1
         stage["phi"].append(phin)
         if diag is not None:
@@ -214,6 +315,19 @@ def _first_barrier_weight(obj, s, floor, dims, cfg) -> float:
     return min(cfg.barrier_mu_init, max(comp / dims.n, cfg.min_barrier_mu))
 
 
+def _barrier_path(obj, s, dims, cfg, basis, diag):
+    """Log-barrier path from the slacks `s` down to ``min_barrier_mu``."""
+    floor = dims.floor
+    mu = _first_barrier_weight(obj, s, floor, dims, cfg)
+    while True:
+        final = mu <= cfg.min_barrier_mu
+        tol = cfg.kkt_tol if final else max(cfg.kkt_tol, 1e-3 * mu)
+        s = _center(obj, s, floor, mu, tol, cfg, basis, diag)
+        if final:
+            return s
+        mu = max(mu * cfg.barrier_shrink, cfg.min_barrier_mu)
+
+
 def minimize_over_clipped_simplex(
     obj: Objective,
     warm_start: PortfolioState,
@@ -224,8 +338,9 @@ def minimize_over_clipped_simplex(
     """Minimize a strictly convex objective over the clipped simplex.
 
     The warm start must be strictly feasible: summing to one with every
-    coordinate strictly above the floor.  Raises SolverFailure when a
-    barrier stage exhausts its Newton budget.
+    coordinate strictly above the floor.  The affine phase runs first; when
+    it gives up, the barrier path restarts from the warm start and raises
+    SolverFailure when a barrier stage cannot be driven to tolerance.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -239,15 +354,12 @@ def minimize_over_clipped_simplex(
         raise ValueError("warm start must be strictly above the clipped-simplex floor")
 
     basis = _null_basis(dims.n)
-    s = x - floor
-    mu = _first_barrier_weight(obj, s, floor, dims, cfg)
-    while True:
-        final = mu <= cfg.min_barrier_mu
-        tol = cfg.kkt_tol if final else max(cfg.kkt_tol, 1e-3 * mu)
-        s = _center(obj, s, floor, mu, tol, cfg, basis, diagnostics)
-        if final:
-            break
-        mu = max(mu * cfg.barrier_shrink, cfg.min_barrier_mu)
+    start = x - floor
+    s = _affine_phase(obj, start, floor, cfg, basis, diagnostics)
+    if s is None:
+        if diagnostics is not None:
+            diagnostics.fell_back = True
+        s = _barrier_path(obj, start, dims, cfg, basis, diagnostics)
 
     x = floor + s
     x = x / x.sum()

@@ -8,6 +8,7 @@ import pytest
 from barrons.adaptive import (
     AdaConfig,
     EpochBudgetError,
+    EpochHistory,
     ada_init,
     ada_step,
     alpha,
@@ -181,6 +182,41 @@ def test_epoch_budget_violation_raises():
     state.epoch_prev_alpha = None
     with pytest.raises(EpochBudgetError, match="budget"):
         ada_step(state, MarketRound(np.array([1.0, 0.5])))
+
+
+def test_restart_after_a_ceiling_that_already_failed_raises():
+    state = ada_init(DIMS)
+    state, _, _ = ada_step(state, MarketRound(np.array([1.0, 0.5])))
+    # Surgery: the previous round's ceiling sits below beta, so the restart
+    # should already have fired a round earlier.
+    state.beta = 1.0
+    state.epoch_prev_alpha = 0.25
+    with pytest.raises(RuntimeError, match="a round earlier"):
+        ada_step(state, MarketRound(np.array([1.0, 0.5])))
+
+
+def test_epoch_history_ceiling_matches_alpha():
+    rng = np.random.default_rng(17)
+    n = 3
+    history = EpochHistory(4, n)  # outgrows its capacity twice
+    xs, grads = [], []
+    for _ in range(13):
+        x = rng.dirichlet(np.ones(n))
+        r = rng.uniform(0.01, 1.0, n)
+        r[rng.integers(n)] = 1.0
+        g = -r / float(x @ r)
+        history.append(r, x, g)
+        xs.append(x)
+        grads.append(g)
+        u = rng.dirichlet(np.ones(n))
+        want = alpha(u, np.stack(xs), np.stack(grads))
+        assert history.ceiling(u) == pytest.approx(want, rel=1e-12)
+        # Also at a played point, whose own row contributes exactly zero.
+        assert history.ceiling(x) == pytest.approx(alpha(x, np.stack(xs), np.stack(grads)), rel=1e-12)
+    np.testing.assert_array_equal(history.rounds[-1], r)
+    assert len(history.rounds) == 13
+    history.clear()
+    assert history.rounds.shape == (0, n) and history.ceiling(u) == 0.5
 
 
 def test_ada_runs_are_deterministic():

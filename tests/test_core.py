@@ -176,6 +176,18 @@ def test_step_rejects_unnormalized_and_mismatched_rounds():
         barrons_step(state, MarketRound(np.array([1.0, 0.5, 0.2])))
 
 
+def test_step_rejects_unnormalized_duck_typed_round():
+    # MarketRound refuses unnormalized vectors itself; anything else with an
+    # ``r`` attribute reaches the step's own check, which must hold under -O.
+    class RawRound:
+        r = np.array([0.5, 0.25])
+
+    state = barrons_init(DIMS, 0.5, default_eta(DIMS))
+    with pytest.raises(ValueError, match="normalized"):
+        barrons_step(state, RawRound())
+    assert state.t == 1 and state.xs == []
+
+
 def test_identical_runs_are_bit_identical():
     plays = []
     for _ in range(2):

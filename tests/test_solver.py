@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrons.adaptive import default_eta, leader_objective
+from barrons.baselines import ons_objective
 from barrons.core import omd_step_objective
 from barrons.domain import PortfolioState, ProblemDims, nudge_interior, uniform_portfolio
 from barrons.solver import (
@@ -11,7 +14,10 @@ from barrons.solver import (
     SolveDiagnostics,
     SolverConfig,
     SolverFailure,
+    _barrier_path,
+    _null_basis,
     grid_search_oracle,
+    kkt_certificate,
     minimize_over_clipped_simplex,
 )
 
@@ -218,3 +224,132 @@ def test_solutions_respect_floor_and_sum():
         )
         assert abs(out.x.sum() - 1.0) <= 1e-12
         assert out.x.min() >= DIMS3.floor - 1e-12
+
+
+def test_interior_optimum_takes_the_affine_phase_alone():
+    rng = np.random.default_rng(31)
+    obj, x_prev = random_omd_objective(rng, DIMS3)
+    diag = SolveDiagnostics()
+    first = minimize_over_clipped_simplex(
+        obj, PortfolioState(nudge_interior(x_prev, DIMS3)), DIMS3, diagnostics=diag
+    )
+    assert not diag.fell_back
+    assert [stage["mu"] for stage in diag.stages] == [0.0]
+    assert diag.newton_iters == diag.stages[0]["iters"] >= 1
+    again = SolveDiagnostics()
+    minimize_over_clipped_simplex(obj, first, DIMS3, diagnostics=again)
+    assert not again.fell_back and len(again.stages) == 1
+    assert again.newton_iters <= 3
+
+
+def test_floor_active_quadratic_falls_back_to_the_barrier_path():
+    diag = SolveDiagnostics()
+    out = minimize_over_clipped_simplex(
+        quadratic_objective([1.2, -0.2]), uniform_portfolio(DIMS2), DIMS2, diagnostics=diag
+    )
+    assert diag.fell_back
+    assert diag.stages[0]["mu"] == 0.0
+    barrier = diag.stages[1:]
+    assert barrier and all(stage["mu"] > 0.0 for stage in barrier)
+    assert diag.newton_iters == sum(stage["iters"] for stage in diag.stages)
+    np.testing.assert_allclose(out.x, [31.0 / 32.0, 1.0 / 32.0], atol=1e-9)
+
+
+def test_kkt_certificate_accepts_optima_and_rejects_other_points():
+    interior = quadratic_objective([0.3, 0.7])
+    assert kkt_certificate(interior, np.array([0.3, 0.7]), DIMS2, 1e-12)
+    assert not kkt_certificate(interior, np.array([0.5, 0.5]), DIMS2, 1e-3)
+    # On the floor the multiplier must push into the wall, not away from it.
+    pushed = quadratic_objective([1.2, -0.2])
+    at_floor = np.array([1.0 - DIMS2.floor, DIMS2.floor])
+    assert kkt_certificate(pushed, PortfolioState(at_floor), DIMS2, 1e-12)
+    pulled = quadratic_objective([0.9, 0.1])
+    assert not kkt_certificate(pulled, at_floor, DIMS2, 1e-3)
+
+
+# Property tests over any n: the affine-first solve and the barrier path
+# alone must agree and both pass the KKT certificate.  Step and ONS
+# objectives are built around a chosen optimum x* (some coordinates on the
+# floor with multipliers in [0.1, 10], the rest well inside), so they are
+# also checked against x*.  Leaders are fitted as the controller fits them
+# (gamma <= 1/25, at most t rows); their barrier keeps them off the floor,
+# which would take more than 25*n*t rows to reach.
+
+
+def _chosen_optimum(rng, dims, floor_active):
+    n = dims.n
+    on = np.zeros(n, dtype=bool)
+    if floor_active:
+        on[rng.choice(n, int(rng.integers(1, n)), replace=False)] = True
+    w = np.where(on, 0.0, rng.uniform(0.5, 1.5, n))
+    x_star = dims.floor + (1.0 - n * dims.floor) * w / w.sum()
+    multipliers = rng.normal() + np.where(on, rng.uniform(0.1, 10.0, n), 0.0)
+    return x_star, multipliers
+
+
+def _nearby_point(rng, dims, x_star, lo, hi):
+    y = dims.floor + (1.0 - dims.n * dims.floor) * rng.dirichlet(np.ones(dims.n))
+    w = 10.0 ** rng.uniform(lo, hi)
+    return (1.0 - w) * x_star + w * y
+
+
+def _random_cov(rng, n):
+    gs = rng.normal(0.0, 3.0, (3, n))
+    return n * np.eye(n) + gs.T @ gs
+
+
+def _step_case(rng, dims, floor_active):
+    x_star, multipliers = _chosen_optimum(rng, dims, floor_active)
+    x_prev = _nearby_point(rng, dims, x_star, -4.0, -2.0)
+    cov = _random_cov(rng, dims.n)
+    eta = default_eta(dims) * np.exp(rng.uniform(0.0, 1.0, dims.n))
+    d = x_star - x_prev
+    grad = multipliers - 0.5 * (cov @ d) - d / (eta * x_star * x_prev)
+    return omd_step_objective(grad, cov, x_prev, 0.5, eta), x_prev, x_star
+
+
+def _ons_case(rng, dims, floor_active):
+    x_star, multipliers = _chosen_optimum(rng, dims, floor_active)
+    x_prev = _nearby_point(rng, dims, x_star, -3.0, 0.0)
+    cov = _random_cov(rng, dims.n)
+    grad = multipliers - 0.5 * (cov @ (x_star - x_prev))
+    return ons_objective(grad, cov, x_prev, 0.5), x_prev, x_star
+
+
+def _leader_case(rng, dims, floor_active):
+    m = int(rng.integers(1, dims.t + 1))
+    r_mat = rng.uniform(0.05, 1.0, (m, dims.n))
+    r_mat[np.arange(m), rng.integers(0, dims.n, m)] = 1.0
+    gamma = 10.0 ** rng.uniform(-3.0, np.log10(1.0 / 25.0))
+    return leader_objective(r_mat, gamma), uniform_portfolio(dims).x, None
+
+
+def _certificate_tol(obj, x):
+    # Ten times the residual doubles can resolve at x (the solver's float pin).
+    pin = float(np.max(np.abs(np.diagonal(obj.hessian(x))) * np.spacing(x)))
+    return 10.0 * max(SolverConfig().kkt_tol, pin)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from((_step_case, _ons_case, _leader_case)),
+    n=st.sampled_from((2, 5, 10, 20)),
+    floor_active=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_affine_first_agrees_with_barrier_path(family, n, floor_active, seed):
+    dims = ProblemDims(n, 64)
+    obj, x_prev, x_star = family(np.random.default_rng(seed), dims, floor_active)
+    warm = nudge_interior(x_prev, dims)
+    cfg = SolverConfig()
+    diag = SolveDiagnostics()
+    got = minimize_over_clipped_simplex(obj, PortfolioState(warm), dims, cfg, diag).x
+    s = _barrier_path(obj, warm - dims.floor, dims, cfg, _null_basis(n), None)
+    barrier = (dims.floor + s) / (dims.floor + s).sum()
+
+    assert np.abs(got - barrier).max() <= 1e-9
+    for x in (got, barrier):
+        assert kkt_certificate(obj, x, dims, _certificate_tol(obj, x))
+        if x_star is not None:
+            assert np.abs(x - x_star).max() <= 1e-9
+    assert diag.fell_back == (x_star is not None and floor_active)
