@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import BarronsState, barrons_init, barrons_step
 from .domain import (
-    LossRecord,
     MarketRound,
     PortfolioState,
     ProblemDims,

@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
+from .adaptive import leader_objective
 from .domain import (
     MarketRound,
     PortfolioState,
     ProblemDims,
-    column_sums,
     loss_grad_arrays,
     nudge_interior,
     uniform_portfolio,
@@ -96,36 +96,19 @@ def best_crp(
     rounds,
     dims: ProblemDims,
     solver_cfg: Optional[SolverConfig] = None,
-    aux_barrier: float = 1e-9,
 ):
     """Best constant-rebalanced portfolio over the clipped simplex, in hindsight.
 
     Returns ``(weights, total_loss)`` with the loss free of regularization.
     The cumulative log-loss alone can have a singular Hessian (degenerate
-    markets), so a vanishing auxiliary barrier keeps the Newton solve
-    well-posed; its weight is far below every tolerance used downstream.
+    markets), so a vanishing auxiliary barrier of weight 1e-9 (the leader
+    objective with gamma = 1e9) keeps the Newton solve well-posed; its
+    weight is far below every tolerance used downstream.
     """
     r_mat = np.stack([np.asarray(r.r if isinstance(r, MarketRound) else r, dtype=float) for r in rounds])
     if r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must have {dims.n} assets")
-
-    def value(u):
-        return float(-np.log(r_mat @ u).sum() - aux_barrier * np.log(u).sum())
-
-    def gradient(u):
-        p = r_mat @ u
-        return -column_sums(r_mat / p[:, None]) - aux_barrier / u
-
-    def hessian(u):
-        p = r_mat @ u
-        scaled = r_mat / p[:, None]
-        return scaled.T @ scaled + np.diag(aux_barrier / (u * u))
-
-    def value_many(pts):
-        p = pts @ r_mat.T
-        return -np.log(p).sum(axis=1) - aux_barrier * np.log(pts).sum(axis=1)
-
-    obj = Objective(value, gradient, hessian, value_many)
+    obj = leader_objective(r_mat, 1e9)
     warm = PortfolioState(uniform_portfolio(dims).x)
     best = minimize_over_clipped_simplex(obj, warm, dims, solver_cfg)
     total_loss = float(-np.log(r_mat @ best.x).sum())

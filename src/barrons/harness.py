@@ -5,12 +5,13 @@ wall-clock readings, the only nondeterministic content) and ``trace`` (the
 config echo, per-round records, and summary).  The trace part serializes
 canonically, so identical runs produce byte-identical bodies.
 
-The runner checks module invariants online every round; in the default mode
-a violation is recorded in the summary and the run completes, while
-``strict=True`` raises immediately.  ``verify`` replays all of those checks
-offline from a persisted trace, so a trace is self-certifying: it carries
-the played points, the rounds, and the leaders needed to recompute every
-quantity it claims.
+One run loop drives every learner through its ``start``/``step`` interface,
+and one ``TraceChecker`` holds every per-round invariant.  The runner feeds
+it each record as it is built; in the default mode a violation is recorded
+in the summary and the run completes, while ``strict=True`` raises
+immediately.  ``verify`` feeds the same checker a persisted trace, so a
+trace is self-certifying: it carries the played points, the rounds, and the
+leaders needed to recompute every quantity it claims.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import AdaConfig, EpochHistory, ada_init, ada_step, default_eta, epoch_budget
+from .adaptive import ETA_MAX, GAMMA_MAX, AdaConfig, EpochHistory, ada_init, ada_step, default_eta, epoch_budget
 from .baselines import (
     EgLearner,
     OgdLearner,
@@ -41,13 +42,14 @@ from .domain import (
     SUM_TOL,
     loss_grad_arrays,
 )
-from .markets import MarketSpec, generate, load_csv
+from .markets import MarketSpec, generate
 from .solver import SolverConfig, SolverFailure
 
 __all__ = [
     "LEARNER_NAMES",
     "TRACE_SCHEMA",
     "ExperimentResult",
+    "TraceChecker",
     "run_experiment",
     "run_market",
     "save_trace",
@@ -65,6 +67,9 @@ _CLIPPED = {"ada", "barrons", "ons"}
 
 _X_BAND_SLACK = 1e-8
 _U_BAND_SLACK = 1e-8
+
+# Fields the checker derives; verify allows each a gap of tol * max(1, |value|).
+_DERIVED_TOL = {"grad_inf": 1e-9, "x_ratio": 1e-12, "u_ratio": 1e-12, "ratio_max": 1e-12, "ratio_max_prev": 1e-12}
 
 
 @dataclass
@@ -89,53 +94,206 @@ def _floats(arr) -> list:
     return [float(v) for v in np.asarray(arr)]
 
 
-def _note(violations: list, strict: bool, message: str):
-    violations.append(message)
-    if strict:
-        raise AssertionError(f"invariant violation: {message}")
-
-
-def _check_simplex(x, dims, clipped, t, violations, strict):
-    total = float(np.sum(x))
-    if abs(total - 1.0) > SUM_TOL:
-        _note(violations, strict, f"round {t}: play sums to {total!r}")
-    lo = float(np.min(x))
-    floor = dims.floor if clipped else 0.0
-    if lo < floor - FLOOR_TOL:
-        _note(violations, strict, f"round {t}: coordinate {lo!r} under the floor {floor!r}")
-
-
 def _ratio_dev(cur, prev) -> float:
-    return float(np.max(np.abs(np.asarray(cur) / np.asarray(prev) - 1.0)))
+    return float(np.abs(cur / prev - 1.0).max())
 
 
-def _log_rates(x, dims) -> np.ndarray:
-    """Per-coordinate exponents of the rate schedule earned by playing x.
+class TraceChecker:
+    """Every per-round invariant of the run whose config echo is ``config``, one record at a time.
 
-    The schedule after a round is ``eta * exp(running max of these over the
-    epoch's plays)``.
+    Plays must lie on their simplex, reproduce the recorded losses, and stay
+    in their stability band (fixed-rate and adaptive) or keep their weight
+    sum (baselines).  Adaptive records are also checked against the
+    controller's rules: beta per epoch, epoch budget and sequence, leader
+    and its band, ceiling and restart flag, rate schedule, ratio-max.  A
+    violation is appended to ``problems``; with ``strict`` it also raises.
     """
-    return np.clip(np.log(1.0 / (dims.n * x)) / np.log(dims.t), 0.0, None)
+
+    def __init__(self, config: dict, strict: bool = False):
+        self.dims = dims = ProblemDims(int(config["n"]), int(config["t"]))
+        self.learner = config.get("learner")
+        self.strict = strict
+        self.problems: list = []
+        self.floor = dims.floor if self.learner in _CLIPPED else 0.0
+        self.cum = 0.0
+        self.prev = None  # previous record
+        self.prev_sum = None  # weight sum of the previous play (baselines)
+        self.epoch_xs: list = []  # plays of the current epoch (ada, barrons)
+        if self.learner not in ("ada", "barrons"):
+            return
+        params = config.get("params", {})
+        eta = params.get("eta")
+        self.eta_base = default_eta(dims) if eta is None else eta
+        # The play band is proved for base rates up to 1/300 only.
+        self.x_band = math.sqrt(3.0 * self.eta_base) / 2.0 + _X_BAND_SLACK if self.eta_base <= ETA_MAX else math.inf
+        if self.learner == "ada":
+            self.beta_init = params.get("beta", 0.5)
+            self.u_band = math.sqrt(params.get("gamma", GAMMA_MAX)) / 2.0 + _U_BAND_SLACK
+            self.alpha_floor = 1.0 / (16.0 * dims.n * dims.t)
+            self.budget = epoch_budget(dims)
+            self.history = EpochHistory(dims.t, dims.n)
+            self.log_max = None  # running max of the epoch's rate exponents
+            self.prev_u = None  # previous leader of the current epoch
+
+    def _fail(self, t, message: str):
+        message = f"round {t}: {message}"
+        self.problems.append(message)
+        if self.strict:
+            raise AssertionError(f"invariant violation: {message}")
+
+    def _check_point(self, t, name: str, v: np.ndarray, floor: float) -> float:
+        """Check that ``v`` sums to 1 with no coordinate under ``floor``; return its sum."""
+        total = float(v.sum())
+        if abs(total - 1.0) > SUM_TOL:
+            self._fail(t, f"{name} sums to {total!r}")
+        lo = min(v.tolist())  # exact, and faster than ndarray.min() on a few coordinates
+        if lo < floor - FLOOR_TOL:
+            self._fail(t, f"{name} coordinate {lo!r} under the floor {floor!r}")
+        return total
+
+    def check(self, rec: dict) -> dict:
+        """Check one record; return its derived ``grad_inf``, ``x_ratio`` and ``u_ratio``
+        (None without an earlier play or leader in the epoch), plus ``ratio_max`` and
+        ``ratio_max_prev`` at a restart that ends an epoch of two or more rounds.
+        """
+        t = rec["t"]
+        x = np.array(rec["x"], dtype=float)
+        r = np.array(rec["r"], dtype=float)
+        total = self._check_point(t, "play", x, self.floor)
+        loss, grad = loss_grad_arrays(x, r)
+        if abs(loss - rec["loss"]) > 1e-12 * max(1.0, abs(loss)):
+            self._fail(t, f"recorded loss {rec['loss']!r} != recomputed {loss!r}")
+        self.cum += rec["loss"]
+        if abs(self.cum - rec["cum_loss"]) > 1e-9:
+            self._fail(t, "cumulative loss drifts from the per-round sum")
+        derived = {"grad_inf": float(np.abs(grad).max()), "x_ratio": None, "u_ratio": None}
+        if self.learner in ("ada", "barrons"):
+            if self.epoch_xs:
+                dev = _ratio_dev(x, self.epoch_xs[-1])
+                derived["x_ratio"] = dev
+                if dev > self.x_band:
+                    self._fail(t, f"play moved {dev!r}, band {self.x_band!r}")
+            self.epoch_xs.append(x)
+            if self.learner == "ada":
+                self._check_controller(rec, x, r, grad, derived)
+        else:
+            if self.prev_sum is not None and abs(total - self.prev_sum) > 1e-12:
+                self._fail(t, f"step changed the weight sum by {abs(total - self.prev_sum)!r}")
+            self.prev_sum = total
+        self.prev = rec
+        return derived
+
+    def _check_controller(self, rec, x, r, grad, derived):
+        t, epoch, beta, a = rec["t"], rec["epoch"], rec["beta"], rec["alpha"]
+        restart = bool(rec["restart"])
+        if beta != self.beta_init * 0.5 ** (epoch - 1):
+            self._fail(t, f"beta {beta!r} is not beta_init/2^(epoch-1)")
+        if epoch > self.budget:
+            self._fail(t, f"epoch {epoch} exceeds budget {self.budget}")
+        expected = 1 if self.prev is None else self.prev["epoch"] + bool(self.prev["restart"])
+        if epoch != expected:
+            self._fail(t, f"epoch {epoch} does not follow the restart sequence (expected {expected})")
+        u = np.array(rec["u"], dtype=float)
+        self._check_point(t, "leader", u, self.dims.floor)
+        self.history.append(r, x, grad)
+        ceiling = self.history.ceiling(u)
+        if abs(ceiling - a) > 1e-12:
+            self._fail(t, f"recorded ceiling {a!r} != recomputed {ceiling!r}")
+        if not (self.alpha_floor <= a <= 0.5):
+            self._fail(t, f"ceiling {a!r} outside [{self.alpha_floor!r}, 0.5]")
+        if restart != (beta > ceiling):
+            self._fail(t, "restart flag contradicts the ceiling test")
+        # Rate exponents log_t(1/(n x_i)) clipped at 0; the schedule is eta * exp(their running max).
+        log_rates = np.maximum(np.log(1.0 / (self.dims.n * x)) / np.log(self.dims.t), 0.0)
+        self.log_max = log_rates if self.log_max is None else np.maximum(self.log_max, log_rates)
+        eta_now = self.eta_base * np.exp(self.log_max)
+        if eta_now.min() < self.eta_base * (1.0 - 1e-12) or eta_now.max() > math.e * self.eta_base * (1.0 + 1e-12):
+            self._fail(t, "rate schedule left [eta, e*eta]")
+        if self.prev_u is not None:
+            dev = _ratio_dev(u, self.prev_u)
+            derived["u_ratio"] = dev
+            if dev > self.u_band:
+                self._fail(t, f"leader moved {dev!r}, band {self.u_band!r}")
+        if not restart:
+            self.prev_u = u
+            return
+        if len(self.epoch_xs) >= 2:
+            a_cur = float((u / np.stack(self.epoch_xs)).max())
+            a_prev = float((self.prev_u / np.stack(self.epoch_xs[:-1])).max())
+            derived["ratio_max"] = a_cur
+            derived["ratio_max_prev"] = a_prev
+            if a_prev < 0.5 * a_cur:
+                self._fail(t, f"ratio-max fell more than half at restart ({a_prev!r} < {a_cur!r}/2)")
+            if self.prev["epoch"] == epoch and self.prev["alpha"] < beta:
+                self._fail(t, "ceiling was already below beta a round earlier")
+        self.epoch_xs = []
+        self.history.clear()
+        self.log_max = None
+        self.prev_u = None
 
 
-def _ratio_max(u, xs_rows) -> float:
-    """max_i,s of u_i / x_s,i over the given played points."""
-    stacked = np.stack(xs_rows)
-    return float((np.asarray(u) / stacked).max())
+class _AdaRun:
+    """The restart controller behind the ``start``/``step`` learner interface.
+
+    After each step ``fields`` holds the round's epoch and beta, the ceiling
+    and leader after it, and whether it restarted.
+    """
+
+    def __init__(self, params: dict):
+        self.cfg = AdaConfig(
+            beta_init=params.get("beta", 0.5),
+            eta_base=params.get("eta"),
+            gamma=params.get("gamma", GAMMA_MAX),
+        )
+
+    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+        self.state = ada_init(dims, self.cfg)
+        self.solver_cfg = solver_cfg
+        return self
+
+    def step(self, rnd: MarketRound):
+        state = self.state
+        played, epoch, beta = state.inner.x, state.epoch, state.beta
+        _, record, restarted = ada_step(state, rnd, self.solver_cfg)
+        self.fields = {
+            "epoch": epoch,
+            "beta": beta,
+            "alpha": float(state.last_alpha),
+            "u": _floats(state.last_u),
+            "restart": bool(restarted),
+        }
+        return played, record.loss
 
 
-def _build_learner(name: str, dims: ProblemDims, params: dict):
-    if name == "ons":
-        return OnsLearner(beta=params.get("beta", 0.5), mix=params.get("mix", 0.0))
-    if name == "eg":
-        return EgLearner(eta=params.get("eta"), g_est=params.get("g_est"), mix=params.get("mix", 0.0))
-    if name == "ogd":
-        return OgdLearner(eta=params.get("eta"))
-    if name == "softbayes":
-        return SoftBayesLearner(eta=params.get("eta"))
-    if name == "up-grid":
-        return UpGridLearner(resolution=params.get("resolution"))
-    raise ValueError(f"unknown learner {name!r}; choose from {LEARNER_NAMES}")
+class _BarronsRun:
+    """The fixed-rate learner behind the ``start``/``step`` learner interface: one epoch, fixed beta."""
+
+    def __init__(self, params: dict):
+        self.beta = params.get("beta", 0.5)
+        self.eta = params.get("eta")
+
+    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+        self.state = barrons_init(dims, self.beta, default_eta(dims) if self.eta is None else self.eta)
+        self.solver_cfg = solver_cfg
+        self.fields = {"epoch": 1, "beta": self.beta, "alpha": None, "u": None, "restart": False}
+        return self
+
+    def step(self, rnd: MarketRound):
+        played = self.state.x
+        _, record = barrons_step(self.state, rnd, self.solver_cfg)
+        return played, record.loss
+
+
+# Learner name -> constructor from the run's params; keys match LEARNER_NAMES.
+_BUILDERS = {
+    "ada": _AdaRun,
+    "barrons": _BarronsRun,
+    "ons": lambda p: OnsLearner(beta=p.get("beta", 0.5), mix=p.get("mix", 0.0)),
+    "eg": lambda p: EgLearner(eta=p.get("eta"), g_est=p.get("g_est"), mix=p.get("mix", 0.0)),
+    "ogd": lambda p: OgdLearner(eta=p.get("eta")),
+    "softbayes": lambda p: SoftBayesLearner(eta=p.get("eta")),
+    "up-grid": lambda p: UpGridLearner(resolution=p.get("resolution")),
+}
 
 
 def run_experiment(
@@ -175,25 +333,37 @@ def run_experiment(
     }
 
     records: list = []
-    violations: list = []
     per_round_ms: list = []
     started = time.perf_counter()
+    # The learner validates its parameters before the checker derives bands from them.
+    run = _BUILDERS[learner](params).start(dims, solver_cfg)
+    checker = TraceChecker(cfg_echo, strict)
+    plain = {"epoch": 1, "beta": params.get("beta", 0.5) if learner == "ons" else None, "alpha": None, "u": None, "restart": False}
+    cum = 0.0
     try:
-        if learner == "ada":
-            _run_ada(rounds, dims, params, solver_cfg, strict, records, violations, per_round_ms)
-        elif learner == "barrons":
-            _run_barrons(rounds, dims, params, solver_cfg, strict, records, violations, per_round_ms)
-        else:
-            _run_baseline(learner, rounds, dims, params, solver_cfg, strict, records, violations, per_round_ms)
+        for t, rnd in enumerate(rounds, start=1):
+            tick = time.perf_counter()
+            played, loss = run.step(rnd)
+            cum += loss
+            rec = {
+                "t": t,
+                **getattr(run, "fields", plain),
+                "x": _floats(played),
+                "r": _floats(rnd.r),
+                "loss": float(loss),
+                "cum_loss": float(cum),
+            }
+            rec.update(checker.check(rec))
+            records.append(rec)
+            per_round_ms.append(1000.0 * (time.perf_counter() - tick))
         crp, crp_loss = best_crp(rounds, dims, solver_cfg)
-        aborted = None
     except SolverFailure as failure:
-        result = _assemble(cfg_echo, records, violations, None, None, aborted=str(failure))
+        result = _assemble(cfg_echo, records, checker.problems, None, None, aborted=str(failure))
         if out_path is not None:
             save_trace(result, out_path, per_round_ms, started)
         raise
 
-    result = _assemble(cfg_echo, records, violations, _floats(crp.x), crp_loss, aborted)
+    result = _assemble(cfg_echo, records, checker.problems, _floats(crp.x), crp_loss, None)
     if out_path is not None:
         save_trace(result, out_path, per_round_ms, started)
     return result
@@ -215,170 +385,6 @@ def _assemble(cfg_echo, records, violations, crp_weights, crp_loss, aborted):
     if aborted is not None:
         summary["aborted"] = aborted
     return ExperimentResult(cfg_echo, records, summary)
-
-
-def _base_record(t, epoch, beta, x, rnd, loss, cum, grad_inf):
-    return {
-        "t": t,
-        "epoch": epoch,
-        "beta": beta,
-        "x": _floats(x),
-        "r": _floats(rnd.r),
-        "loss": float(loss),
-        "cum_loss": float(cum),
-        "grad_inf": float(grad_inf),
-        "alpha": None,
-        "u": None,
-        "restart": False,
-        "x_ratio": None,
-        "u_ratio": None,
-    }
-
-
-def _run_ada(rounds, dims, params, solver_cfg, strict, records, violations, per_round_ms):
-    cfg = AdaConfig(
-        beta_init=params.get("beta", 0.5),
-        eta_base=params.get("eta"),
-        gamma=params.get("gamma", 1.0 / 25.0),
-    )
-    state = ada_init(dims, cfg)
-    eta_base = state.eta_base
-    beta_init = state.cfg.beta_init
-    x_band = math.sqrt(3.0 * eta_base) / 2.0 + _X_BAND_SLACK
-    u_band = math.sqrt(state.gamma) / 2.0 + _U_BAND_SLACK
-    alpha_floor = 1.0 / (16.0 * dims.n * dims.t)
-    budget = epoch_budget(dims)
-
-    cum = 0.0
-    epoch_xs: list = []        # played points of the current epoch (harness copy)
-    log_max = None             # running max of _log_rates over epoch_xs
-    prev_u = None              # previous round's leader within the epoch
-    prev_eta = None
-    for t, rnd in enumerate(rounds, start=1):
-        tick = time.perf_counter()
-        x_played = state.inner.x.copy()
-        beta_played = state.beta
-        epoch_played = state.epoch
-        state, record, restarted = ada_step(state, rnd, solver_cfg)
-        cum += record.loss
-        grad_inf = float(np.abs(record.gradient).max())
-        u_now = np.asarray(state.last_u)
-        a_now = state.last_alpha
-        epoch_xs.append(x_played)
-
-        rec = _base_record(t, epoch_played, beta_played, x_played, rnd, record.loss, cum, grad_inf)
-        rec["alpha"] = float(a_now)
-        rec["u"] = _floats(u_now)
-        rec["restart"] = bool(restarted)
-
-        _check_simplex(x_played, dims, True, t, violations, strict)
-        _check_simplex(u_now, dims, True, t, violations, strict)
-
-        if abs(beta_played - beta_init * 0.5 ** (epoch_played - 1)) > 0.0:
-            _note(violations, strict, f"round {t}: beta {beta_played!r} is not beta_init/2^(epoch-1)")
-        if not (alpha_floor <= a_now <= 0.5):
-            _note(violations, strict, f"round {t}: ceiling {a_now!r} outside [{alpha_floor!r}, 0.5]")
-        if epoch_played > budget:
-            _note(violations, strict, f"round {t}: epoch {epoch_played} exceeds budget {budget}")
-
-        # Rate schedule: recomputable from played points, banded, monotone.
-        log_rates = _log_rates(x_played, dims)
-        log_max = log_rates if log_max is None else np.maximum(log_max, log_rates)
-        eta_now = eta_base * np.exp(log_max)
-        band_hi = math.e * eta_base * (1.0 + 1e-12)
-        if eta_now.min() < eta_base * (1.0 - 1e-12) or eta_now.max() > band_hi:
-            _note(violations, strict, f"round {t}: rate schedule left [eta, e*eta]")
-        if prev_eta is not None and np.any(eta_now < prev_eta * (1.0 - 1e-12)):
-            _note(violations, strict, f"round {t}: rate schedule decreased")
-
-        if len(epoch_xs) >= 2:
-            dev = _ratio_dev(x_played, epoch_xs[-2])
-            rec["x_ratio"] = dev
-            if dev > x_band:
-                _note(violations, strict, f"round {t}: play moved {dev!r}, band {x_band!r}")
-        if prev_u is not None:
-            dev = _ratio_dev(u_now, prev_u)
-            rec["u_ratio"] = dev
-            if dev > u_band:
-                _note(violations, strict, f"round {t}: leader moved {dev!r}, band {u_band!r}")
-
-        if restarted:
-            if beta_played * 0.5 != state.beta:
-                _note(violations, strict, f"round {t}: restart did not halve beta")
-            if len(epoch_xs) >= 2:
-                a_cur = _ratio_max(u_now, epoch_xs)
-                a_prev = _ratio_max(prev_u, epoch_xs[:-1])
-                rec["ratio_max"] = a_cur
-                rec["ratio_max_prev"] = a_prev
-                if a_prev < 0.5 * a_cur:
-                    _note(
-                        violations,
-                        strict,
-                        f"round {t}: ratio-max fell more than half at restart ({a_prev!r} < {a_cur!r}/2)",
-                    )
-                prev_rec = records[-1] if records else None
-                if prev_rec is not None and prev_rec["epoch"] == epoch_played:
-                    if prev_rec["alpha"] < beta_played:
-                        _note(violations, strict, f"round {t}: ceiling was already below beta a round earlier")
-            epoch_xs = []
-            log_max = None
-            prev_u = None
-            prev_eta = None
-        else:
-            prev_u = u_now
-            prev_eta = eta_now
-
-        records.append(rec)
-        per_round_ms.append(1000.0 * (time.perf_counter() - tick))
-
-
-def _run_barrons(rounds, dims, params, solver_cfg, strict, records, violations, per_round_ms):
-    beta = params.get("beta", 0.5)
-    eta_base = params.get("eta")
-    if eta_base is None:
-        eta_base = default_eta(dims)
-    state = barrons_init(dims, beta, eta_base)
-    x_band = math.sqrt(3.0 * eta_base) / 2.0 + _X_BAND_SLACK
-    check_band = eta_base <= 1.0 / 300.0
-
-    cum = 0.0
-    prev_x = None
-    for t, rnd in enumerate(rounds, start=1):
-        tick = time.perf_counter()
-        x_played = state.x.copy()
-        state, record = barrons_step(state, rnd, solver_cfg)
-        cum += record.loss
-        grad_inf = float(np.abs(record.gradient).max())
-        rec = _base_record(t, 1, beta, x_played, rnd, record.loss, cum, grad_inf)
-        _check_simplex(x_played, dims, True, t, violations, strict)
-        if prev_x is not None:
-            dev = _ratio_dev(x_played, prev_x)
-            rec["x_ratio"] = dev
-            if check_band and dev > x_band:
-                _note(violations, strict, f"round {t}: play moved {dev!r}, band {x_band!r}")
-        prev_x = x_played
-        records.append(rec)
-        per_round_ms.append(1000.0 * (time.perf_counter() - tick))
-
-
-def _run_baseline(name, rounds, dims, params, solver_cfg, strict, records, violations, per_round_ms):
-    learner = _build_learner(name, dims, params).start(dims, solver_cfg)
-    clipped = name in _CLIPPED
-    cum = 0.0
-    prev_sum = None
-    for t, rnd in enumerate(rounds, start=1):
-        tick = time.perf_counter()
-        played, loss = learner.step(rnd)
-        cum += loss
-        _, grad = loss_grad_arrays(played, rnd.r)
-        rec = _base_record(t, 1, params.get("beta", 0.5) if name == "ons" else None, played, rnd, loss, cum, float(np.abs(grad).max()))
-        _check_simplex(played, dims, clipped, t, violations, strict)
-        total = float(np.sum(played))
-        if prev_sum is not None and abs(total - prev_sum) > 1e-12:
-            _note(violations, strict, f"round {t}: step changed the weight sum by {abs(total - prev_sum)!r}")
-        prev_sum = total
-        records.append(rec)
-        per_round_ms.append(1000.0 * (time.perf_counter() - tick))
 
 
 def run_market(
@@ -429,118 +435,27 @@ def load_trace(path) -> dict:
 def verify_trace(trace: dict) -> list:
     """Recheck a persisted trace from scratch; returns the list of problems.
 
-    Losses, gradients, ceilings, rate schedules, stability bands, restart
-    bookkeeping, the epoch budget, and the summary arithmetic are all
-    recomputed from the recorded plays and rounds.  An empty list means the
+    A ``TraceChecker`` replays every per-round invariant from the recorded
+    plays, rounds and leaders, and the fields it derives (gradient norm,
+    play and leader ratios, ratio maxima) must match the recorded ones.
+    Then the summary arithmetic is recomputed.  An empty list means the
     trace is internally consistent.
     """
-    problems: list = []
-    config = trace.get("config", {})
     records = trace.get("per_round", [])
     summary = trace.get("summary", {})
-    learner = config.get("learner")
     try:
-        dims = ProblemDims(int(config["n"]), int(config["t"]))
-    except Exception as exc:
-        return [f"config: bad dimensions ({exc})"]
-    clipped = learner in _CLIPPED or learner == "ada"
-
-    params = config.get("params", {})
-    beta_init = params.get("beta", 0.5)
-    eta_base = params.get("eta")
-    if eta_base is None:
-        eta_base = default_eta(dims)
-    gamma = params.get("gamma", 1.0 / 25.0)
-    x_band = math.sqrt(3.0 * eta_base) / 2.0 + _X_BAND_SLACK
-    u_band = math.sqrt(gamma) / 2.0 + _U_BAND_SLACK
-    alpha_floor = 1.0 / (16.0 * dims.n * dims.t)
-    budget = epoch_budget(dims)
-
-    cum = 0.0
-    epoch_xs: list = []
-    history = EpochHistory(dims.t, dims.n)
-    log_max = None
-    prev_rec = None
-    prev_u = None
+        checker = TraceChecker(trace.get("config", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"config: unusable ({exc})"]
+    problems = checker.problems  # the checker appends its findings here
     for rec in records:
-        t = rec["t"]
-        x = np.array(rec["x"], dtype=float)
-        r = np.array(rec["r"], dtype=float)
-        if abs(x.sum() - 1.0) > SUM_TOL:
-            problems.append(f"round {t}: play sums to {float(x.sum())!r}")
-        floor = dims.floor if clipped else 0.0
-        if float(x.min()) < floor - FLOOR_TOL:
-            problems.append(f"round {t}: coordinate below the floor")
-        loss, grad = loss_grad_arrays(x, r)
-        if abs(loss - rec["loss"]) > 1e-12 * max(1.0, abs(loss)):
-            problems.append(f"round {t}: recorded loss {rec['loss']!r} != recomputed {loss!r}")
-        cum += rec["loss"]
-        if abs(cum - rec["cum_loss"]) > 1e-9:
-            problems.append(f"round {t}: cumulative loss drifts from the per-round sum")
-        grad_inf = float(np.abs(grad).max())
-        if abs(grad_inf - rec["grad_inf"]) > 1e-9 * max(1.0, grad_inf):
-            problems.append(f"round {t}: recorded gradient norm mismatch")
-
-        if learner == "ada":
-            restart = bool(rec["restart"])
-            epoch = rec["epoch"]
-            beta = rec["beta"]
-            if abs(beta - beta_init * 0.5 ** (epoch - 1)) > 0.0:
-                problems.append(f"round {t}: beta inconsistent with epoch index")
-            if epoch > budget:
-                problems.append(f"round {t}: epoch {epoch} exceeds budget {budget}")
-            if prev_rec is not None:
-                expected_epoch = prev_rec["epoch"] + (1 if prev_rec["restart"] else 0)
-                if epoch != expected_epoch:
-                    problems.append(f"round {t}: epoch index does not follow the restart sequence")
-            elif epoch != 1:
-                problems.append(f"round {t}: first round must open epoch 1")
-
-            u = np.array(rec["u"], dtype=float)
-            if abs(u.sum() - 1.0) > SUM_TOL or float(u.min()) < dims.floor - FLOOR_TOL:
-                problems.append(f"round {t}: leader leaves the clipped simplex")
-            epoch_xs.append(x)
-            history.append(r, x, grad)
-            ceiling = history.ceiling(u)
-            if abs(ceiling - rec["alpha"]) > 1e-12:
-                problems.append(f"round {t}: recorded ceiling {rec['alpha']!r} != recomputed {ceiling!r}")
-            if not (alpha_floor <= rec["alpha"] <= 0.5):
-                problems.append(f"round {t}: ceiling outside its provable range")
-            if restart != (beta > ceiling):
-                problems.append(f"round {t}: restart flag contradicts the ceiling test")
-
-            log_rates = _log_rates(x, dims)
-            log_max = log_rates if log_max is None else np.maximum(log_max, log_rates)
-            eta_now = eta_base * np.exp(log_max)
-            if eta_now.min() < eta_base * (1 - 1e-12) or eta_now.max() > math.e * eta_base * (1 + 1e-12):
-                problems.append(f"round {t}: rate schedule left its band")
-
-            if len(epoch_xs) >= 2:
-                dev = float(np.max(np.abs(x / epoch_xs[-2] - 1.0)))
-                if dev > x_band:
-                    problems.append(f"round {t}: play stability band broken ({dev!r} > {x_band!r})")
-                if rec["x_ratio"] is not None and abs(dev - rec["x_ratio"]) > 1e-12:
-                    problems.append(f"round {t}: recorded x_ratio mismatch")
-            if prev_u is not None:
-                dev = float(np.max(np.abs(u / prev_u - 1.0)))
-                if dev > u_band:
-                    problems.append(f"round {t}: leader stability band broken ({dev!r} > {u_band!r})")
-
-            if restart:
-                if len(epoch_xs) >= 2:
-                    a_cur = float((u / np.stack(epoch_xs)).max())
-                    a_prev = float((prev_u / np.stack(epoch_xs[:-1])).max())
-                    if a_prev < 0.5 * a_cur:
-                        problems.append(f"round {t}: ratio-max more than halved at restart")
-                    if prev_rec is not None and prev_rec["epoch"] == epoch and prev_rec["alpha"] < beta:
-                        problems.append(f"round {t}: ceiling had already failed a round earlier")
-                epoch_xs = []
-                history.clear()
-                log_max = None
-                prev_u = None
-            else:
-                prev_u = u
-        prev_rec = rec
+        derived = checker.check(rec)
+        for key, value in derived.items():
+            recorded = rec.get(key)
+            if value == recorded:
+                continue
+            if value is None or recorded is None or abs(value - recorded) > _DERIVED_TOL[key] * max(1.0, abs(value)):
+                problems.append(f"round {rec['t']}: recorded {key} {recorded!r} != recomputed {value!r}")
 
     if records:
         total = records[-1]["cum_loss"]

@@ -9,6 +9,7 @@ import pytest
 from barrons.domain import ProblemDims
 from barrons.harness import (
     LEARNER_NAMES,
+    TraceChecker,
     growth_ratios,
     load_trace,
     run_experiment,
@@ -95,6 +96,52 @@ def test_verifier_catches_tampered_ceiling(blowup_result):
     trace["per_round"][3]["alpha"] = 0.4999
     problems = verify_trace(trace)
     assert any("alpha" in p or "ceiling" in p for p in problems)
+
+
+@pytest.fixture(scope="module")
+def blowup_results(blowup_result):
+    return {"ada": blowup_result, **{name: run_market(name, MarketSpec("blowup", DIMS)) for name in ("barrons", "ons")}}
+
+
+def _first_full_restart(records):
+    return next(i for i, rec in enumerate(records) if "ratio_max" in rec)
+
+
+@pytest.mark.parametrize(
+    "learner, field, pick, tamper, word",
+    [
+        ("ada", "u_ratio", lambda recs: 5, lambda v: v + 1e-9, "u_ratio"),
+        ("ada", "ratio_max", _first_full_restart, lambda v: 2.0 * v, "ratio_max"),
+        ("barrons", "x_ratio", lambda recs: 5, lambda v: v + 1e-9, "x_ratio"),
+        ("ons", "x", lambda recs: 10, lambda v: [c * (1.0 + 1e-11) for c in v], "weight sum"),
+    ],
+    ids=["ada-u_ratio", "ada-ratio_max", "barrons-x_ratio", "ons-weight_sum"],
+)
+def test_verifier_catches_tampered_checked_field(blowup_results, learner, field, pick, tamper, word):
+    trace = json.loads(blowup_results[learner].body_json())
+    rec = trace["per_round"][pick(trace["per_round"])]
+    rec[field] = tamper(rec[field])
+    problems = verify_trace(trace)
+    assert any(p.startswith(f"round {rec['t']}:") and word in p for p in problems), problems
+
+
+def test_checker_raises_when_strict_and_records_otherwise(blowup_result):
+    records = json.loads(blowup_result.body_json())["per_round"]
+    # A round whose ceiling no later check reads: neither it nor the next round restarts.
+    bad = next(i for i in range(1, len(records) - 1) if not (records[i]["restart"] or records[i + 1]["restart"]))
+    records[bad]["alpha"] = 0.4999
+    t = records[bad]["t"]
+
+    relaxed = TraceChecker(blowup_result.config)
+    derived = [relaxed.check(rec) for rec in records]
+    assert len(relaxed.problems) == 1 and relaxed.problems[0].startswith(f"round {t}: recorded ceiling")
+    assert [d["u_ratio"] for d in derived] == [rec["u_ratio"] for rec in records]
+
+    strict = TraceChecker(blowup_result.config, strict=True)
+    with pytest.raises(AssertionError, match=f"round {t}: recorded ceiling"):
+        for rec in records:
+            strict.check(rec)
+    assert rec is records[bad]
 
 
 def test_verifier_catches_tampered_restart_flag(blowup_result):
