@@ -136,31 +136,21 @@ class EpochHistory:
 class AdaState:
     """Mutable controller state.  Single-owner: one run, one instance.
 
+    ``cfg`` is resolved, and gamma and eta_base are read from it.
     ``last_alpha``/``last_u`` describe the most recently completed round and
-    survive a restart; ``epoch_prev_alpha`` is the ceiling of the previous
-    round of the *current* epoch (None on epoch-opening rounds), kept so a
-    restart can check that the ceiling actually held one round earlier.
+    survive a restart.
     """
 
     def __init__(self, dims: ProblemDims, cfg: AdaConfig):
         self.dims = dims
         self.cfg = cfg
         self.beta = cfg.beta_init
-        self.gamma = cfg.gamma
-        self.eta_base = cfg.eta_base
         self.epoch = 1
-        self.global_round = 0
-        self.inner: BarronsState = barrons_init(dims, self.beta, self.eta_base)
+        self.inner: BarronsState = barrons_init(dims, self.beta, cfg.eta_base)
         self.history = EpochHistory(dims.t, dims.n)  # rows of the current epoch
         self.u: Optional[np.ndarray] = None  # current epoch leader (warm start)
         self.last_alpha: Optional[float] = None
         self.last_u: Optional[np.ndarray] = None
-        self.epoch_prev_alpha: Optional[float] = None
-
-    @property
-    def rounds(self) -> list:
-        """Price relatives of the current epoch, oldest first (copies)."""
-        return list(self.history.rounds.copy())
 
 
 def ada_init(dims: ProblemDims, cfg: Optional[AdaConfig] = None) -> AdaState:
@@ -242,14 +232,12 @@ def ada_step(
     state, and the next round opens the new epoch from uniform.  The check
     runs after every round, including a round that itself opened an epoch.
     """
-    state.global_round += 1
-    prev_in_epoch = state.epoch_prev_alpha
-
+    played = state.inner.x  # barrons_step rebinds state.x and mutates nothing in place
     _, record = barrons_step(state.inner, rnd, solver_cfg)
-    state.history.append(rnd.r, state.inner.xs[-1], record.gradient)
+    state.history.append(rnd.r, played, record.gradient)
 
     warm = state.u if state.u is not None else uniform_portfolio(state.dims).x
-    leader = regularized_leader(state.history.rounds, state.gamma, warm, state.dims, solver_cfg)
+    leader = regularized_leader(state.history.rounds, state.cfg.gamma, warm, state.dims, solver_cfg)
     state.u = np.array(leader.x)
     state.last_u = state.u
 
@@ -258,22 +246,13 @@ def ada_step(
 
     restarted = state.beta > ceiling
     if restarted:
-        # Had the ceiling been this low a round earlier, the restart would
-        # already have fired then (beta has not changed in between).
-        if prev_in_epoch is not None and state.beta > prev_in_epoch:
-            raise RuntimeError(
-                f"the ceiling {prev_in_epoch!r} was already below beta {state.beta!r} a round earlier"
-            )
         if state.epoch + 1 > epoch_budget(state.dims):
             raise EpochBudgetError(
                 f"epoch {state.epoch + 1} would exceed the budget {epoch_budget(state.dims)}"
             )
         state.beta *= 0.5
         state.epoch += 1
-        state.inner = barrons_init(state.dims, state.beta, state.eta_base)
+        state.inner = barrons_init(state.dims, state.beta, state.cfg.eta_base)
         state.history.clear()
         state.u = None
-        state.epoch_prev_alpha = None
-    else:
-        state.epoch_prev_alpha = ceiling
     return state, record, restarted

@@ -30,12 +30,17 @@ EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
 
-def _add_market_args(parser, require=True):
-    group = parser.add_mutually_exclusive_group(required=require)
+def _add_market_args(parser):
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--market", choices=MARKET_KINDS, help="built-in market family")
     group.add_argument("--csv", type=Path, help="CSV of raw price relatives, one round per row")
-    parser.add_argument("--n", type=int, required=True, help="number of assets")
     parser.add_argument("--t-horizon", type=int, help="number of rounds (built-in markets)")
+    _add_market_flags(parser)
+
+
+def _add_market_flags(parser):
+    """The flags run, sweep and gen share: the asset count, the market seed and the market parameters."""
+    parser.add_argument("--n", type=int, required=True, help="number of assets")
     parser.add_argument("--seed", type=int, default=0, help="market seed")
     parser.add_argument("--eps", type=float, help="small price relative for the blowup market")
     parser.add_argument("--flip-period", type=int, help="rounds between blowup regime flips")
@@ -64,6 +69,17 @@ def _market_params(args) -> dict:
     if args.sigma is not None:
         params["sigma"] = args.sigma
     return params
+
+
+def _market_spec(args) -> MarketSpec:
+    if args.t_horizon is None:
+        raise ValueError("--t-horizon is required with --market")
+    return MarketSpec(
+        args.market,
+        ProblemDims(args.n, args.t_horizon),
+        seed=args.seed,
+        params=_market_params(args),
+    )
 
 
 def _learner_params(args) -> dict:
@@ -103,17 +119,9 @@ def _cmd_run(args) -> int:
             out_path=args.out,
         )
     else:
-        if args.t_horizon is None:
-            raise ValueError("--t-horizon is required with --market")
-        spec = MarketSpec(
-            args.market,
-            ProblemDims(args.n, args.t_horizon),
-            seed=args.seed,
-            params=_market_params(args),
-        )
         result = run_market(
             args.learner,
-            spec,
+            _market_spec(args),
             params=params,
             solver_cfg=solver_cfg,
             strict=args.strict,
@@ -176,15 +184,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.t_horizon is None:
-        raise ValueError("--t-horizon is required")
-    spec = MarketSpec(
-        args.market,
-        ProblemDims(args.n, args.t_horizon),
-        seed=args.seed,
-        params=_market_params(args),
-    )
-    rounds = generate(spec)
+    rounds = generate(_market_spec(args))
     write_csv(rounds, args.out)
     print(f"{len(rounds)} rounds written to {args.out}")
     return EXIT_OK
@@ -206,13 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid of runs over horizons and seeds")
     _add_learner_args(p_sweep)
     p_sweep.add_argument("--market", choices=MARKET_KINDS, required=True)
-    p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--t-values", required=True, help="comma separated horizons")
     p_sweep.add_argument("--reps", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--eps", type=float)
-    p_sweep.add_argument("--flip-period", type=int)
-    p_sweep.add_argument("--sigma", type=float)
+    _add_market_flags(p_sweep)
     p_sweep.add_argument("--out", type=Path, required=True, help="CSV results table")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -222,12 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write a built-in market to CSV")
     p_gen.add_argument("--market", choices=MARKET_KINDS, required=True)
-    p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--t-horizon", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--eps", type=float)
-    p_gen.add_argument("--flip-period", type=int)
-    p_gen.add_argument("--sigma", type=float)
+    _add_market_flags(p_gen)
     p_gen.add_argument("--out", type=Path, required=True)
     p_gen.set_defaults(func=_cmd_gen)
 

@@ -39,25 +39,20 @@ class BarronsState:
 
     Fields
     ------
-    t         epoch-round index of the next round to be played (starts at 1)
     x         current play, a point of the clipped simplex
     cov       n*I plus the sum of outer products of observed gradients
     log_max   running max of log_t(1 / (n * x_s,i)) over played points
     eta       current per-coordinate learning rates, eta_base * exp(log_max)
-    xs, grads played points and their gradients, oldest first
     """
 
     def __init__(self, dims: ProblemDims, beta: float, eta_base: float):
         self.dims = dims
         self.beta = float(beta)
         self.eta_base = float(eta_base)
-        self.t = 1
         self.x = uniform_portfolio(dims).x.copy()
         self.cov = float(dims.n) * np.eye(dims.n)
         self.log_max = np.zeros(dims.n)
         self.eta = np.full(dims.n, self.eta_base)
-        self.xs: list[np.ndarray] = []
-        self.grads: list[np.ndarray] = []
 
 
 def barrons_init(dims: ProblemDims, beta: float, eta_base: float) -> BarronsState:
@@ -138,10 +133,7 @@ def barrons_step(
     warm = PortfolioState(nudge_interior(x_t, dims))
     x_next = minimize_over_clipped_simplex(obj, warm, dims, solver_cfg, diagnostics)
 
-    state.xs.append(x_t)
-    state.grads.append(grad)
     state.x = np.array(x_next.x)
-    state.t += 1
     return state, LossRecord(loss, grad)
 
 

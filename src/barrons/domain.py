@@ -35,6 +35,7 @@ __all__ = [
 
 SUM_TOL = 1e-9     # allowed slack on sum(x) == 1
 FLOOR_TOL = 1e-12  # allowed slack below the coordinate floor
+_NUDGE_MIX = 1e-7  # weight of the uniform portfolio in nudge_interior
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -209,7 +210,7 @@ def smooth_comparator(u_prime, dims: ProblemDims) -> PortfolioState:
     return PortfolioState.checked(u, dims)
 
 
-def nudge_interior(x: np.ndarray, dims: ProblemDims, mix: float = 1e-7) -> np.ndarray:
+def nudge_interior(x: np.ndarray, dims: ProblemDims) -> np.ndarray:
     """Mix a whisper of the uniform portfolio into `x`.
 
     Solver warm starts must be strictly inside the clipped simplex; a point
@@ -218,4 +219,4 @@ def nudge_interior(x: np.ndarray, dims: ProblemDims, mix: float = 1e-7) -> np.nd
     moving the point meaningfully.
     """
     u = np.full(dims.n, 1.0 / dims.n)
-    return (1.0 - mix) * np.asarray(x, dtype=float) + mix * u
+    return (1.0 - _NUDGE_MIX) * np.asarray(x, dtype=float) + _NUDGE_MIX * u

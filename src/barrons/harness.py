@@ -203,11 +203,11 @@ class TraceChecker:
             self._fail(t, f"ceiling {a!r} outside [{self.alpha_floor!r}, 0.5]")
         if restart != (beta > ceiling):
             self._fail(t, "restart flag contradicts the ceiling test")
-        # Rate exponents log_t(1/(n x_i)) clipped at 0; the schedule is eta * exp(their running max).
+        # Rate exponents log_t(1/(n x_i)) clipped at 0, so the schedule eta * exp(their running max) never falls under eta.
         log_rates = np.maximum(np.log(1.0 / (self.dims.n * x)) / np.log(self.dims.t), 0.0)
         self.log_max = log_rates if self.log_max is None else np.maximum(self.log_max, log_rates)
         eta_now = self.eta_base * np.exp(self.log_max)
-        if eta_now.min() < self.eta_base * (1.0 - 1e-12) or eta_now.max() > math.e * self.eta_base * (1.0 + 1e-12):
+        if eta_now.max() > math.e * self.eta_base * (1.0 + 1e-12):
             self._fail(t, "rate schedule left [eta, e*eta]")
         if self.prev_u is not None:
             dev = _ratio_dev(u, self.prev_u)
@@ -240,11 +240,8 @@ class _AdaRun:
     """
 
     def __init__(self, params: dict):
-        self.cfg = AdaConfig(
-            beta_init=params.get("beta", 0.5),
-            eta_base=params.get("eta"),
-            gamma=params.get("gamma", GAMMA_MAX),
-        )
+        keywords = {"beta": "beta_init", "eta": "eta_base", "gamma": "gamma"}
+        self.cfg = AdaConfig(**{kw: params[key] for key, kw in keywords.items() if key in params})
 
     def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
         self.state = ada_init(dims, self.cfg)
@@ -284,15 +281,19 @@ class _BarronsRun:
         return played, record.loss
 
 
-# Learner name -> constructor from the run's params; keys match LEARNER_NAMES.
+def _given(params: dict, *names: str) -> dict:
+    return {name: params[name] for name in names if name in params}
+
+
+# Learner name -> constructor from the params the run was given; keys match LEARNER_NAMES.
 _BUILDERS = {
     "ada": _AdaRun,
     "barrons": _BarronsRun,
-    "ons": lambda p: OnsLearner(beta=p.get("beta", 0.5), mix=p.get("mix", 0.0)),
-    "eg": lambda p: EgLearner(eta=p.get("eta"), g_est=p.get("g_est"), mix=p.get("mix", 0.0)),
-    "ogd": lambda p: OgdLearner(eta=p.get("eta")),
-    "softbayes": lambda p: SoftBayesLearner(eta=p.get("eta")),
-    "up-grid": lambda p: UpGridLearner(resolution=p.get("resolution")),
+    "ons": lambda p: OnsLearner(**_given(p, "beta", "mix")),
+    "eg": lambda p: EgLearner(**_given(p, "eta", "g_est", "mix")),
+    "ogd": lambda p: OgdLearner(**_given(p, "eta")),
+    "softbayes": lambda p: SoftBayesLearner(**_given(p, "eta")),
+    "up-grid": lambda p: UpGridLearner(**_given(p, "resolution")),
 }
 
 
@@ -338,7 +339,7 @@ def run_experiment(
     # The learner validates its parameters before the checker derives bands from them.
     run = _BUILDERS[learner](params).start(dims, solver_cfg)
     checker = TraceChecker(cfg_echo, strict)
-    plain = {"epoch": 1, "beta": params.get("beta", 0.5) if learner == "ons" else None, "alpha": None, "u": None, "restart": False}
+    plain = {"epoch": 1, "beta": getattr(run, "beta", None), "alpha": None, "u": None, "restart": False}
     cum = 0.0
     try:
         for t, rnd in enumerate(rounds, start=1):

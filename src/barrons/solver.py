@@ -15,8 +15,8 @@ has two phases:
 - The barrier path then restarts from the warm start.  It handles the
   coordinate floor with a path-following log-barrier so minimizers are
   allowed to sit on the floor (the barrier weight is driven down to
-  ``min_barrier_mu``, which parks face-active coordinates within ~1e-12 of
-  it).  Only this path raises ``SolverFailure``.
+  1e-12, which parks face-active coordinates within ~1e-12 of it).  Only
+  this path raises ``SolverFailure``.
 
 Callers supply the objective as value/gradient/Hessian closures.  The
 Hessian must be positive definite on the interior; every target objective in
@@ -50,6 +50,10 @@ _BOUNDARY_FRACTION = 0.99
 _AFFINE_KEEP = 0.01
 # Distance to the floor under which kkt_certificate counts a coordinate as on it.
 _ON_FLOOR = 1e-9
+# Barrier weights: the largest first weight, the factor between stages, the last weight.
+_MU_INIT = 1.0
+_MU_SHRINK = 0.1
+_MU_MIN = 1e-12
 
 
 @dataclass
@@ -71,21 +75,12 @@ class Objective:
 class SolverConfig:
     kkt_tol: float = 1e-10
     max_newton_iters: int = 100
-    barrier_mu_init: float = 1.0
-    barrier_shrink: float = 0.1
-    min_barrier_mu: float = 1e-12
 
     def __post_init__(self):
         if self.kkt_tol <= 0:
             raise ValueError("kkt_tol must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
-        if self.barrier_mu_init <= 0 or self.min_barrier_mu <= 0:
-            raise ValueError("barrier weights must be positive")
-        if not (0.0 < self.barrier_shrink < 1.0):
-            raise ValueError("barrier_shrink must lie in (0, 1)")
-        if self.min_barrier_mu > self.barrier_mu_init:
-            raise ValueError("min_barrier_mu cannot exceed barrier_mu_init")
 
 
 class SolverFailure(RuntimeError):
@@ -312,20 +307,20 @@ def _first_barrier_weight(obj, s, floor, dims, cfg) -> float:
     lam = g - g.min()
     lam[lam < 10.0 * cfg.kkt_tol] = 0.0
     comp = float(lam @ s)
-    return min(cfg.barrier_mu_init, max(comp / dims.n, cfg.min_barrier_mu))
+    return min(_MU_INIT, max(comp / dims.n, _MU_MIN))
 
 
 def _barrier_path(obj, s, dims, cfg, basis, diag):
-    """Log-barrier path from the slacks `s` down to ``min_barrier_mu``."""
+    """Log-barrier path from the slacks `s` down to the last barrier weight."""
     floor = dims.floor
     mu = _first_barrier_weight(obj, s, floor, dims, cfg)
     while True:
-        final = mu <= cfg.min_barrier_mu
+        final = mu <= _MU_MIN
         tol = cfg.kkt_tol if final else max(cfg.kkt_tol, 1e-3 * mu)
         s = _center(obj, s, floor, mu, tol, cfg, basis, diag)
         if final:
             return s
-        mu = max(mu * cfg.barrier_shrink, cfg.min_barrier_mu)
+        mu = max(mu * _MU_SHRINK, _MU_MIN)
 
 
 def minimize_over_clipped_simplex(

@@ -6,6 +6,7 @@ import pytest
 
 from barrons.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, main
 from barrons.harness import load_trace
+from barrons.markets import generate
 
 
 def test_run_writes_a_verifiable_trace(tmp_path, capsys):
@@ -101,13 +102,25 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert "growth_ratios" in doc
 
 
-def test_market_flags_reach_the_generator(tmp_path):
-    out = tmp_path / "trace.json"
+@pytest.mark.parametrize("command, horizon", [
+    ("run", ["--learner", "eg", "--t-horizon", "16"]),
+    ("sweep", ["--learner", "eg", "--t-values", "16"]),
+    ("gen", ["--t-horizon", "16"]),
+], ids=["run", "sweep", "gen"])
+def test_market_flags_reach_the_generator(tmp_path, monkeypatch, command, horizon):
+    specs = []
+
+    def spy(spec):
+        specs.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr("barrons.harness.generate", spy)
+    monkeypatch.setattr("barrons.cli.generate", spy)
     assert main([
-        "run", "--learner", "eg", "--market", "blowup", "--n", "2",
-        "--t-horizon", "16", "--eps", "0.125", "--flip-period", "4",
-        "--out", str(out),
+        command, "--market", "blowup", "--n", "2", *horizon,
+        "--eps", "0.125", "--flip-period", "4", "--out", str(tmp_path / "out"),
     ]) == EXIT_OK
-    trace = load_trace(out)
-    assert trace["per_round"][0]["r"] == [1.0, 0.125]
-    assert trace["per_round"][4]["r"] == [0.125, 1.0]
+    (spec,) = specs
+    rounds = generate(spec)
+    assert rounds[0].r.tolist() == [1.0, 0.125]
+    assert rounds[4].r.tolist() == [0.125, 1.0]

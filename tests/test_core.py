@@ -32,7 +32,6 @@ def test_init_state_shape():
     state = barrons_init(DIMS, 0.5, default_eta(DIMS))
     np.testing.assert_array_equal(state.x, [0.5, 0.5])
     np.testing.assert_array_equal(state.cov, 2.0 * np.eye(2))
-    assert state.t == 1
     assert np.all(state.eta == state.eta_base)
 
 
@@ -122,19 +121,20 @@ def test_step_charges_loss_at_current_play():
     _, rec = barrons_step(state, MarketRound(np.array([1.0, 0.5])))
     assert rec.loss == pytest.approx(-math.log(0.75), abs=1e-15)
     np.testing.assert_allclose(rec.gradient, [-4.0 / 3.0, -2.0 / 3.0], atol=1e-15)
-    assert state.t == 2
-    assert len(state.xs) == 1
+    # The state absorbed exactly this one round.
+    np.testing.assert_array_equal(state.cov, 2.0 * np.eye(2) + np.outer(rec.gradient, rec.gradient))
 
 
 def test_covariance_accumulates_observed_outer_products():
     state = barrons_init(DIMS, 0.5, default_eta(DIMS))
     rng = np.random.default_rng(10)
+    grads = []
     for _ in range(12):
         raw = rng.uniform(0.2, 1.0, 2)
         raw[rng.integers(2)] = 1.0
-        barrons_step(state, MarketRound(raw))
+        grads.append(barrons_step(state, MarketRound(raw))[1].gradient)
     want = 2.0 * np.eye(2)
-    for g in state.grads:
+    for g in grads:
         want = want + np.outer(g, g)
     np.testing.assert_allclose(state.cov, want, rtol=0.0, atol=1e-12)
     eigmin = float(np.linalg.eigvalsh(state.cov).min())
@@ -148,11 +148,13 @@ def test_rate_schedule_recomputable_and_monotone():
     state = barrons_init(dims, 0.5, default_eta(dims))
     rng = np.random.default_rng(12)
     prev_eta = state.eta.copy()
+    plays = []
     for _ in range(40):
         raw = rng.uniform(0.1, 1.0, 2)
         raw[rng.integers(2)] = 1.0
+        plays.append(state.x)
         barrons_step(state, MarketRound(raw))
-        played = np.stack(state.xs)
+        played = np.stack(plays)
         log_max = np.log(1.0 / (dims.n * played)) / math.log(dims.t)
         want = state.eta_base * np.exp(np.clip(log_max, 0.0, None).max(axis=0))
         np.testing.assert_allclose(state.eta, want, rtol=1e-12)
@@ -185,7 +187,8 @@ def test_step_rejects_unnormalized_duck_typed_round():
     state = barrons_init(DIMS, 0.5, default_eta(DIMS))
     with pytest.raises(ValueError, match="normalized"):
         barrons_step(state, RawRound())
-    assert state.t == 1 and state.xs == []
+    np.testing.assert_array_equal(state.x, [0.5, 0.5])
+    np.testing.assert_array_equal(state.cov, 2.0 * np.eye(2))
 
 
 def test_identical_runs_are_bit_identical():
