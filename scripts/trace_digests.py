@@ -7,7 +7,10 @@ T in {64, 256}, with strict checking off and on, all at market seed 3
 (224 runs).  A second grid covers non-default settings at T=64 on every
 market kind and n in {2, 5}: each entry of ``NON_DEFAULT`` (learner
 parameters, and one solver configuration for the learners that call the
-solver), 128 runs; both grids together take about 25 s on one core.  For
+solver), 128 runs.  A third, wide grid runs ada, barrons and ons on every
+market kind at n=10 and T=64 (12 runs), where the solver's reduced Newton
+system has nine columns and its step sums many terms.  All three grids
+together take about 30 s on one core.  For
 each run it prints the sha256 of the canonical trace body, the number of
 invariant violations recorded, and the problems ``verify_trace`` finds in
 the body; a run that raises prints its exception instead.  Run it at two
@@ -29,6 +32,8 @@ from barrons.solver import SolverConfig, SolverFailure
 SEED = 3
 N_VALUES = (2, 5)
 T_VALUES = (64, 256)
+WIDE_LEARNERS = ("ada", "barrons", "ons")
+WIDE_N = 10
 
 # (learner, params, solver kkt_tol and max_newton_iters or None for the default solver)
 NON_DEFAULT = [
@@ -82,6 +87,9 @@ def main() -> int:
         for kind in MARKET_KINDS:
             for n in N_VALUES:
                 out[f"{learner}[{setting}]/{kind}/n={n}/T=64"] = digest(learner, kind, n, 64, False, params, solver)
+    for learner in WIDE_LEARNERS:
+        for kind in MARKET_KINDS:
+            out[f"{learner}/{kind}/n={WIDE_N}/T=64/strict=0"] = digest(learner, kind, WIDE_N, 64, False)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

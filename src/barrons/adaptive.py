@@ -76,8 +76,12 @@ class AdaConfig:
     eta_base: Optional[float] = None
     gamma: float = GAMMA_MAX
 
+    def base_rate(self, dims: ProblemDims) -> float:
+        """`eta_base`, or the dimension default when it is None."""
+        return self.eta_base if self.eta_base is not None else default_eta(dims)
+
     def resolve(self, dims: ProblemDims) -> "AdaConfig":
-        eta = self.eta_base if self.eta_base is not None else default_eta(dims)
+        eta = self.base_rate(dims)
         if not (0.0 < self.beta_init <= 0.5):
             raise ValueError(f"beta_init must lie in (0, 1/2], got {self.beta_init!r}")
         if not (0.0 < self.gamma <= GAMMA_MAX):
@@ -159,21 +163,45 @@ def ada_init(dims: ProblemDims, cfg: Optional[AdaConfig] = None) -> AdaState:
 
 
 def leader_objective(rounds: np.ndarray, gamma: float) -> Objective:
-    """Cumulative log-loss over `rounds` plus a barrier of weight 1/gamma."""
+    """Cumulative log-loss over `rounds` plus a barrier of weight 1/gamma.
+
+    Value, gradient and Hessian at one point share the per-round wealths
+    ``r_mat @ u`` and the scaled rows ``r_mat / wealth``.  They are kept for
+    the last point seen, keyed on its bytes, so a solver's value, gradient
+    and Hessian at one iterate compute them once, and a point changed in
+    place is a new point.  `rounds` must not change while the objective is
+    in use.
+    """
     r_mat = np.asarray(rounds, dtype=float)
     inv_gamma = 1.0 / gamma
+    last = [None, None, None]  # bytes of the last point, its wealths, its scaled rows (or None)
+
+    def wealth(u):
+        key = u.tobytes()
+        if key != last[0]:
+            last[:] = key, r_mat @ u, None
+        return last[1]
+
+    def scaled_rows(u):
+        p = wealth(u)
+        if last[2] is None:
+            last[2] = r_mat / p[:, None]
+        return last[2]
 
     def value(u):
-        return float(-np.log(r_mat @ u).sum() - inv_gamma * np.log(u).sum())
+        u = np.asarray(u, dtype=float)
+        return float(-np.log(wealth(u)).sum() - inv_gamma * np.log(u).sum())
 
     def gradient(u):
-        p = r_mat @ u
-        return -column_sums(r_mat / p[:, None]) - inv_gamma / u
+        u = np.asarray(u, dtype=float)
+        return -column_sums(scaled_rows(u)) - inv_gamma / u
 
     def hessian(u):
-        p = r_mat @ u
-        scaled = r_mat / p[:, None]
-        return scaled.T @ scaled + np.diag(inv_gamma / (u * u))
+        u = np.asarray(u, dtype=float)
+        scaled = scaled_rows(u)
+        h = scaled.T @ scaled
+        h.ravel()[:: u.size + 1] += inv_gamma / (u * u)
+        return h
 
     def value_many(pts):
         p = pts @ r_mat.T
@@ -238,7 +266,7 @@ def ada_step(
 
     warm = state.u if state.u is not None else uniform_portfolio(state.dims).x
     leader = regularized_leader(state.history.rounds, state.cfg.gamma, warm, state.dims, solver_cfg)
-    state.u = np.array(leader.x)
+    state.u = leader.x
     state.last_u = state.u
 
     ceiling = state.history.ceiling(state.u)

@@ -73,17 +73,24 @@ def soft_bayes_step(x: np.ndarray, r: np.ndarray, eta: float) -> np.ndarray:
 
 
 def ons_objective(grad_t, cov, x_prev, beta) -> Objective:
-    """Linearized loss plus a pure covariance-quadratic divergence."""
+    """Linearized loss plus a pure covariance-quadratic divergence.
+
+    The Hessian is constant: every call returns the same read-only array,
+    so `cov` must not change while the objective is in use.
+    """
+    half_beta = 0.5 * beta  # the value's ``0.5 * beta * q`` multiplies left to right
+    beta_cov = beta * cov
+    beta_cov.setflags(write=False)
 
     def value(x):
         d = x - x_prev
-        return float(grad_t @ d + 0.5 * beta * (d @ cov @ d))
+        return float(grad_t @ d + half_beta * (d @ cov @ d))
 
     def gradient(x):
         return grad_t + beta * (cov @ (x - x_prev))
 
     def hessian(x):
-        return beta * cov
+        return beta_cov
 
     def value_many(pts):
         d = pts - x_prev
@@ -183,9 +190,7 @@ class OnsLearner:
         self.cov = self.cov + np.outer(grad, grad)
         obj = ons_objective(grad, self.cov, self.x, self.beta)
         warm = PortfolioState(nudge_interior(self.x, self.dims))
-        self.x = np.array(
-            minimize_over_clipped_simplex(obj, warm, self.dims, self.solver_cfg).x
-        )
+        self.x = minimize_over_clipped_simplex(obj, warm, self.dims, self.solver_cfg).x
         return played, loss
 
 

@@ -79,18 +79,21 @@ def omd_step_objective(
     meaningful when the rates 1/eta are large and steps are tiny.
     """
     inv_eta = 1.0 / eta
+    half_beta = 0.5 * beta  # the value's ``0.5 * beta * q`` multiplies left to right
 
     def value(x):
         d = x - x_prev
         z = d / x_prev
-        return float(grad_t @ d + 0.5 * beta * (d @ cov @ d) + inv_eta @ (z - np.log1p(z)))
+        return float(grad_t @ d + half_beta * (d @ cov @ d) + inv_eta @ (z - np.log1p(z)))
 
     def gradient(x):
         d = x - x_prev
         return grad_t + beta * (cov @ d) + inv_eta * d / (x * x_prev)
 
     def hessian(x):
-        return beta * cov + np.diag(inv_eta / (x * x))
+        h = beta * cov
+        h.ravel()[:: x.size + 1] += inv_eta / (x * x)
+        return h
 
     def value_many(pts):
         d = pts - x_prev
@@ -133,7 +136,7 @@ def barrons_step(
     warm = PortfolioState(nudge_interior(x_t, dims))
     x_next = minimize_over_clipped_simplex(obj, warm, dims, solver_cfg, diagnostics)
 
-    state.x = np.array(x_next.x)
+    state.x = x_next.x  # read-only; the next step rebinds it
     return state, LossRecord(loss, grad)
 
 

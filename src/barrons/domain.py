@@ -218,5 +218,4 @@ def nudge_interior(x: np.ndarray, dims: ProblemDims) -> np.ndarray:
     The mix pushes every coordinate a safe margin above the floor without
     moving the point meaningfully.
     """
-    u = np.full(dims.n, 1.0 / dims.n)
-    return (1.0 - _NUDGE_MIX) * np.asarray(x, dtype=float) + _NUDGE_MIX * u
+    return (1.0 - _NUDGE_MIX) * np.asarray(x, dtype=float) + _NUDGE_MIX * (1.0 / dims.n)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import ETA_MAX, GAMMA_MAX, AdaConfig, EpochHistory, ada_init, ada_step, default_eta, epoch_budget
+from .adaptive import ETA_MAX, AdaConfig, EpochHistory, ada_init, ada_step, epoch_budget
 from .baselines import (
     EgLearner,
     OgdLearner,
@@ -98,6 +98,16 @@ def _ratio_dev(cur, prev) -> float:
     return float(np.abs(cur / prev - 1.0).max())
 
 
+def _ada_config(params: dict) -> AdaConfig:
+    """The settings an ``ada`` or ``barrons`` run was given, with `AdaConfig`'s defaults for the rest.
+
+    A ``barrons`` run is one epoch at ``beta_init`` and ``base_rate``; it
+    skips ``resolve``, which caps the base rate at the controller's 1/300.
+    """
+    keywords = {"beta": "beta_init", "eta": "eta_base", "gamma": "gamma"}
+    return AdaConfig(**{kw: params[key] for key, kw in keywords.items() if key in params})
+
+
 class TraceChecker:
     """Every per-round invariant of the run whose config echo is ``config``, one record at a time.
 
@@ -122,13 +132,14 @@ class TraceChecker:
         if self.learner not in ("ada", "barrons"):
             return
         params = config.get("params", {})
-        eta = params.get("eta")
-        self.eta_base = default_eta(dims) if eta is None else eta
+        cfg = _ada_config(params)
+        if self.learner == "ada":
+            cfg = cfg.resolve(dims)
+        self.beta_init, self.eta_base = cfg.beta_init, cfg.base_rate(dims)
         # The play band is proved for base rates up to 1/300 only.
         self.x_band = math.sqrt(3.0 * self.eta_base) / 2.0 + _X_BAND_SLACK if self.eta_base <= ETA_MAX else math.inf
         if self.learner == "ada":
-            self.beta_init = params.get("beta", 0.5)
-            self.u_band = math.sqrt(params.get("gamma", GAMMA_MAX)) / 2.0 + _U_BAND_SLACK
+            self.u_band = math.sqrt(cfg.gamma) / 2.0 + _U_BAND_SLACK
             self.alpha_floor = 1.0 / (16.0 * dims.n * dims.t)
             self.budget = epoch_budget(dims)
             self.history = EpochHistory(dims.t, dims.n)
@@ -240,8 +251,7 @@ class _AdaRun:
     """
 
     def __init__(self, params: dict):
-        keywords = {"beta": "beta_init", "eta": "eta_base", "gamma": "gamma"}
-        self.cfg = AdaConfig(**{kw: params[key] for key, kw in keywords.items() if key in params})
+        self.cfg = _ada_config(params)
 
     def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
         self.state = ada_init(dims, self.cfg)
@@ -266,11 +276,11 @@ class _BarronsRun:
     """The fixed-rate learner behind the ``start``/``step`` learner interface: one epoch, fixed beta."""
 
     def __init__(self, params: dict):
-        self.beta = params.get("beta", 0.5)
-        self.eta = params.get("eta")
+        self.cfg = _ada_config(params)
+        self.beta = self.cfg.beta_init
 
     def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
-        self.state = barrons_init(dims, self.beta, default_eta(dims) if self.eta is None else self.eta)
+        self.state = barrons_init(dims, self.beta, self.cfg.base_rate(dims))
         self.solver_cfg = solver_cfg
         self.fields = {"epoch": 1, "beta": self.beta, "alpha": None, "u": None, "restart": False}
         return self

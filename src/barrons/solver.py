@@ -22,11 +22,25 @@ Callers supply the objective as value/gradient/Hessian closures.  The
 Hessian must be positive definite on the interior; every target objective in
 this package (mirror-descent steps, regularized leaders, best-CRP fits) is
 strictly convex there.
+
+Cost model.  A solve's time is its Newton iterations times a fixed cost per
+iteration, which at small n is the count of numpy calls, not arithmetic.
+Each iteration makes one derivative pass at the current point: one gradient
+and one Hessian.  The regularized leader builds both from the per-round
+wealths it computed for the value at that point, when the line search
+accepted it.  The reduced system ``B' H B`` and ``B' g``, with ``B`` the
+zero-sum basis, is built by slicing, because each entry is a difference of
+two entries of H or g; the slices give the same floats as the matrix
+products.  The step ``B y`` sums n - 1 terms in its last coordinate, so it
+stays a product.  At barrier weight 0 (the affine phase) the barrier terms
+are skipped, not computed as zeros.  None of this moves an iterate by a bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -110,67 +124,90 @@ class SolveDiagnostics:
     fell_back: bool = False
 
 
+@lru_cache(maxsize=None)
 def _null_basis(n: int) -> np.ndarray:
     # Columns span the zero-sum subspace, so steps preserve sum(x) exactly.
     z = np.zeros((n, n - 1))
     z[: n - 1, :] = np.eye(n - 1)
     z[n - 1, :] = -1.0
+    z.setflags(write=False)  # shared by every solve at this n
     return z
 
 
-def _stage_residual(obj, s, floor, mu):
-    g = obj.gradient(floor + s) - mu / s
-    resid = g - g.mean()
-    return g, float(np.linalg.norm(resid))
+def _mean(v) -> float:
+    """``v.mean()`` as the same float (the same sum over the count), without its overhead."""
+    return np.add.reduce(v) / v.size
 
 
-def _float_pin(h_obj, s, floor, mu) -> float:
-    """Smallest residual doubles can express at ``floor + s``.
+def _stage_residual(obj, x, s, mu):
+    """Barrier gradient at ``x = floor + s`` and the norm of its zero-sum part."""
+    g = obj.gradient(x) - mu / s
+    resid = g - _mean(g)
+    return g, float(np.sqrt(resid.dot(resid)))  # np.linalg.norm's own formula
+
+
+def _float_pin(h_obj, x, s, barrier_curv=None) -> float:
+    """Smallest residual doubles can express at ``x = floor + s``.
 
     Moving any coordinate by one ulp jolts the gradient by curvature * ulp.
     Objectives with 1/eta ~ 1e5 barrier curvature pin this above kkt_tol,
-    and no representable iterate does better.
+    and no representable iterate does better.  ``barrier_curv`` is the
+    barrier's curvature ``mu / s**2``, None when ``mu == 0``.
     """
-    return float(np.max(
-        np.abs(np.diagonal(h_obj)) * np.spacing(np.abs(floor + s))
-        + (mu / s**2) * np.spacing(s)
-    ))
+    pin = np.abs(h_obj.diagonal()) * np.spacing(x)  # x > 0, so spacing(|x|) is spacing(x)
+    if barrier_curv is not None:
+        pin = pin + barrier_curv * np.spacing(s)
+    return float(pin.max())
+
+
+def _reduced_system(h, g):
+    """``basis.T @ h @ basis`` and ``-(basis.T @ g)`` for the zero-sum basis, by slicing.
+
+    With basis = [I; -1] every entry of the products has exactly two nonzero
+    terms, so the slices give the same floats.
+    """
+    a = h[:-1] - h[-1]
+    return a[:, :-1] - a[:, -1:], -(g[:-1] - g[-1])
 
 
 def _newton_direction(h, g, basis):
     """Newton step inside the zero-sum subspace and its directional slope."""
-    hz = basis.T @ h @ basis
-    rhs = -(basis.T @ g)
+    hz, rhs = _reduced_system(h, g)
     try:
         y = np.linalg.solve(hz, rhs)
     except np.linalg.LinAlgError:
         y = None
-    if y is None or not np.all(np.isfinite(y)):
+    if y is None or not all(map(math.isfinite, y.tolist())):
         ridge = 1e-10 * max(1.0, float(np.trace(hz)) / hz.shape[0])
         y = np.linalg.solve(hz + ridge * np.eye(hz.shape[0]), rhs)
-    ds = basis @ y
+    ds = basis @ y  # the last coordinate sums n - 1 terms: keep the product's order
     return ds, float(g @ ds)
 
 
 def _penalized(obj, s, floor, mu) -> float:
-    return float(obj.evaluate(floor + s)) - mu * float(np.log(s).sum())
+    value = float(obj.evaluate(floor + s))
+    return value - mu * float(np.log(s).sum()) if mu else value
 
 
 def _armijo(obj, s, floor, mu, ds, slope, step, phi0):
     """Backtracking line search from `step`.
 
     Returns the accepted ``(slacks, value)``, or None when no step makes
-    measurable progress at this floating-point scale.
+    measurable progress at this floating-point scale.  Trial points are
+    compared as lists of floats, element by element with ``==`` as
+    ``np.array_equal`` compares them, at less cost for a few coordinates.
     """
     # Comparisons below float noise carry no information; near the
     # optimum the predicted decrease sinks under roundoff of phi itself.
     noise = 1e-12 * (1.0 + abs(phi0))
+    start = s.tolist()
     while step > 1e-16:
         sn = s + step * ds
-        if np.array_equal(sn, s):
+        trial = sn.tolist()
+        if trial == start:
             # The step rounds away entirely; shorter ones will too.
             return None
-        if sn.min() > 0.0:
+        if all(v > 0.0 for v in trial):  # NaN fails, as it fails sn.min() > 0
             phin = _penalized(obj, sn, floor, mu)
             if phin <= phi0 + _ARMIJO * step * slope + noise:
                 return sn, phin
@@ -180,8 +217,11 @@ def _armijo(obj, s, floor, mu, ds, slope, step, phi0):
 
 def _kkt_violation(g, x, floor) -> float:
     """Largest breach of the first-order conditions, as kkt_certificate defines them."""
+    if x.min() - floor > _ON_FLOOR:
+        # Nothing on the floor: the masked formula below with all-true masks.
+        return float(np.abs(g - _mean(g)).max())
     on_floor = x - floor <= _ON_FLOOR
-    dev = g - g[~on_floor].mean()
+    dev = g - _mean(g[~on_floor])
     return max(float(np.abs(dev[~on_floor]).max()), float(np.max(-dev[on_floor], initial=0.0)))
 
 
@@ -201,38 +241,44 @@ def kkt_certificate(obj: Objective, x, dims: ProblemDims, tol: float) -> bool:
 def _affine_phase(obj, s, floor, cfg, basis, diag):
     """Feasible-start Newton on the hyperplane sum(x) == 1, with no barrier.
 
-    Returns the slacks of a point that passes the KKT certificate, or None
-    when the phase gives up: a full Newton step would cut some slack to 1 %
-    of its value or less, the step is not a descent direction, the line
-    search stalls short of tolerance, or the iteration budget runs out.
+    Returns ``(slacks, g_start)``.  The slacks are those of a point that
+    passes the KKT certificate, or None when the phase gives up: a full
+    Newton step would cut some slack to 1 % of its value or less, the step
+    is not a descent direction, the line search stalls short of tolerance,
+    or the iteration budget runs out.  ``g_start`` is the objective's
+    gradient at the starting slacks, which the barrier path reuses.
     """
     stage = {"mu": 0.0, "iters": 0, "residual": np.inf, "phi": []}
     if diag is not None:
         diag.stages.append(stage)
     phi = _penalized(obj, s, floor, 0.0)
+    g_start = None
     for _ in range(cfg.max_newton_iters):
         x = floor + s
         g = obj.gradient(x)
+        if g_start is None:
+            g_start = g
         stage["residual"] = _kkt_violation(g, x, floor)
         if stage["residual"] <= cfg.kkt_tol:
-            return s
+            return s, g_start
         h = obj.hessian(x)
-        pin = _float_pin(h, s, floor, 0.0)
+        pin = _float_pin(h, x, s)
         if stage["residual"] <= 4.0 * pin:
-            return s
+            return s, g_start
 
         ds, slope = _newton_direction(h, g, basis)
-        if slope >= 0.0 or np.any(s + ds <= _AFFINE_KEEP * s):
-            return None
+        if slope >= 0.0 or (s + ds <= _AFFINE_KEEP * s).any():
+            return None, g_start
         accepted = _armijo(obj, s, floor, 0.0, ds, slope, 1.0, phi)
         if accepted is None:
-            return s if stage["residual"] <= max(10.0 * cfg.kkt_tol, 4.0 * pin) else None
+            done = stage["residual"] <= max(10.0 * cfg.kkt_tol, 4.0 * pin)
+            return (s if done else None), g_start
         s, phi = accepted
         stage["iters"] += 1
         stage["phi"].append(phi)
         if diag is not None:
             diag.newton_iters += 1
-    return None
+    return None, g_start
 
 
 def _center(obj, s, floor, mu, tol, cfg, basis, diag):
@@ -247,31 +293,37 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
     stage = {"mu": mu, "iters": 0, "residual": np.inf, "phi": []}
     resid_norm = np.inf
     pin = 0.0
+    phi0 = None  # penalized value at s, carried over from the line search that accepted s
     for _ in range(cfg.max_newton_iters):
-        g, resid_norm = _stage_residual(obj, s, floor, mu)
+        x = floor + s
+        g, resid_norm = _stage_residual(obj, x, s, mu)
         if resid_norm <= tol:
             break
 
-        h_obj = obj.hessian(floor + s)
-        pin = _float_pin(h_obj, s, floor, mu)
+        h_obj = obj.hessian(x)
+        barrier_curv = mu / s**2
+        pin = _float_pin(h_obj, x, s, barrier_curv)
         if resid_norm <= max(tol, 4.0 * pin):
             break
 
-        ds, slope = _newton_direction(h_obj + np.diag(mu / s**2), g, basis)
+        h = h_obj.copy()  # the objective may hand out a Hessian it keeps
+        h.ravel()[:: s.size + 1] += barrier_curv
+        ds, slope = _newton_direction(h, g, basis)
         if slope >= 0.0:
             # Numerically indefinite reduced Hessian; fall back to steepest
             # descent inside the subspace.
-            ds = -(g - g.mean())
+            ds = -(g - _mean(g))
             slope = float(g @ ds)
             if slope >= 0.0:
                 break
 
         step = 1.0
         shrinking = ds < 0.0
-        if np.any(shrinking):
-            step = min(1.0, _BOUNDARY_FRACTION * float(np.min(s[shrinking] / -ds[shrinking])))
+        if shrinking.any():
+            step = min(1.0, _BOUNDARY_FRACTION * float((s[shrinking] / -ds[shrinking]).min()))
 
-        phi0 = _penalized(obj, s, floor, mu)
+        if phi0 is None:
+            phi0 = _penalized(obj, s, floor, mu)
         accepted = _armijo(obj, s, floor, mu, ds, slope, step, phi0)
         if accepted is None:
             # No measurable progress left at this floating-point scale.
@@ -279,13 +331,13 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
                 break
             raise SolverFailure("line search stalled", floor + s, resid_norm, mu)
 
-        s, phin = accepted
+        s, phi0 = accepted
         stage["iters"] += 1
-        stage["phi"].append(phin)
+        stage["phi"].append(phi0)
         if diag is not None:
             diag.newton_iters += 1
     else:
-        _, resid_norm = _stage_residual(obj, s, floor, mu)
+        _, resid_norm = _stage_residual(obj, floor + s, s, mu)
         if resid_norm > max(tol, 4.0 * pin):
             raise SolverFailure("newton iteration budget exhausted", floor + s, resid_norm, mu)
 
@@ -295,25 +347,24 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
     return s
 
 
-def _first_barrier_weight(obj, s, floor, dims, cfg) -> float:
-    """Complementarity estimate at the warm start.
+def _first_barrier_weight(g, s, dims, cfg) -> float:
+    """Complementarity estimate at the warm start, from the gradient ``g`` there.
 
     Scales the first barrier weight to how far the warm start is from
     satisfying first-order conditions: a stale start walks the full barrier
     path, while re-solving from a returned optimum jumps straight to the
     final stage (and therefore terminates in a couple of Newton steps).
     """
-    g = obj.gradient(floor + s)
     lam = g - g.min()
     lam[lam < 10.0 * cfg.kkt_tol] = 0.0
     comp = float(lam @ s)
     return min(_MU_INIT, max(comp / dims.n, _MU_MIN))
 
 
-def _barrier_path(obj, s, dims, cfg, basis, diag):
-    """Log-barrier path from the slacks `s` down to the last barrier weight."""
+def _barrier_path(obj, s, g, dims, cfg, basis, diag):
+    """Log-barrier path from the slacks `s`, where the gradient is `g`, down to the last barrier weight."""
     floor = dims.floor
-    mu = _first_barrier_weight(obj, s, floor, dims, cfg)
+    mu = _first_barrier_weight(g, s, dims, cfg)
     while True:
         final = mu <= _MU_MIN
         tol = cfg.kkt_tol if final else max(cfg.kkt_tol, 1e-3 * mu)
@@ -340,7 +391,7 @@ def minimize_over_clipped_simplex(
     if cfg is None:
         cfg = SolverConfig()
     floor = dims.floor
-    x = np.array(getattr(warm_start, "x", warm_start), dtype=float)
+    x = np.asarray(getattr(warm_start, "x", warm_start), dtype=float)
     if x.shape != (dims.n,):
         raise ValueError(f"warm start must have {dims.n} coordinates")
     if abs(x.sum() - 1.0) > SUM_TOL:
@@ -350,11 +401,11 @@ def minimize_over_clipped_simplex(
 
     basis = _null_basis(dims.n)
     start = x - floor
-    s = _affine_phase(obj, start, floor, cfg, basis, diagnostics)
+    s, g_start = _affine_phase(obj, start, floor, cfg, basis, diagnostics)
     if s is None:
         if diagnostics is not None:
             diagnostics.fell_back = True
-        s = _barrier_path(obj, start, dims, cfg, basis, diagnostics)
+        s = _barrier_path(obj, start, g_start, dims, cfg, basis, diagnostics)
 
     x = floor + s
     x = x / x.sum()

@@ -17,7 +17,7 @@ from barrons.adaptive import (
     leader_objective,
     regularized_leader,
 )
-from barrons.domain import MarketRound, ProblemDims, uniform_portfolio
+from barrons.domain import MarketRound, ProblemDims, column_sums, uniform_portfolio
 from barrons.markets import MarketSpec, generate
 
 DIMS = ProblemDims(2, 64)
@@ -218,3 +218,46 @@ def test_ada_runs_are_deterministic():
         return out
 
     assert run_bytes() == run_bytes()
+
+
+def _uncached_leader(r_mat, gamma):
+    # The leader objective's formulas with every intermediate recomputed per call.
+    inv_gamma = 1.0 / gamma
+
+    def value(u):
+        return float(-np.log(r_mat @ u).sum() - inv_gamma * np.log(u).sum())
+
+    def gradient(u):
+        p = r_mat @ u
+        return -column_sums(r_mat / p[:, None]) - inv_gamma / u
+
+    def hessian(u):
+        p = r_mat @ u
+        scaled = r_mat / p[:, None]
+        return scaled.T @ scaled + np.diag(inv_gamma / (u * u))
+
+    return {"value": value, "gradient": gradient, "hessian": hessian}
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_leader_objective_is_bitwise_its_uncached_formulas(n):
+    rng = np.random.default_rng(40 + n)
+    r_mat = rng.uniform(0.05, 1.0, (64, n))
+    r_mat[np.arange(64), rng.integers(0, n, 64)] = 1.0
+    obj = leader_objective(r_mat, 1.0 / 25.0)
+    calls = {"value": obj.evaluate, "gradient": obj.gradient, "hessian": obj.hessian}
+    ref = _uncached_leader(r_mat, 1.0 / 25.0)
+    points = [rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n for _ in range(4)]
+    u = points[0].copy()
+    for _ in range(200):
+        pick = rng.random()
+        if pick < 0.3:
+            u = points[rng.integers(len(points))].copy()  # a fresh array, maybe equal in value
+        elif pick < 0.5:
+            i, j = rng.choice(n, 2, replace=False)  # change the point in place
+            step = 1e-3 * rng.random() * min(u[i], u[j])
+            u[i] += step
+            u[j] -= step
+        name = rng.choice(list(calls))
+        got, want = calls[name](u), ref[name](u)
+        assert np.array_equal(got, want) and type(got) is type(want), name

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from barrons import harness
+from barrons.adaptive import AdaConfig
 from barrons.domain import ProblemDims
 from barrons.harness import (
     LEARNER_NAMES,
@@ -213,6 +215,27 @@ def test_partial_trace_persisted_on_solver_failure(tmp_path):
 def test_bad_learner_params_propagate():
     with pytest.raises(ValueError, match="beta"):
         run_market("ada", MarketSpec("constant", ProblemDims(2, 8)), params={"beta": 0.7})
+
+
+@pytest.mark.parametrize("params", [{}, {"beta": 0.25}, {"eta": 1e-3, "gamma": 0.02}])
+def test_checker_bands_come_from_the_resolved_config(params):
+    dims = ProblemDims(3, 32)
+    config = run_market("ada", MarketSpec("constant", dims), params=params).config
+    checker = TraceChecker(config)
+    keywords = {"beta": "beta_init", "eta": "eta_base", "gamma": "gamma"}
+    cfg = AdaConfig(**{keywords[k]: v for k, v in params.items()}).resolve(dims)
+    assert checker.beta_init == cfg.beta_init
+    assert checker.eta_base == cfg.eta_base
+    assert checker.u_band == math.sqrt(cfg.gamma) / 2.0 + harness._U_BAND_SLACK
+
+
+@pytest.mark.parametrize("params", [{}, {"beta": 0.25, "eta": 0.01}])
+def test_checker_base_rate_is_the_fixed_rate_learners(params):
+    dims = ProblemDims(3, 32)
+    config = run_market("barrons", MarketSpec("constant", dims), params=params).config
+    learner = harness._BUILDERS["barrons"](params).start(dims)
+    assert TraceChecker(config).eta_base == learner.state.eta_base
+    assert learner.state.beta == params.get("beta", AdaConfig().beta_init)
 
 
 def test_strict_run_matches_relaxed_run_when_clean():

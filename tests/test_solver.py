@@ -15,7 +15,9 @@ from barrons.solver import (
     SolverConfig,
     SolverFailure,
     _barrier_path,
+    _kkt_violation,
     _null_basis,
+    _reduced_system,
     grid_search_oracle,
     kkt_certificate,
     minimize_over_clipped_simplex,
@@ -338,7 +340,8 @@ def test_affine_first_agrees_with_barrier_path(family, n, floor_active, seed):
     cfg = SolverConfig()
     diag = SolveDiagnostics()
     got = minimize_over_clipped_simplex(obj, PortfolioState(warm), dims, cfg, diag).x
-    s = _barrier_path(obj, warm - dims.floor, dims, cfg, _null_basis(n), None)
+    start = warm - dims.floor
+    s = _barrier_path(obj, start, obj.gradient(dims.floor + start), dims, cfg, _null_basis(n), None)
     barrier = (dims.floor + s) / (dims.floor + s).sum()
 
     assert np.abs(got - barrier).max() <= 1e-9
@@ -347,3 +350,37 @@ def test_affine_first_agrees_with_barrier_path(family, n, floor_active, seed):
         if x_star is not None:
             assert np.abs(x - x_star).max() <= 1e-9
     assert diag.fell_back == (x_star is not None and floor_active)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_sliced_reduced_system_is_bitwise_the_matrix_products(n):
+    basis = _null_basis(n)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), (n + 2, n))
+        h = a.T @ a + 1e-3 * np.eye(n)  # random symmetric positive definite
+        g = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), n)
+        hz, rhs = _reduced_system(h, g)
+        assert np.array_equal(hz, basis.T @ h @ basis)
+        assert np.array_equal(rhs, -(basis.T @ g))
+
+
+def _masked_kkt_violation(g, x, floor):
+    # The violation with the floor mask always applied.
+    on_floor = x - floor <= 1e-9
+    dev = g - g[~on_floor].mean()
+    return max(float(np.abs(dev[~on_floor]).max()), float(np.max(-dev[on_floor], initial=0.0)))
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_kkt_violation_fast_path_is_bitwise_the_masked_formula(n):
+    dims = ProblemDims(n, 64)
+    rng = np.random.default_rng(100 + n)
+    for trial in range(40):
+        x = rng.dirichlet(np.ones(n)) * (1.0 - n * dims.floor) + dims.floor
+        if trial % 2:  # push some coordinates onto the floor, within 1e-9 of it
+            on = rng.random(n) < 0.5
+            on[rng.integers(n)] = False
+            x[on] = dims.floor + rng.uniform(0.0, 1e-9, on.sum())
+        g = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 2.0), n)
+        assert _kkt_violation(g, x, dims.floor) == _masked_kkt_violation(g, x, dims.floor)
