@@ -1,6 +1,6 @@
 """Digest every trace body over a fixed grid of runs, to prove a refactor changes nothing.
 
-    PYTHONPATH=src python3 scripts/trace_digests.py > digests.json
+    python3 scripts/trace_digests.py > digests.json
 
 The main grid is every learner on every market kind at n in {2, 5} and
 T in {64, 256}, with strict checking off and on, all at market seed 3
@@ -9,12 +9,16 @@ market kind and n in {2, 5}: each entry of ``NON_DEFAULT`` (learner
 parameters, and one solver configuration for the learners that call the
 solver), 128 runs.  A third, wide grid runs ada, barrons and ons on every
 market kind at n=10 and T=64 (12 runs), where the solver's reduced Newton
-system has nine columns and its step sums many terms.  All three grids
-together take about 30 s on one core.  For
-each run it prints the sha256 of the canonical trace body, the number of
-invariant violations recorded, and the problems ``verify_trace`` finds in
-the body; a run that raises prints its exception instead.  Run it at two
-commits and diff the outputs: equal output means byte-identical trace
+system has nine columns and its step sums many terms.  Last come the
+benchmark's two inputs, ada and ons on blowup at n=2 and T=512, so the
+proof covers the runs being timed.  The 366 runs take about 35 s on one
+core.  The package is imported from the ``src`` directory beside this
+script.
+
+For each run it prints the sha256 of the canonical trace body, the number
+of invariant violations recorded, and the problems ``verify_trace`` finds
+in the body; a run that raises prints its exception instead.  Run it at
+two commits and diff the outputs: equal output means byte-identical trace
 bodies that both verifiers accept alike.
 """
 
@@ -23,6 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from barrons.domain import ProblemDims
 from barrons.harness import LEARNER_NAMES, run_market, verify_trace
@@ -34,6 +41,7 @@ N_VALUES = (2, 5)
 T_VALUES = (64, 256)
 WIDE_LEARNERS = ("ada", "barrons", "ons")
 WIDE_N = 10
+BENCHMARK_RUNS = ("ada", "ons")  # perfbench's ada_blowup and ons_blowup: blowup, n=2, T=512
 
 # (learner, params, solver kkt_tol and max_newton_iters or None for the default solver)
 NON_DEFAULT = [
@@ -90,6 +98,8 @@ def main() -> int:
     for learner in WIDE_LEARNERS:
         for kind in MARKET_KINDS:
             out[f"{learner}/{kind}/n={WIDE_N}/T=64/strict=0"] = digest(learner, kind, WIDE_N, 64, False)
+    for learner in BENCHMARK_RUNS:
+        out[f"{learner}/blowup/n=2/T=512/strict=0"] = digest(learner, "blowup", 2, 512, False)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -120,7 +120,7 @@ class EpochHistory:
             )
         self._r[i] = r
         self._g[i] = g
-        self._xg[i] = (x * g).sum()  # fixed once round s is played
+        self._xg[i] = np.add.reduce(x * g)  # (x * g).sum(), fixed once round s is played
         self.size = i + 1
 
     def clear(self):
@@ -134,7 +134,9 @@ class EpochHistory:
     def ceiling(self, u: np.ndarray) -> float:
         """``alpha(u, xs, grads)`` from the cached rows: 1/2 capped by max_s |<u, g_s> - <x_s, g_s>|."""
         m = self.size
-        return _cap(float(np.abs((self._g[:m] * u).sum(axis=1) - self._xg[:m]).max(initial=0.0)))
+        # The ufuncs' own reduce, as ndarray.sum and ndarray.max call it, without the methods' overhead.
+        gaps = np.abs(np.add.reduce(self._g[:m] * u, axis=1) - self._xg[:m])
+        return _cap(float(np.maximum.reduce(gaps, initial=0.0)))
 
 
 class AdaState:
@@ -230,8 +232,7 @@ def regularized_leader(
     if r_mat.ndim != 2 or r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must be vectors of {dims.n} price relatives")
     obj = leader_objective(r_mat, gamma)
-    warm = PortfolioState(nudge_interior(warm_start, dims))
-    return minimize_over_clipped_simplex(obj, warm, dims, solver_cfg)
+    return minimize_over_clipped_simplex(obj, nudge_interior(warm_start, dims), dims, solver_cfg)
 
 
 def alpha(u: np.ndarray, xs: np.ndarray, grads: np.ndarray) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 from .adaptive import leader_objective
 from .domain import (
     MarketRound,
-    PortfolioState,
     ProblemDims,
     loss_grad_arrays,
     nudge_interior,
@@ -116,8 +115,7 @@ def best_crp(
     if r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must have {dims.n} assets")
     obj = leader_objective(r_mat, 1e9)
-    warm = PortfolioState(uniform_portfolio(dims).x)
-    best = minimize_over_clipped_simplex(obj, warm, dims, solver_cfg)
+    best = minimize_over_clipped_simplex(obj, uniform_portfolio(dims).x, dims, solver_cfg)
     total_loss = float(-np.log(r_mat @ best.x).sum())
     return best, total_loss
 
@@ -189,8 +187,7 @@ class OnsLearner:
         loss, grad = loss_grad_arrays(played, rnd.r)
         self.cov = self.cov + np.outer(grad, grad)
         obj = ons_objective(grad, self.cov, self.x, self.beta)
-        warm = PortfolioState(nudge_interior(self.x, self.dims))
-        self.x = minimize_over_clipped_simplex(obj, warm, self.dims, self.solver_cfg).x
+        self.x = minimize_over_clipped_simplex(obj, nudge_interior(self.x, self.dims), self.dims, self.solver_cfg).x
         return played, loss
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .domain import (
     LossRecord,
     MarketRound,
-    PortfolioState,
     ProblemDims,
     loss_grad_arrays,
     nudge_interior,
@@ -133,8 +132,7 @@ def barrons_step(
     state.eta = state.eta_base * np.exp(state.log_max)
 
     obj = omd_step_objective(grad, state.cov, x_t, state.beta, state.eta)
-    warm = PortfolioState(nudge_interior(x_t, dims))
-    x_next = minimize_over_clipped_simplex(obj, warm, dims, solver_cfg, diagnostics)
+    x_next = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims, solver_cfg, diagnostics)
 
     state.x = x_next.x  # read-only; the next step rebinds it
     return state, LossRecord(loss, grad)

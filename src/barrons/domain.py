@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,7 @@ class PortfolioState:
         arr = _frozen_array(self.x)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a portfolio needs at least two assets")
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, arr.tolist())):
             raise ValueError("portfolio weights must be finite")
         object.__setattr__(self, "x", arr)
 
@@ -133,9 +134,10 @@ class PortfolioState:
         state = cls(x)
         if state.n != dims.n:
             raise ValueError(f"expected {dims.n} assets, got {state.n}")
-        if abs(state.x.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {state.x.sum()!r}, not 1")
-        lo = state.x.min()
+        total = np.add.reduce(state.x)  # state.x.sum(), without the method's overhead
+        if abs(total - 1.0) > SUM_TOL:
+            raise ValueError(f"weights sum to {total!r}, not 1")
+        lo = min(state.x.tolist())  # the weights are finite, so this is state.x.min()
         if lo < dims.floor - FLOOR_TOL:
             raise ValueError(
                 f"coordinate {lo!r} breaches the clipped-simplex floor {dims.floor!r}"

@@ -90,12 +90,28 @@ class ExperimentResult:
         return json.dumps(self.trace_dict(), sort_keys=True, separators=(",", ":"))
 
 
+# Summary fields that verify_trace checks against the records.
+_SUMMARY_CHECKED = ("total_loss", "best_crp_loss", "regret", "max_grad_inf_norm", "epoch_count", "restarts")
+
+
 def _floats(arr) -> list:
-    return [float(v) for v in np.asarray(arr)]
+    return np.asarray(arr, dtype=float).tolist()
 
 
-def _ratio_dev(cur, prev) -> float:
-    return float(np.abs(cur / prev - 1.0).max())
+def _ratio_dev(cur: list, prev: list) -> float:
+    """``np.abs(cur / prev - 1.0).max()`` of two lists of floats, as a float.
+
+    Python floats give the same result while every ratio is finite.  A zero,
+    infinite or NaN coordinate takes numpy's formula: Python raises on
+    division by zero, and its max skips a NaN that numpy's max returns.
+    """
+    try:
+        devs = [abs(a / b - 1.0) for a, b in zip(cur, prev)]
+        if math.isfinite(sum(devs)):  # so no term is NaN
+            return max(devs)
+    except ZeroDivisionError:
+        pass
+    return float(np.abs(np.asarray(cur, dtype=float) / np.asarray(prev, dtype=float) - 1.0).max())
 
 
 def _ada_config(params: dict) -> AdaConfig:
@@ -117,6 +133,7 @@ class TraceChecker:
     controller's rules: beta per epoch, epoch budget and sequence, leader
     and its band, ceiling and restart flag, rate schedule, ratio-max.  A
     violation is appended to ``problems``; with ``strict`` it also raises.
+    Every test is written so that a NaN fails it.
     """
 
     def __init__(self, config: dict, strict: bool = False):
@@ -128,7 +145,7 @@ class TraceChecker:
         self.cum = 0.0
         self.prev = None  # previous record
         self.prev_sum = None  # weight sum of the previous play (baselines)
-        self.epoch_xs: list = []  # plays of the current epoch (ada, barrons)
+        self.epoch_xs: list = []  # plays of the current epoch as lists of floats (ada, barrons)
         if self.learner not in ("ada", "barrons"):
             return
         params = config.get("params", {})
@@ -143,8 +160,9 @@ class TraceChecker:
             self.alpha_floor = 1.0 / (16.0 * dims.n * dims.t)
             self.budget = epoch_budget(dims)
             self.history = EpochHistory(dims.t, dims.n)
+            self.log_t = np.log(dims.t)
             self.log_max = None  # running max of the epoch's rate exponents
-            self.prev_u = None  # previous leader of the current epoch
+            self.prev_u = None  # previous leader of the current epoch, as a list of floats
 
     def _fail(self, t, message: str):
         message = f"round {t}: {message}"
@@ -152,13 +170,18 @@ class TraceChecker:
         if self.strict:
             raise AssertionError(f"invariant violation: {message}")
 
-    def _check_point(self, t, name: str, v: np.ndarray, floor: float) -> float:
-        """Check that ``v`` sums to 1 with no coordinate under ``floor``; return its sum."""
-        total = float(v.sum())
-        if abs(total - 1.0) > SUM_TOL:
+    def _check_point(self, t, name: str, v: np.ndarray, vals: list, floor: float) -> float:
+        """Check that ``v`` sums to 1 with no coordinate under ``floor``; return its sum.
+
+        ``vals`` is ``v`` as a list of floats.  A NaN or infinite coordinate
+        fails the sum test, so the floor test's min() only matters on finite
+        coordinates.
+        """
+        total = float(np.add.reduce(v))  # v.sum(), without the method's overhead
+        if not abs(total - 1.0) <= SUM_TOL:
             self._fail(t, f"{name} sums to {total!r}")
-        lo = min(v.tolist())  # exact, and faster than ndarray.min() on a few coordinates
-        if lo < floor - FLOOR_TOL:
+        lo = min(vals)  # exact, and faster than ndarray.min() on a few coordinates
+        if not lo >= floor - FLOOR_TOL:
             self._fail(t, f"{name} coordinate {lo!r} under the floor {floor!r}")
         return total
 
@@ -169,26 +192,31 @@ class TraceChecker:
         """
         t = rec["t"]
         x = np.array(rec["x"], dtype=float)
+        xs = x.tolist()
         r = np.array(rec["r"], dtype=float)
-        total = self._check_point(t, "play", x, self.floor)
+        total = self._check_point(t, "play", x, xs, self.floor)
         loss, grad = loss_grad_arrays(x, r)
-        if abs(loss - rec["loss"]) > 1e-12 * max(1.0, abs(loss)):
+        loss = float(loss)
+        # A NaN price relative or play makes the recomputed loss NaN, which fails here.
+        if not abs(loss - rec["loss"]) <= 1e-12 * max(1.0, abs(loss)):
             self._fail(t, f"recorded loss {rec['loss']!r} != recomputed {loss!r}")
         self.cum += rec["loss"]
-        if abs(self.cum - rec["cum_loss"]) > 1e-9:
+        if not abs(self.cum - rec["cum_loss"]) <= 1e-9:
             self._fail(t, "cumulative loss drifts from the per-round sum")
-        derived = {"grad_inf": float(np.abs(grad).max()), "x_ratio": None, "u_ratio": None}
+        grads = grad.tolist()
+        # max() skips a NaN that numpy's max returns, but a NaN gradient has already failed the loss test.
+        derived = {"grad_inf": max(map(abs, grads)), "x_ratio": None, "u_ratio": None}
         if self.learner in ("ada", "barrons"):
             if self.epoch_xs:
-                dev = _ratio_dev(x, self.epoch_xs[-1])
+                dev = _ratio_dev(xs, self.epoch_xs[-1])
                 derived["x_ratio"] = dev
-                if dev > self.x_band:
+                if not dev <= self.x_band:
                     self._fail(t, f"play moved {dev!r}, band {self.x_band!r}")
-            self.epoch_xs.append(x)
+            self.epoch_xs.append(xs)
             if self.learner == "ada":
                 self._check_controller(rec, x, r, grad, derived)
         else:
-            if self.prev_sum is not None and abs(total - self.prev_sum) > 1e-12:
+            if self.prev_sum is not None and not abs(total - self.prev_sum) <= 1e-12:
                 self._fail(t, f"step changed the weight sum by {abs(total - self.prev_sum)!r}")
             self.prev_sum = total
         self.prev = rec
@@ -205,35 +233,36 @@ class TraceChecker:
         if epoch != expected:
             self._fail(t, f"epoch {epoch} does not follow the restart sequence (expected {expected})")
         u = np.array(rec["u"], dtype=float)
-        self._check_point(t, "leader", u, self.dims.floor)
+        us = u.tolist()
+        self._check_point(t, "leader", u, us, self.dims.floor)
         self.history.append(r, x, grad)
         ceiling = self.history.ceiling(u)
-        if abs(ceiling - a) > 1e-12:
+        if not abs(ceiling - a) <= 1e-12:
             self._fail(t, f"recorded ceiling {a!r} != recomputed {ceiling!r}")
         if not (self.alpha_floor <= a <= 0.5):
             self._fail(t, f"ceiling {a!r} outside [{self.alpha_floor!r}, 0.5]")
         if restart != (beta > ceiling):
             self._fail(t, "restart flag contradicts the ceiling test")
         # Rate exponents log_t(1/(n x_i)) clipped at 0, so the schedule eta * exp(their running max) never falls under eta.
-        log_rates = np.maximum(np.log(1.0 / (self.dims.n * x)) / np.log(self.dims.t), 0.0)
+        log_rates = np.maximum(np.log(1.0 / (self.dims.n * x)) / self.log_t, 0.0)
         self.log_max = log_rates if self.log_max is None else np.maximum(self.log_max, log_rates)
         eta_now = self.eta_base * np.exp(self.log_max)
-        if eta_now.max() > math.e * self.eta_base * (1.0 + 1e-12):
+        if not eta_now.max() <= math.e * self.eta_base * (1.0 + 1e-12):
             self._fail(t, "rate schedule left [eta, e*eta]")
         if self.prev_u is not None:
-            dev = _ratio_dev(u, self.prev_u)
+            dev = _ratio_dev(us, self.prev_u)
             derived["u_ratio"] = dev
-            if dev > self.u_band:
+            if not dev <= self.u_band:
                 self._fail(t, f"leader moved {dev!r}, band {self.u_band!r}")
         if not restart:
-            self.prev_u = u
+            self.prev_u = us
             return
         if len(self.epoch_xs) >= 2:
-            a_cur = float((u / np.stack(self.epoch_xs)).max())
-            a_prev = float((self.prev_u / np.stack(self.epoch_xs[:-1])).max())
+            a_cur = float((u / np.array(self.epoch_xs)).max())
+            a_prev = float((np.array(self.prev_u) / np.array(self.epoch_xs[:-1])).max())
             derived["ratio_max"] = a_cur
             derived["ratio_max_prev"] = a_prev
-            if a_prev < 0.5 * a_cur:
+            if not a_prev >= 0.5 * a_cur:
                 self._fail(t, f"ratio-max fell more than half at restart ({a_prev!r} < {a_cur!r}/2)")
             if self.prev["epoch"] == epoch and self.prev["alpha"] < beta:
                 self._fail(t, "ceiling was already below beta a round earlier")
@@ -465,26 +494,29 @@ def verify_trace(trace: dict) -> list:
             recorded = rec.get(key)
             if value == recorded:
                 continue
-            if value is None or recorded is None or abs(value - recorded) > _DERIVED_TOL[key] * max(1.0, abs(value)):
+            if value is None or recorded is None or not abs(value - recorded) <= _DERIVED_TOL[key] * max(1.0, abs(value)):
                 problems.append(f"round {rec['t']}: recorded {key} {recorded!r} != recomputed {value!r}")
 
     if records:
+        missing = [key for key in _SUMMARY_CHECKED if key not in summary]
+        if missing:
+            problems.append(f"summary: missing {', '.join(missing)}")
         total = records[-1]["cum_loss"]
-        if abs(summary.get("total_loss", np.nan) - total) > 1e-9:
+        if "total_loss" in summary and not abs(summary["total_loss"] - total) <= 1e-9:
             problems.append("summary: total_loss disagrees with the last cumulative loss")
         crp_loss = summary.get("best_crp_loss")
         regret = summary.get("regret")
-        if crp_loss is not None and regret is not None:
-            if abs(regret - (total - crp_loss)) > 1e-9:
+        if crp_loss is not None and regret is not None:  # both None in an aborted run
+            if not abs(regret - (total - crp_loss)) <= 1e-9:
                 problems.append("summary: regret is not total_loss - best_crp_loss")
         g = max(rec["grad_inf"] for rec in records)
-        if abs(summary.get("max_grad_inf_norm", np.nan) - g) > 1e-9 * max(1.0, g):
+        if "max_grad_inf_norm" in summary and not abs(summary["max_grad_inf_norm"] - g) <= 1e-9 * max(1.0, g):
             problems.append("summary: max gradient norm mismatch")
         epochs = max(rec["epoch"] for rec in records)
-        if summary.get("epoch_count") != epochs:
+        if "epoch_count" in summary and summary["epoch_count"] != epochs:
             problems.append("summary: epoch_count mismatch")
         restarts = sum(1 for rec in records if rec["restart"])
-        if summary.get("restarts") != restarts:
+        if "restarts" in summary and summary["restarts"] != restarts:
             problems.append("summary: restart count mismatch")
     return problems
 

@@ -2,7 +2,8 @@
 
 Every generator yields rounds already normalized (best asset reads 1) and is
 a pure function of its spec, so the same seed always reproduces the same
-market bit for bit.
+market bit for bit.  Rounds are frozen, so a market that repeats a round
+holds one ``MarketRound`` for it and lists it wherever it recurs.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def _cover_alternating(dims: ProblemDims):
     good_first[0] = 1.0
     good_rest = np.ones(dims.n)
     good_rest[0] = 0.5
-    return [MarketRound(good_first if t % 2 == 1 else good_rest) for t in range(1, dims.t + 1)]
+    odd, even = MarketRound(good_first), MarketRound(good_rest)
+    return [odd if t % 2 == 1 else even for t in range(1, dims.t + 1)]
 
 
 def _blowup(dims: ProblemDims, epsilon: float, flip_period: int):
@@ -67,11 +69,8 @@ def _blowup(dims: ProblemDims, epsilon: float, flip_period: int):
     first[0] = 1.0
     second = np.ones(dims.n)
     second[0] = epsilon
-    rounds = []
-    for t in range(dims.t):
-        regime = (t // flip_period) % 2
-        rounds.append(MarketRound(second if regime else first))
-    return rounds
+    regimes = (MarketRound(first), MarketRound(second))
+    return [regimes[(t // flip_period) % 2] for t in range(dims.t)]
 
 
 def _iid_lognormal(dims: ProblemDims, seed: int, sigma: float):
@@ -86,7 +85,7 @@ def generate(spec: MarketSpec):
     """Materialize a spec into its list of normalized rounds."""
     dims = spec.dims
     if spec.kind == "constant":
-        return [MarketRound(np.ones(dims.n)) for _ in range(dims.t)]
+        return [MarketRound(np.ones(dims.n))] * dims.t
     if spec.kind == "cover_alternating":
         return _cover_alternating(dims)
     if spec.kind == "blowup":

@@ -23,17 +23,28 @@ Hessian must be positive definite on the interior; every target objective in
 this package (mirror-descent steps, regularized leaders, best-CRP fits) is
 strictly convex there.
 
-Cost model.  A solve's time is its Newton iterations times a fixed cost per
-iteration, which at small n is the count of numpy calls, not arithmetic.
-Each iteration makes one derivative pass at the current point: one gradient
-and one Hessian.  The regularized leader builds both from the per-round
-wealths it computed for the value at that point, when the line search
-accepted it.  The reduced system ``B' H B`` and ``B' g``, with ``B`` the
-zero-sum basis, is built by slicing, because each entry is a difference of
-two entries of H or g; the slices give the same floats as the matrix
-products.  The step ``B y`` sums n - 1 terms in its last coordinate, so it
-stays a product.  At barrier weight 0 (the affine phase) the barrier terms
-are skipped, not computed as zeros.  None of this moves an iterate by a bit.
+Cost model.  A solve's time is a fixed cost at entry and exit plus its
+Newton iterations times a fixed cost per iteration; at small n both are
+counts of numpy calls, not arithmetic.  Each iteration makes one derivative
+pass at the current point: one gradient and one Hessian.  The regularized
+leader builds both from the per-round wealths it computed for the value at
+that point, when the line search accepted it; the line search also hands
+back that point, so it is not rebuilt from its slacks.  The reduced system
+``B' H B`` and ``B' g``, with ``B`` the zero-sum basis, is built by
+slicing, because each entry is a difference of two entries of H or g; the
+slices give the same floats as the matrix products.  The step ``B y`` sums
+n - 1 terms in its last coordinate, so it stays a product, and ``y`` comes
+from ``np.linalg.solve``'s own LAPACK gufunc, called without the wrapper.
+At barrier weight 0 (the affine phase) the barrier terms are skipped, not
+computed as zeros.
+
+Bookkeeping that takes a handful of scalars works on Python floats: the KKT
+violation off the floor, the float pin, the affine keep test, the boundary
+step and the entry checks.  Comparisons, ``min``/``max``, ``abs``, + - * /
+and ``math.ulp`` (``np.spacing`` of a positive float) round as numpy does;
+where a NaN or infinity could make them differ, the numpy formula decides.
+Sums of three or more terms, products, ``log`` and ``exp`` stay in numpy.
+None of this moves an iterate by a bit.
 """
 
 from __future__ import annotations
@@ -68,6 +79,8 @@ _ON_FLOOR = 1e-9
 _MU_INIT = 1.0
 _MU_SHRINK = 0.1
 _MU_MIN = 1e-12
+# The LAPACK gufunc behind np.linalg.solve with one right-hand side (see _lapack_solve).
+_solve1 = np.linalg._umath_linalg.solve1
 
 
 @dataclass
@@ -95,6 +108,9 @@ class SolverConfig:
             raise ValueError("kkt_tol must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
+
+
+_DEFAULT_CONFIG = SolverConfig()  # frozen, so every solve without a config can share it
 
 
 class SolverFailure(RuntimeError):
@@ -143,7 +159,7 @@ def _stage_residual(obj, x, s, mu):
     """Barrier gradient at ``x = floor + s`` and the norm of its zero-sum part."""
     g = obj.gradient(x) - mu / s
     resid = g - _mean(g)
-    return g, float(np.sqrt(resid.dot(resid)))  # np.linalg.norm's own formula
+    return g, math.sqrt(resid.dot(resid))  # np.linalg.norm's own formula
 
 
 def _float_pin(h_obj, x, s, barrier_curv=None) -> float:
@@ -153,8 +169,18 @@ def _float_pin(h_obj, x, s, barrier_curv=None) -> float:
     Objectives with 1/eta ~ 1e5 barrier curvature pin this above kkt_tol,
     and no representable iterate does better.  ``barrier_curv`` is the
     barrier's curvature ``mu / s**2``, None when ``mu == 0``.
+
+    The terms are taken as Python floats: for x and s in (0, 1], where the
+    solver keeps them, ``math.ulp`` is ``np.spacing``.  When some term is not
+    finite (``np.spacing(inf)`` is NaN where ``math.ulp(inf)`` is inf, and
+    ``max`` skips a NaN that numpy's max returns), numpy's formula decides.
     """
-    pin = np.abs(h_obj.diagonal()) * np.spacing(x)  # x > 0, so spacing(|x|) is spacing(x)
+    pin = [abs(c) * math.ulp(v) for c, v in zip(h_obj.diagonal().tolist(), x.tolist())]
+    if barrier_curv is not None:
+        pin = [p + c * math.ulp(v) for p, c, v in zip(pin, barrier_curv.tolist(), s.tolist())]
+    if math.isfinite(sum(pin)):  # so every term is finite
+        return max(pin)
+    pin = np.abs(h_obj.diagonal()) * np.spacing(x)
     if barrier_curv is not None:
         pin = pin + barrier_curv * np.spacing(s)
     return float(pin.max())
@@ -170,30 +196,72 @@ def _reduced_system(h, g):
     return a[:, :-1] - a[:, -1:], -(g[:-1] - g[-1])
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack_solve(a, b):
+    """``np.linalg.solve(a, b)`` for a float64 matrix and vector, without its wrapper.
+
+    Calls the LAPACK gufunc that ``np.linalg.solve`` calls, with the same
+    signature and under the same floating-point error state, so it returns
+    the same floats and raises ``LinAlgError`` on a singular matrix.  The
+    wrapper's per-call type and shape inspection costs more than a small
+    solve.
+    """
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _solve1(a, b, signature="dd->d")
+
+
 def _newton_direction(h, g, basis):
     """Newton step inside the zero-sum subspace and its directional slope."""
     hz, rhs = _reduced_system(h, g)
     try:
-        y = np.linalg.solve(hz, rhs)
+        y = _lapack_solve(hz, rhs)
     except np.linalg.LinAlgError:
         y = None
     if y is None or not all(map(math.isfinite, y.tolist())):
         ridge = 1e-10 * max(1.0, float(np.trace(hz)) / hz.shape[0])
-        y = np.linalg.solve(hz + ridge * np.eye(hz.shape[0]), rhs)
+        y = _lapack_solve(hz + ridge * np.eye(hz.shape[0]), rhs)
     ds = basis @ y  # the last coordinate sums n - 1 terms: keep the product's order
     return ds, float(g @ ds)
 
 
-def _penalized(obj, s, floor, mu) -> float:
-    value = float(obj.evaluate(floor + s))
-    return value - mu * float(np.log(s).sum()) if mu else value
+def _cuts_a_slack(s, ds) -> bool:
+    """Whether a full step cuts some slack to 1 % or less: ``(s + ds <= _AFFINE_KEEP * s).any()``.
+
+    Taken element by element on Python floats, which compare as numpy's do
+    (NaN included).
+    """
+    return any(a + d <= _AFFINE_KEEP * a for a, d in zip(s.tolist(), ds.tolist()))
+
+
+def _boundary_step(s, ds) -> float:
+    """The longest step up to 1 that keeps 1 % of every shrinking slack.
+
+    ``min(1.0, _BOUNDARY_FRACTION * (s[ds < 0] / -ds[ds < 0]).min())``,
+    element by element on Python floats.  numpy's min returns a NaN ratio
+    that min() may skip, and 1.0 then wins the outer min, so a NaN ratio
+    gives 1.0 here too.
+    """
+    ratios = [a / -d for a, d in zip(s.tolist(), ds.tolist()) if d < 0.0]
+    if not ratios or any(map(math.isnan, ratios)):
+        return 1.0
+    return min(1.0, _BOUNDARY_FRACTION * min(ratios))
+
+
+def _penalized(obj, x, s, mu) -> float:
+    """Objective plus barrier at ``x = floor + s``."""
+    value = float(obj.evaluate(x))
+    return value - mu * float(np.add.reduce(np.log(s))) if mu else value  # np.log(s).sum()
 
 
 def _armijo(obj, s, floor, mu, ds, slope, step, phi0):
     """Backtracking line search from `step`.
 
-    Returns the accepted ``(slacks, value)``, or None when no step makes
-    measurable progress at this floating-point scale.  Trial points are
+    Returns the accepted ``(slacks, point, value)``, the point being
+    ``floor + slacks``, or None when no step makes measurable progress at
+    this floating-point scale.  Trial points are
     compared as lists of floats, element by element with ``==`` as
     ``np.array_equal`` compares them, at less cost for a few coordinates.
     """
@@ -208,18 +276,27 @@ def _armijo(obj, s, floor, mu, ds, slope, step, phi0):
             # The step rounds away entirely; shorter ones will too.
             return None
         if all(v > 0.0 for v in trial):  # NaN fails, as it fails sn.min() > 0
-            phin = _penalized(obj, sn, floor, mu)
+            xn = floor + sn
+            phin = _penalized(obj, xn, sn, mu)
             if phin <= phi0 + _ARMIJO * step * slope + noise:
-                return sn, phin
+                return sn, xn, phin
         step *= _BACKTRACK
     return None
 
 
 def _kkt_violation(g, x, floor) -> float:
-    """Largest breach of the first-order conditions, as kkt_certificate defines them."""
-    if x.min() - floor > _ON_FLOOR:
+    """Largest breach of the first-order conditions, as kkt_certificate defines them.
+
+    Off the floor it takes Python floats, exactly: ``min(x) - floor`` is
+    the least ``x_i - floor``, and a finite mean means every g_i is finite,
+    so ``max`` meets no NaN that numpy's max would return.
+    """
+    if all(v - floor > _ON_FLOOR for v in x.tolist()):  # NaN fails, as it fails x.min() - floor > _ON_FLOOR
         # Nothing on the floor: the masked formula below with all-true masks.
-        return float(np.abs(g - _mean(g)).max())
+        lam = float(_mean(g))
+        if math.isfinite(lam):
+            return max([abs(v - lam) for v in g.tolist()])
+        return float(np.abs(g - lam).max())
     on_floor = x - floor <= _ON_FLOOR
     dev = g - _mean(g[~on_floor])
     return max(float(np.abs(dev[~on_floor]).max()), float(np.max(-dev[on_floor], initial=0.0)))
@@ -241,39 +318,39 @@ def kkt_certificate(obj: Objective, x, dims: ProblemDims, tol: float) -> bool:
 def _affine_phase(obj, s, floor, cfg, basis, diag):
     """Feasible-start Newton on the hyperplane sum(x) == 1, with no barrier.
 
-    Returns ``(slacks, g_start)``.  The slacks are those of a point that
-    passes the KKT certificate, or None when the phase gives up: a full
-    Newton step would cut some slack to 1 % of its value or less, the step
-    is not a descent direction, the line search stalls short of tolerance,
-    or the iteration budget runs out.  ``g_start`` is the objective's
-    gradient at the starting slacks, which the barrier path reuses.
+    Returns ``(point, g_start)``.  The point ``floor + slacks`` passes the
+    KKT certificate, or is None when the phase gives up: a full Newton step
+    would cut some slack to 1 % of its value or less, the step is not a
+    descent direction, the line search stalls short of tolerance, or the
+    iteration budget runs out.  ``g_start`` is the objective's gradient at
+    the starting slacks, which the barrier path reuses.
     """
     stage = {"mu": 0.0, "iters": 0, "residual": np.inf, "phi": []}
     if diag is not None:
         diag.stages.append(stage)
-    phi = _penalized(obj, s, floor, 0.0)
+    x = floor + s  # the point of the slacks s, carried out of each line search
+    phi = float(obj.evaluate(x))
     g_start = None
     for _ in range(cfg.max_newton_iters):
-        x = floor + s
         g = obj.gradient(x)
         if g_start is None:
             g_start = g
-        stage["residual"] = _kkt_violation(g, x, floor)
-        if stage["residual"] <= cfg.kkt_tol:
-            return s, g_start
+        resid = stage["residual"] = _kkt_violation(g, x, floor)
+        if resid <= cfg.kkt_tol:
+            return x, g_start
         h = obj.hessian(x)
         pin = _float_pin(h, x, s)
-        if stage["residual"] <= 4.0 * pin:
-            return s, g_start
+        if resid <= 4.0 * pin:
+            return x, g_start
 
         ds, slope = _newton_direction(h, g, basis)
-        if slope >= 0.0 or (s + ds <= _AFFINE_KEEP * s).any():
+        if slope >= 0.0 or _cuts_a_slack(s, ds):
             return None, g_start
         accepted = _armijo(obj, s, floor, 0.0, ds, slope, 1.0, phi)
         if accepted is None:
-            done = stage["residual"] <= max(10.0 * cfg.kkt_tol, 4.0 * pin)
-            return (s if done else None), g_start
-        s, phi = accepted
+            done = resid <= max(10.0 * cfg.kkt_tol, 4.0 * pin)
+            return (x if done else None), g_start
+        s, x, phi = accepted
         stage["iters"] += 1
         stage["phi"].append(phi)
         if diag is not None:
@@ -294,8 +371,8 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
     resid_norm = np.inf
     pin = 0.0
     phi0 = None  # penalized value at s, carried over from the line search that accepted s
+    x = floor + s  # likewise the point of s
     for _ in range(cfg.max_newton_iters):
-        x = floor + s
         g, resid_norm = _stage_residual(obj, x, s, mu)
         if resid_norm <= tol:
             break
@@ -317,29 +394,25 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
             if slope >= 0.0:
                 break
 
-        step = 1.0
-        shrinking = ds < 0.0
-        if shrinking.any():
-            step = min(1.0, _BOUNDARY_FRACTION * float((s[shrinking] / -ds[shrinking]).min()))
-
+        step = _boundary_step(s, ds)
         if phi0 is None:
-            phi0 = _penalized(obj, s, floor, mu)
+            phi0 = _penalized(obj, x, s, mu)
         accepted = _armijo(obj, s, floor, mu, ds, slope, step, phi0)
         if accepted is None:
             # No measurable progress left at this floating-point scale.
             if resid_norm <= max(10.0 * cfg.kkt_tol, tol, 4.0 * pin):
                 break
-            raise SolverFailure("line search stalled", floor + s, resid_norm, mu)
+            raise SolverFailure("line search stalled", x, resid_norm, mu)
 
-        s, phi0 = accepted
+        s, x, phi0 = accepted
         stage["iters"] += 1
         stage["phi"].append(phi0)
         if diag is not None:
             diag.newton_iters += 1
     else:
-        _, resid_norm = _stage_residual(obj, floor + s, s, mu)
+        _, resid_norm = _stage_residual(obj, x, s, mu)
         if resid_norm > max(tol, 4.0 * pin):
-            raise SolverFailure("newton iteration budget exhausted", floor + s, resid_norm, mu)
+            raise SolverFailure("newton iteration budget exhausted", x, resid_norm, mu)
 
     stage["residual"] = resid_norm
     if diag is not None:
@@ -376,40 +449,45 @@ def _barrier_path(obj, s, g, dims, cfg, basis, diag):
 
 def minimize_over_clipped_simplex(
     obj: Objective,
-    warm_start: PortfolioState,
+    warm_start: np.ndarray | PortfolioState,
     dims: ProblemDims,
     cfg: SolverConfig | None = None,
     diagnostics: SolveDiagnostics | None = None,
 ) -> PortfolioState:
     """Minimize a strictly convex objective over the clipped simplex.
 
-    The warm start must be strictly feasible: summing to one with every
-    coordinate strictly above the floor.  The affine phase runs first; when
-    it gives up, the barrier path restarts from the warm start and raises
-    SolverFailure when a barrier stage cannot be driven to tolerance.
+    The warm start is an array of ``dims.n`` weights, or a portfolio, and
+    is validated here: it must be strictly feasible, summing to one within
+    ``SUM_TOL`` with every coordinate strictly above the floor, so NaN and
+    infinite weights raise ``ValueError``.  It is read, never written, so
+    callers pass their arrays without a copy.  The affine phase runs first;
+    when it gives up, the barrier path restarts from the warm start and
+    raises SolverFailure when a barrier stage cannot be driven to
+    tolerance.  The answer is renormalized to sum to one and returned as a
+    checked ``PortfolioState``.
     """
     if cfg is None:
-        cfg = SolverConfig()
+        cfg = _DEFAULT_CONFIG
     floor = dims.floor
     x = np.asarray(getattr(warm_start, "x", warm_start), dtype=float)
     if x.shape != (dims.n,):
         raise ValueError(f"warm start must have {dims.n} coordinates")
-    if abs(x.sum() - 1.0) > SUM_TOL:
-        raise ValueError(f"warm start sums to {x.sum()!r}, not 1")
-    if x.min() <= floor:
+    total = np.add.reduce(x)  # x.sum(), without the method's overhead
+    # Both tests fail on NaN.  A NaN or infinite weight makes the sum NaN or
+    # infinite, so min() below only meets finite weights.
+    if not abs(total - 1.0) <= SUM_TOL:
+        raise ValueError(f"warm start sums to {total!r}, not 1")
+    if not min(x.tolist()) > floor:
         raise ValueError("warm start must be strictly above the clipped-simplex floor")
 
     basis = _null_basis(dims.n)
     start = x - floor
-    s, g_start = _affine_phase(obj, start, floor, cfg, basis, diagnostics)
-    if s is None:
+    x, g_start = _affine_phase(obj, start, floor, cfg, basis, diagnostics)
+    if x is None:
         if diagnostics is not None:
             diagnostics.fell_back = True
-        s = _barrier_path(obj, start, g_start, dims, cfg, basis, diagnostics)
-
-    x = floor + s
-    x = x / x.sum()
-    return PortfolioState.checked(x, dims)
+        x = floor + _barrier_path(obj, start, g_start, dims, cfg, basis, diagnostics)
+    return PortfolioState.checked(x / np.add.reduce(x), dims)
 
 
 def _batch_values(obj: Objective, points: np.ndarray) -> np.ndarray:

@@ -183,6 +183,32 @@ def test_epoch_budget_violation_raises():
         ada_step(state, MarketRound(np.array([1.0, 0.5])))
 
 
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_epoch_history_is_bitwise_its_method_formulas(n):
+    # append and ceiling call the ufuncs' reduce directly; ndarray.sum and ndarray.max call the same.
+    rng = np.random.default_rng(700 + n)
+    history = EpochHistory(8, n)
+    xs, grads = [], []
+    for trial in range(30):
+        x = rng.dirichlet(np.ones(n))
+        r = rng.uniform(0.01, 1.0, n)
+        r[rng.integers(n)] = 1.0
+        g = -r / float(x @ r)
+        if trial in (20, 25):  # a NaN or infinite gradient entry
+            g[rng.integers(n)] = np.nan if trial == 20 else np.inf
+        with np.errstate(invalid="ignore"):
+            history.append(r, x, g)
+        xs.append(x)
+        grads.append(g)
+        u = rng.dirichlet(np.ones(n))
+        xg = np.array([(x_s * g_s).sum() for x_s, g_s in zip(xs, grads)])
+        assert history._xg[: len(xs)].tobytes() == xg.tobytes()
+        with np.errstate(invalid="ignore"):
+            largest = float(np.abs((np.stack(grads) * u).sum(axis=1) - xg).max(initial=0.0))
+            want = 0.5 if largest <= 0.25 else 1.0 / (8.0 * largest)
+            assert np.float64(history.ceiling(u)).tobytes() == np.float64(want).tobytes()
+
+
 def test_epoch_history_ceiling_matches_alpha():
     rng = np.random.default_rng(17)
     n = 3

@@ -132,6 +132,28 @@ def test_portfolio_checked_rejections():
         PortfolioState(np.array([np.inf, 0.5]))
 
 
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_portfolio_checks_agree_with_numpy_predicates(n):
+    # PortfolioState tests finiteness and the floor on Python floats.
+    dims = ProblemDims(n, 64)
+    rng = np.random.default_rng(800 + n)
+    for trial in range(40):
+        x = rng.dirichlet(np.ones(n))
+        x[rng.integers(n)] = (np.nan, np.inf, -np.inf, dims.floor - 2e-12, dims.floor - 5e-13)[trial % 5]
+        x /= 1.0 if trial % 5 < 3 else x.sum()
+        finite = bool(np.all(np.isfinite(x)))
+        if not finite:
+            with pytest.raises(ValueError, match="finite"):
+                PortfolioState(x)
+            continue
+        above = bool(x.min() >= dims.floor - 1e-12)
+        if above:
+            assert PortfolioState.checked(x, dims).x.tobytes() == x.tobytes()
+        else:
+            with pytest.raises(ValueError, match="floor"):
+                PortfolioState.checked(x, dims)
+
+
 def test_uniform_portfolio_sums_to_one():
     x = uniform_portfolio(ProblemDims(5, 100)).x
     assert x.sum() == 1.0

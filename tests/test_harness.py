@@ -102,7 +102,8 @@ def test_verifier_catches_tampered_ceiling(blowup_result):
 
 @pytest.fixture(scope="module")
 def blowup_results(blowup_result):
-    return {"ada": blowup_result, **{name: run_market(name, MarketSpec("blowup", DIMS)) for name in ("barrons", "ons")}}
+    others = ("barrons", "ons", "eg")
+    return {"ada": blowup_result, **{name: run_market(name, MarketSpec("blowup", DIMS)) for name in others}}
 
 
 def _first_full_restart(records):
@@ -125,6 +126,52 @@ def test_verifier_catches_tampered_checked_field(blowup_results, learner, field,
     rec[field] = tamper(rec[field])
     problems = verify_trace(trace)
     assert any(p.startswith(f"round {rec['t']}:") and word in p for p in problems), problems
+
+
+@pytest.mark.parametrize(
+    "learner, field, value",
+    [
+        *[(learner, "x", [math.nan, math.nan]) for learner in ("ada", "barrons", "ons", "eg")],
+        ("ada", "loss", math.nan),
+        ("eg", "loss", math.nan),
+        ("ada", "r", [1.0, math.nan]),
+        ("ons", "r", [1.0, math.nan]),
+    ],
+    ids=["ada-nan_play", "barrons-nan_play", "ons-nan_play", "eg-nan_play",
+         "ada-nan_loss", "eg-nan_loss", "ada-nan_relative", "ons-nan_relative"],
+)
+def test_verifier_catches_nan_in_a_record(blowup_results, learner, field, value):
+    trace = json.loads(blowup_results[learner].body_json())
+    trace["per_round"][10][field] = value
+    problems = verify_trace(trace)
+    assert any(p.startswith("round 11:") for p in problems), problems
+
+
+@pytest.mark.parametrize("key", ("total_loss", "max_grad_inf_norm"))
+@pytest.mark.parametrize("missing", (True, False), ids=("missing", "nan"))
+def test_verifier_catches_missing_or_nan_summary_fields(blowup_result, key, missing):
+    trace = json.loads(blowup_result.body_json())
+    if missing:
+        del trace["summary"][key]
+    else:
+        trace["summary"][key] = math.nan
+    problems = verify_trace(trace)
+    assert any(p.startswith("summary:") and (key in p or "max gradient" in p) for p in problems), problems
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_ratio_dev_is_bitwise_the_numpy_formula(n):
+    rng = np.random.default_rng(600 + n)
+    for trial in range(60):
+        prev = rng.dirichlet(np.ones(n))
+        cur = prev * (1.0 + rng.normal(0.0, 10.0 ** rng.uniform(-12.0, -1.0), n))
+        if trial >= 40:  # a zero, NaN or infinite coordinate
+            target = cur if trial % 2 else prev
+            target[rng.integers(n)] = (0.0, np.nan, np.inf, -np.inf)[trial % 4]
+        with np.errstate(all="ignore"):
+            want = float(np.abs(cur / prev - 1.0).max())
+            got = harness._ratio_dev(cur.tolist(), prev.tolist())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_checker_raises_when_strict_and_records_otherwise(blowup_result):

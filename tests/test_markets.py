@@ -28,6 +28,27 @@ def test_constant_market_all_ones():
         np.testing.assert_array_equal(rnd.r, np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [("constant", {}), ("cover_alternating", {}), ("blowup", {}), ("blowup", {"epsilon": 0.01, "flip_period": 3})],
+)
+def test_repeated_rounds_are_built_once_with_unchanged_values(kind, params):
+    dims = ProblemDims(3, 40)
+    rounds = generate(MarketSpec(kind, dims, params=params))
+    period = params.get("flip_period", dims.t // 2)
+    eps = params.get("epsilon", 1.0 / 32.0)
+    for t, rnd in enumerate(rounds, start=1):
+        if kind == "constant":
+            want = [1.0, 1.0, 1.0]
+        elif kind == "cover_alternating":
+            want = [1.0, 0.5, 0.5] if t % 2 == 1 else [0.5, 1.0, 1.0]
+        else:
+            want = [eps, 1.0, 1.0] if ((t - 1) // period) % 2 else [1.0, eps, eps]
+        assert rnd.r.tolist() == want
+        assert not rnd.r.flags.writeable
+    assert len({id(rnd) for rnd in rounds}) == (1 if kind == "constant" else 2)
+
+
 def test_cover_alternating_exact_sequence():
     rounds = generate(MarketSpec("cover_alternating", ProblemDims(2, 4)))
     got = [tuple(r.r) for r in rounds]

@@ -1,5 +1,7 @@
 """Newton solver over the clipped simplex and its grid-search oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,14 @@ from barrons.solver import (
     SolverConfig,
     SolverFailure,
     _barrier_path,
+    _boundary_step,
+    _cuts_a_slack,
+    _float_pin,
     _kkt_violation,
+    _lapack_solve,
     _null_basis,
     _reduced_system,
+    _stage_residual,
     grid_search_oracle,
     kkt_certificate,
     minimize_over_clipped_simplex,
@@ -87,6 +94,13 @@ def test_warm_start_validation():
         minimize_over_clipped_simplex(obj, np.array([0.6, 0.6]), DIMS2)
     with pytest.raises(ValueError, match="strictly above"):
         minimize_over_clipped_simplex(obj, np.array([1.0 - DIMS2.floor, DIMS2.floor]), DIMS2)
+
+
+@pytest.mark.parametrize("warm", ([np.nan, np.nan], [np.nan, 0.5], [np.inf, -np.inf]))
+def test_warm_start_rejects_non_finite_weights(warm):
+    obj = quadratic_objective([0.3, 0.7])
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        minimize_over_clipped_simplex(obj, np.array(warm), DIMS2)
 
 
 def test_solver_config_validation():
@@ -372,15 +386,131 @@ def _masked_kkt_violation(g, x, floor):
     return max(float(np.abs(dev[~on_floor]).max()), float(np.max(-dev[on_floor], initial=0.0)))
 
 
+def _bits(v) -> bytes:
+    # Equal bits: NaN matches NaN, and 0.0 does not match -0.0.
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the exception it raises; numpy's warnings are silenced."""
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _bits(fn(*args))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
 @pytest.mark.parametrize("n", (2, 3, 5, 20))
 def test_kkt_violation_fast_path_is_bitwise_the_masked_formula(n):
     dims = ProblemDims(n, 64)
     rng = np.random.default_rng(100 + n)
-    for trial in range(40):
+    for trial in range(60):
         x = rng.dirichlet(np.ones(n)) * (1.0 - n * dims.floor) + dims.floor
         if trial % 2:  # push some coordinates onto the floor, within 1e-9 of it
             on = rng.random(n) < 0.5
             on[rng.integers(n)] = False
             x[on] = dims.floor + rng.uniform(0.0, 1e-9, on.sum())
         g = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 2.0), n)
-        assert _kkt_violation(g, x, dims.floor) == _masked_kkt_violation(g, x, dims.floor)
+        if trial >= 40:  # a NaN or infinite gradient entry or coordinate
+            target = g if trial % 4 < 2 else x
+            target[rng.integers(n)] = _NON_FINITE[trial % 3]
+        assert _outcome(_kkt_violation, g, x, dims.floor) == _outcome(_masked_kkt_violation, g, x, dims.floor)
+
+
+def _numpy_float_pin(h_obj, x, s, barrier_curv=None):
+    pin = np.abs(h_obj.diagonal()) * np.spacing(x)
+    if barrier_curv is not None:
+        pin = pin + barrier_curv * np.spacing(s)
+    return float(pin.max())
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_float_pin_is_bitwise_the_numpy_formula(n):
+    dims = ProblemDims(n, 64)
+    rng = np.random.default_rng(200 + n)
+    for trial in range(60):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), (n + 2, n))
+        h = a.T @ a + 1e-3 * np.eye(n)
+        x = rng.dirichlet(np.ones(n)) * (1.0 - n * dims.floor) + dims.floor
+        x[rng.random(n) < 0.3] = dims.floor * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0))
+        s = x - dims.floor
+        curv = None if trial % 2 else 10.0 ** rng.uniform(-12.0, 0.0) / s**2
+        if trial >= 40:  # a NaN or infinite curvature, coordinate or slack
+            i, bad = rng.integers(n), _NON_FINITE[trial % 3]
+            if trial % 4 < 2:
+                h[i, i] = bad
+            elif bad > 0.0:  # x and s are positive, where math.ulp is np.spacing
+                x[i] = s[i] = bad
+            else:
+                s[i] = np.nan
+                if curv is not None:
+                    curv[i] = np.nan
+        assert _outcome(_float_pin, h, x, s, curv) == _outcome(_numpy_float_pin, h, x, s, curv)
+
+
+def _numpy_cuts_a_slack(s, ds):
+    return bool((s + ds <= 0.01 * s).any())
+
+
+def _numpy_boundary_step(s, ds):
+    step = 1.0
+    shrinking = ds < 0.0
+    if shrinking.any():
+        step = min(1.0, 0.99 * float((s[shrinking] / -ds[shrinking]).min()))
+    return step
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_step_tests_are_bitwise_the_numpy_formulas(n):
+    rng = np.random.default_rng(300 + n)
+    for trial in range(80):
+        s = 10.0 ** rng.uniform(-14.0, 0.0, n)
+        ds = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-14.0, 1.0, n)
+        if trial % 3 == 0:  # a step that nearly empties one slack
+            i = rng.integers(n)
+            ds[i] = -s[i] * (1.0 - 10.0 ** rng.uniform(-3.0, -1.0))
+        if trial >= 60:  # a NaN or infinite step entry or slack
+            target = ds if trial % 2 else s
+            target[rng.integers(n)] = _NON_FINITE[trial % 3]
+        assert _cuts_a_slack(s, ds) == _numpy_cuts_a_slack(s, ds)
+        assert _outcome(_boundary_step, s, ds) == _outcome(_numpy_boundary_step, s, ds)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_stage_residual_norm_is_bitwise_numpys(n):
+    rng = np.random.default_rng(400 + n)
+    for trial in range(40):
+        target = rng.dirichlet(np.ones(n))
+        if trial >= 30:
+            target[rng.integers(n)] = _NON_FINITE[trial % 3]
+        x = rng.dirichlet(np.ones(n))
+        s = x - 1e-3
+        mu = 10.0 ** rng.uniform(-12.0, 0.0)
+        with np.errstate(invalid="ignore"):
+            g, norm = _stage_residual(quadratic_objective(target), x, s, mu)
+            resid = g - g.mean()
+            want = float(np.sqrt(resid.dot(resid)))
+        assert _bits(norm) == _bits(want)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_lapack_solve_is_bitwise_np_linalg_solve(n):
+    m = n - 1  # the reduced Newton system's size
+    rng = np.random.default_rng(500 + n)
+    for trial in range(60):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), (m + 2, m))
+        hz = a.T @ a + 10.0 ** rng.uniform(-12.0, 0.0) * np.eye(m)
+        rhs = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 3.0), m)
+        if trial % 6 == 1:  # singular: a zero row and column
+            i = rng.integers(m)
+            hz[i, :] = hz[:, i] = 0.0
+        elif trial >= 40:  # a NaN or infinite entry in the matrix or the right-hand side
+            if trial % 2:
+                hz[rng.integers(m), rng.integers(m)] = _NON_FINITE[trial % 3]
+            else:
+                rhs[rng.integers(m)] = _NON_FINITE[trial % 3]
+        assert _outcome(_lapack_solve, hz, rhs) == _outcome(np.linalg.solve, hz, rhs)
