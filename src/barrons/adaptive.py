@@ -22,7 +22,6 @@ import numpy as np
 from .core import BarronsState, barrons_init, barrons_step
 from .domain import (
     MarketRound,
-    PortfolioState,
     ProblemDims,
     column_sums,
     nudge_interior,
@@ -218,8 +217,8 @@ def regularized_leader(
     warm_start: np.ndarray,
     dims: ProblemDims,
     solver_cfg: Optional[SolverConfig] = None,
-) -> PortfolioState:
-    """Minimizer of epoch log-loss plus barrier over the clipped simplex.
+) -> np.ndarray:
+    """Minimizer of epoch log-loss plus barrier over the clipped simplex, as a read-only array.
 
     `rounds` is an (m, n) array, used without a copy, or a sequence of
     rounds.  The barrier term keeps the leader a multiple of gamma away
@@ -255,19 +254,20 @@ def ada_step(
 ):
     """One controller round: step the learner, refresh the ceiling, maybe restart.
 
-    Returns ``(state, LossRecord, restarted)``.  The loss always belongs to
-    the epoch that played the round; when the ceiling check fails, the step
-    the learner just solved is discarded along with the rest of the epoch
-    state, and the next round opens the new epoch from uniform.  The check
-    runs after every round, including a round that itself opened an epoch.
+    Returns ``(loss, grad, restarted)``: the round's log-loss, its gradient
+    at the play, and whether the round closed its epoch.  The loss always
+    belongs to the epoch that played the round; when the ceiling check
+    fails, the step the learner just solved is discarded along with the
+    rest of the epoch state, and the next round opens the new epoch from
+    uniform.  The check runs after every round, including a round that
+    itself opened an epoch.
     """
     played = state.inner.x  # barrons_step rebinds state.x and mutates nothing in place
-    _, record = barrons_step(state.inner, rnd, solver_cfg)
-    state.history.append(rnd.r, played, record.gradient)
+    loss, grad = barrons_step(state.inner, rnd, solver_cfg)
+    state.history.append(rnd.r, played, grad)
 
-    warm = state.u if state.u is not None else uniform_portfolio(state.dims).x
-    leader = regularized_leader(state.history.rounds, state.cfg.gamma, warm, state.dims, solver_cfg)
-    state.u = leader.x
+    warm = state.u if state.u is not None else uniform_portfolio(state.dims)
+    state.u = regularized_leader(state.history.rounds, state.cfg.gamma, warm, state.dims, solver_cfg)
     state.last_u = state.u
 
     ceiling = state.history.ceiling(state.u)
@@ -284,4 +284,4 @@ def ada_step(
         state.inner = barrons_init(state.dims, state.beta, state.cfg.eta_base)
         state.history.clear()
         state.u = None
-    return state, record, restarted
+    return loss, grad, restarted

@@ -105,7 +105,8 @@ def best_crp(
 ):
     """Best constant-rebalanced portfolio over the clipped simplex, in hindsight.
 
-    Returns ``(weights, total_loss)`` with the loss free of regularization.
+    Returns ``(weights, total_loss)``: the weights as a read-only array, and
+    the loss free of regularization.
     The cumulative log-loss alone can have a singular Hessian (degenerate
     markets), so a vanishing auxiliary barrier of weight 1e-9 (the leader
     objective with gamma = 1e9) keeps the Newton solve well-posed; its
@@ -115,8 +116,8 @@ def best_crp(
     if r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must have {dims.n} assets")
     obj = leader_objective(r_mat, 1e9)
-    best = minimize_over_clipped_simplex(obj, uniform_portfolio(dims).x, dims, solver_cfg)
-    total_loss = float(-np.log(r_mat @ best.x).sum())
+    best = minimize_over_clipped_simplex(obj, uniform_portfolio(dims), dims, solver_cfg)
+    total_loss = float(-np.log(r_mat @ best).sum())
     return best, total_loss
 
 
@@ -178,7 +179,7 @@ class OnsLearner:
     def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
         self.dims = dims
         self.solver_cfg = solver_cfg
-        self.x = uniform_portfolio(dims).x.copy()
+        self.x = uniform_portfolio(dims)
         self.cov = float(dims.n) * np.eye(dims.n)
         return self
 
@@ -187,7 +188,7 @@ class OnsLearner:
         loss, grad = loss_grad_arrays(played, rnd.r)
         self.cov = self.cov + np.outer(grad, grad)
         obj = ons_objective(grad, self.cov, self.x, self.beta)
-        self.x = minimize_over_clipped_simplex(obj, nudge_interior(self.x, self.dims), self.dims, self.solver_cfg).x
+        self.x = minimize_over_clipped_simplex(obj, nudge_interior(self.x, self.dims), self.dims, self.solver_cfg)
         return played, loss
 
 
@@ -218,7 +219,7 @@ class EgLearner:
             if g_est is None:
                 g_est = dims.n / self.mix if self.mix > 0.0 else float(dims.n * dims.t)
             self.eta = np.sqrt(np.log(dims.n) / dims.t) / g_est
-        self.x = uniform_portfolio(dims).x.copy()
+        self.x = uniform_portfolio(dims)
         return self
 
     def step(self, rnd: MarketRound):
@@ -239,7 +240,7 @@ class OgdLearner:
     def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
         self.dims = dims
         self.eta = self.eta_fixed if self.eta_fixed is not None else 1.0 / np.sqrt(dims.t)
-        self.x = uniform_portfolio(dims).x.copy()
+        self.x = uniform_portfolio(dims)
         return self
 
     def step(self, rnd: MarketRound):
@@ -263,7 +264,7 @@ class SoftBayesLearner:
             self.eta = self.eta_fixed
         else:
             self.eta = np.sqrt(np.log(dims.n) / (dims.n * dims.t))
-        self.x = uniform_portfolio(dims).x.copy()
+        self.x = uniform_portfolio(dims)
         return self
 
     def step(self, rnd: MarketRound):

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .domain import (
-    LossRecord,
     MarketRound,
     ProblemDims,
     loss_grad_arrays,
@@ -48,7 +47,7 @@ class BarronsState:
         self.dims = dims
         self.beta = float(beta)
         self.eta_base = float(eta_base)
-        self.x = uniform_portfolio(dims).x.copy()
+        self.x = uniform_portfolio(dims)
         self.cov = float(dims.n) * np.eye(dims.n)
         self.log_max = np.zeros(dims.n)
         self.eta = np.full(dims.n, self.eta_base)
@@ -114,8 +113,9 @@ def barrons_step(
     Order matters and is observable: the loss is charged at the current
     play; the covariance and the rate schedule absorb the current round
     before the step is solved, so the step already uses this round's
-    curvature and rates.  Returns ``(state, LossRecord)`` with the state
-    mutated in place.
+    curvature and rates.  Returns the round's log-loss and its gradient at
+    the play, ``(loss, grad)``; the state is updated in place, and its play
+    ``state.x`` is rebound to the solver's new read-only array.
     """
     dims = state.dims
     r = rnd.r
@@ -132,10 +132,8 @@ def barrons_step(
     state.eta = state.eta_base * np.exp(state.log_max)
 
     obj = omd_step_objective(grad, state.cov, x_t, state.beta, state.eta)
-    x_next = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims, solver_cfg, diagnostics)
-
-    state.x = x_next.x  # read-only; the next step rebinds it
-    return state, LossRecord(loss, grad)
+    state.x = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims, solver_cfg, diagnostics)
+    return loss, grad
 
 
 def bregman_divergence(

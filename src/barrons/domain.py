@@ -24,10 +24,8 @@ __all__ = [
     "FLOOR_TOL",
     "ProblemDims",
     "MarketRound",
-    "PortfolioState",
-    "LossRecord",
     "normalize_round",
-    "loss_and_gradient",
+    "clipped_point",
     "loss_grad_arrays",
     "smooth_comparator",
     "uniform_portfolio",
@@ -85,10 +83,6 @@ class MarketRound:
             raise ValueError("round is not normalized: max entry must be exactly 1")
         object.__setattr__(self, "r", arr)
 
-    @property
-    def n(self) -> int:
-        return self.r.size
-
 
 def normalize_round(raw) -> MarketRound:
     """Scale a raw vector of price relatives so its best asset reads 1.
@@ -110,58 +104,42 @@ def normalize_round(raw) -> MarketRound:
     return MarketRound(arr / top)
 
 
-@dataclass(frozen=True)
-class PortfolioState:
-    """A point of the simplex: nonnegative wealth fractions summing to one."""
+def clipped_point(x, dims: ProblemDims) -> np.ndarray:
+    """A read-only copy of the weights `x`, checked to lie on the clipped simplex of `dims`.
 
-    x: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.x)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("a portfolio needs at least two assets")
-        if not all(map(math.isfinite, arr.tolist())):
-            raise ValueError("portfolio weights must be finite")
-        object.__setattr__(self, "x", arr)
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    @classmethod
-    def checked(cls, x, dims: ProblemDims) -> "PortfolioState":
-        """Construct and enforce clipped-simplex membership for `dims`."""
-        state = cls(x)
-        if state.n != dims.n:
-            raise ValueError(f"expected {dims.n} assets, got {state.n}")
-        total = np.add.reduce(state.x)  # state.x.sum(), without the method's overhead
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        lo = min(state.x.tolist())  # the weights are finite, so this is state.x.min()
-        if lo < dims.floor - FLOOR_TOL:
-            raise ValueError(
-                f"coordinate {lo!r} breaches the clipped-simplex floor {dims.floor!r}"
-            )
-        return state
+    Raises ValueError unless `x` has ``dims.n`` finite coordinates that sum
+    to one within ``SUM_TOL`` and sit no lower than ``FLOOR_TOL`` under the
+    floor.
+    """
+    arr = _frozen_array(x)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("a portfolio needs at least two assets")
+    vals = arr.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("portfolio weights must be finite")
+    if arr.size != dims.n:
+        raise ValueError(f"expected {dims.n} assets, got {arr.size}")
+    total = np.add.reduce(arr)  # arr.sum(), without the method's overhead
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1")
+    lo = min(vals)  # the weights are finite, so this is arr.min()
+    if lo < dims.floor - FLOOR_TOL:
+        raise ValueError(f"coordinate {lo!r} breaches the clipped-simplex floor {dims.floor!r}")
+    return arr
 
 
-def uniform_portfolio(dims: ProblemDims) -> PortfolioState:
-    return PortfolioState(np.full(dims.n, 1.0 / dims.n))
-
-
-@dataclass(frozen=True)
-class LossRecord:
-    """Log-loss of one round together with its gradient at the played point."""
-
-    loss: float
-    gradient: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gradient", _frozen_array(self.gradient))
+def uniform_portfolio(dims: ProblemDims) -> np.ndarray:
+    """A fresh, writable array of ``dims.n`` equal weights."""
+    return np.full(dims.n, 1.0 / dims.n)
 
 
 def loss_grad_arrays(x: np.ndarray, r: np.ndarray):
-    """Raw-array fast path: returns ``(-log <x, r>, -r / <x, r>)``."""
+    """Per-round log-loss ``-log <x, r>`` and its gradient ``-r / <x, r>``.
+
+    On the clipped simplex the round wealth is at least ``1/(n*t)`` (the
+    best asset alone contributes the floor times 1), so the loss is at most
+    ``log(n*t)`` and the gradient sup-norm at most ``n*t``.
+    """
     wealth = float(x @ r)
     if wealth <= 0.0:
         raise ValueError(f"nonpositive round wealth {wealth!r}: portfolio dead on this round")
@@ -180,20 +158,7 @@ def column_sums(mat: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(mat).T).sum(axis=1)
 
 
-def loss_and_gradient(x: PortfolioState, r: MarketRound) -> LossRecord:
-    """Per-round log-loss ``-log <x, r>`` and its gradient ``-r / <x, r>``.
-
-    On the clipped simplex the round wealth is at least ``1/(n*t)`` (the
-    best asset alone contributes the floor times 1), so the loss is at most
-    ``log(n*t)`` and the gradient sup-norm at most ``n*t``.
-    """
-    if x.n != r.n:
-        raise ValueError(f"portfolio has {x.n} assets but the round has {r.n}")
-    loss, grad = loss_grad_arrays(x.x, r.r)
-    return LossRecord(loss, grad)
-
-
-def smooth_comparator(u_prime, dims: ProblemDims) -> PortfolioState:
+def smooth_comparator(u_prime, dims: ProblemDims) -> np.ndarray:
     """Pull a full-simplex comparator into the clipped simplex.
 
     Maps ``u' -> (1 - 1/t) u' + 1/(n*t)``.  The image has every coordinate
@@ -209,7 +174,7 @@ def smooth_comparator(u_prime, dims: ProblemDims) -> PortfolioState:
     if abs(arr.sum() - 1.0) > SUM_TOL:
         raise ValueError(f"comparator sums to {arr.sum()!r}, not 1")
     u = (1.0 - 1.0 / dims.t) * arr + dims.floor
-    return PortfolioState.checked(u, dims)
+    return clipped_point(u, dims)
 
 
 def nudge_interior(x: np.ndarray, dims: ProblemDims) -> np.ndarray:

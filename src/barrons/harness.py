@@ -290,7 +290,7 @@ class _AdaRun:
     def step(self, rnd: MarketRound):
         state = self.state
         played, epoch, beta = state.inner.x, state.epoch, state.beta
-        _, record, restarted = ada_step(state, rnd, self.solver_cfg)
+        loss, _, restarted = ada_step(state, rnd, self.solver_cfg)
         self.fields = {
             "epoch": epoch,
             "beta": beta,
@@ -298,7 +298,7 @@ class _AdaRun:
             "u": _floats(state.last_u),
             "restart": bool(restarted),
         }
-        return played, record.loss
+        return played, loss
 
 
 class _BarronsRun:
@@ -316,8 +316,8 @@ class _BarronsRun:
 
     def step(self, rnd: MarketRound):
         played = self.state.x
-        _, record = barrons_step(self.state, rnd, self.solver_cfg)
-        return played, record.loss
+        loss, _ = barrons_step(self.state, rnd, self.solver_cfg)
+        return played, loss
 
 
 def _given(params: dict, *names: str) -> dict:
@@ -403,7 +403,7 @@ def run_experiment(
             save_trace(result, out_path, per_round_ms, started)
         raise
 
-    result = _assemble(cfg_echo, records, checker.problems, _floats(crp.x), crp_loss, None)
+    result = _assemble(cfg_echo, records, checker.problems, _floats(crp), crp_loss, None)
     if out_path is not None:
         save_trace(result, out_path, per_round_ms, started)
     return result
@@ -478,8 +478,10 @@ def verify_trace(trace: dict) -> list:
     A ``TraceChecker`` replays every per-round invariant from the recorded
     plays, rounds and leaders, and the fields it derives (gradient norm,
     play and leader ratios, ratio maxima) must match the recorded ones.
-    Then the summary arithmetic is recomputed.  An empty list means the
-    trace is internally consistent.
+    Then the summary arithmetic is recomputed.  A record that cannot be
+    checked at all (a field missing, of the wrong type or shape, or a play
+    with no wealth on its round) is reported by its round, and the replay
+    stops there.  An empty list means the trace is internally consistent.
     """
     records = trace.get("per_round", [])
     summary = trace.get("summary", {})
@@ -488,16 +490,24 @@ def verify_trace(trace: dict) -> list:
     except (KeyError, TypeError, ValueError) as exc:
         return [f"config: unusable ({exc})"]
     problems = checker.problems  # the checker appends its findings here
-    for rec in records:
-        derived = checker.check(rec)
-        for key, value in derived.items():
-            recorded = rec.get(key)
-            if value == recorded:
-                continue
-            if value is None or recorded is None or not abs(value - recorded) <= _DERIVED_TOL[key] * max(1.0, abs(value)):
-                problems.append(f"round {rec['t']}: recorded {key} {recorded!r} != recomputed {value!r}")
+    for position, rec in enumerate(records, start=1):
+        try:
+            derived = checker.check(rec)
+            for key, value in derived.items():
+                recorded = rec.get(key)
+                if value == recorded:
+                    continue
+                if value is None or recorded is None or not abs(value - recorded) <= _DERIVED_TOL[key] * max(1.0, abs(value)):
+                    problems.append(f"round {rec['t']}: recorded {key} {recorded!r} != recomputed {value!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            # A partly checked record leaves the checker's state undefined, so the replay stops here.
+            # The round is the record's position, since its own "t" may be what is malformed.
+            problems.append(f"round {position}: record cannot be checked ({type(exc).__name__}: {exc})")
+            return problems
 
-    if records:
+    if not records:
+        return problems
+    try:
         missing = [key for key in _SUMMARY_CHECKED if key not in summary]
         if missing:
             problems.append(f"summary: missing {', '.join(missing)}")
@@ -518,6 +528,8 @@ def verify_trace(trace: dict) -> list:
         restarts = sum(1 for rec in records if rec["restart"])
         if "restarts" in summary and summary["restarts"] != restarts:
             problems.append("summary: restart count mismatch")
+    except (KeyError, TypeError, ValueError) as exc:
+        problems.append(f"summary: cannot be checked against the records ({type(exc).__name__}: {exc})")
     return problems
 
 

@@ -98,11 +98,12 @@ def generate(spec: MarketSpec):
 
 
 def load_csv(path, n: int):
-    """Read a market from CSV: one row per round, `n` positive fields each.
+    """Read a market from CSV: one row per round, `n` nonnegative fields each.
 
-    A first row that does not parse as numbers is treated as a header.  The
-    number of data rows becomes the horizon and must exceed `n`.  Returns
-    ``(rounds, dims)`` with every row normalized.
+    A zero is an asset that went bankrupt that round; each row needs at
+    least one positive field.  A first row that does not parse as numbers is
+    treated as a header.  The number of data rows becomes the horizon and
+    must exceed `n`.  Returns ``(rounds, dims)`` with every row normalized.
     """
     path = Path(path)
     rows = []
@@ -119,8 +120,10 @@ def load_csv(path, n: int):
             if len(values) != n:
                 raise ValueError(f"{path}: row {line_no}: expected {n} fields, got {len(values)}")
             for col, v in enumerate(values, start=1):
-                if not np.isfinite(v) or v <= 0.0:
-                    raise ValueError(f"{path}: row {line_no}, column {col}: value {v!r} must be a positive finite number")
+                if not np.isfinite(v) or v < 0.0:
+                    raise ValueError(f"{path}: row {line_no}, column {col}: value {v!r} must be a nonnegative finite number")
+            if max(values) == 0.0:
+                raise ValueError(f"{path}: row {line_no}: every price relative is zero")
             rows.append(values)
     if len(rows) <= n:
         raise ValueError(f"{path}: {len(rows)} rounds cannot support {n} assets (need more rounds than assets)")

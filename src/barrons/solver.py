@@ -21,7 +21,9 @@ has two phases:
 Callers supply the objective as value/gradient/Hessian closures.  The
 Hessian must be positive definite on the interior; every target objective in
 this package (mirror-descent steps, regularized leaders, best-CRP fits) is
-strictly convex there.
+strictly convex there.  Points are plain float arrays of n weights: a solve
+reads its warm start without writing it, and returns a new read-only array,
+as do the grid oracle and ``domain.clipped_point``, which checks both.
 
 Cost model.  A solve's time is a fixed cost at entry and exit plus its
 Newton iterations times a fixed cost per iteration; at small n both are
@@ -56,7 +58,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import ProblemDims, PortfolioState, SUM_TOL
+from .domain import ProblemDims, SUM_TOL, clipped_point
 
 __all__ = [
     "Objective",
@@ -311,7 +313,7 @@ def kkt_certificate(obj: Objective, x, dims: ProblemDims, tol: float) -> bool:
     ``g_i - lam >= -tol``.  For a convex objective this certifies a
     minimizer over the clipped simplex for any n, unlike the grid oracle.
     """
-    x = np.asarray(getattr(x, "x", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     return _kkt_violation(obj.gradient(x), x, dims.floor) <= tol
 
 
@@ -449,27 +451,27 @@ def _barrier_path(obj, s, g, dims, cfg, basis, diag):
 
 def minimize_over_clipped_simplex(
     obj: Objective,
-    warm_start: np.ndarray | PortfolioState,
+    warm_start: np.ndarray,
     dims: ProblemDims,
     cfg: SolverConfig | None = None,
     diagnostics: SolveDiagnostics | None = None,
-) -> PortfolioState:
+) -> np.ndarray:
     """Minimize a strictly convex objective over the clipped simplex.
 
-    The warm start is an array of ``dims.n`` weights, or a portfolio, and
-    is validated here: it must be strictly feasible, summing to one within
-    ``SUM_TOL`` with every coordinate strictly above the floor, so NaN and
-    infinite weights raise ``ValueError``.  It is read, never written, so
-    callers pass their arrays without a copy.  The affine phase runs first;
-    when it gives up, the barrier path restarts from the warm start and
-    raises SolverFailure when a barrier stage cannot be driven to
-    tolerance.  The answer is renormalized to sum to one and returned as a
-    checked ``PortfolioState``.
+    The warm start is an array of ``dims.n`` weights and is validated here:
+    it must be strictly feasible, summing to one within ``SUM_TOL`` with
+    every coordinate strictly above the floor, so NaN and infinite weights
+    raise ``ValueError``.  It is read, never written, so callers pass their
+    arrays without a copy.  The affine phase runs first; when it gives up,
+    the barrier path restarts from the warm start and raises SolverFailure
+    when a barrier stage cannot be driven to tolerance.  The answer is
+    renormalized to sum to one and returned as a new read-only array that
+    ``clipped_point`` has checked.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
     floor = dims.floor
-    x = np.asarray(getattr(warm_start, "x", warm_start), dtype=float)
+    x = np.asarray(warm_start, dtype=float)
     if x.shape != (dims.n,):
         raise ValueError(f"warm start must have {dims.n} coordinates")
     total = np.add.reduce(x)  # x.sum(), without the method's overhead
@@ -487,7 +489,7 @@ def minimize_over_clipped_simplex(
         if diagnostics is not None:
             diagnostics.fell_back = True
         x = floor + _barrier_path(obj, start, g_start, dims, cfg, basis, diagnostics)
-    return PortfolioState.checked(x / np.add.reduce(x), dims)
+    return clipped_point(x / np.add.reduce(x), dims)
 
 
 def _batch_values(obj: Objective, points: np.ndarray) -> np.ndarray:
@@ -527,7 +529,7 @@ def _sweep_n3(obj, floor, step, box=None):
     return pts[int(np.argmin(vals))]
 
 
-def grid_search_oracle(obj: Objective, dims: ProblemDims, resolution: float) -> PortfolioState:
+def grid_search_oracle(obj: Objective, dims: ProblemDims, resolution: float) -> np.ndarray:
     """Grid minimizer over the clipped simplex, independent of the Newton path.
 
     Two assets: one exhaustive sweep of the whole segment at the requested
@@ -550,4 +552,4 @@ def grid_search_oracle(obj: Objective, dims: ProblemDims, resolution: float) -> 
             step = nxt
     else:
         raise ValueError("grid oracle supports 2 or 3 assets only")
-    return PortfolioState.checked(best, dims)
+    return clipped_point(best, dims)

@@ -17,7 +17,7 @@ import pytest
 from barrons.adaptive import default_eta, epoch_budget, leader_objective
 from barrons.cli import EXIT_OK, main
 from barrons.core import omd_step_objective
-from barrons.domain import PortfolioState, ProblemDims, nudge_interior, uniform_portfolio
+from barrons.domain import ProblemDims, nudge_interior, uniform_portfolio
 from barrons.harness import load_trace, run_market, save_trace
 from barrons.markets import MarketSpec, generate
 from barrons.baselines import best_crp
@@ -82,17 +82,17 @@ def test_solver_matches_grid_oracle(acceptance):
             eta = default_eta(dims) * np.exp(rng.uniform(0.0, 1.0, n))
             obj = omd_step_objective(grad, cov, x_prev, 0.5, eta)
             got = minimize_over_clipped_simplex(
-                obj, PortfolioState(nudge_interior(x_prev, dims)), dims
+                obj, nudge_interior(x_prev, dims), dims
             )
             want = grid_search_oracle(obj, dims, 1e-5)
-            worst = max(worst, float(np.abs(got.x - want.x).max()))
+            worst = max(worst, float(np.abs(got - want).max()))
         for _ in range(25):
             m = int(rng.integers(2, 17))
             r_mat = np.stack([sample_round(rng, n) for _ in range(m)])
             obj = leader_objective(r_mat, 1.0 / 25.0)
             got = minimize_over_clipped_simplex(obj, uniform_portfolio(dims), dims)
             want = grid_search_oracle(obj, dims, 1e-5)
-            worst = max(worst, float(np.abs(got.x - want.x).max()))
+            worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - started
     acceptance(
         worst <= 1e-4 and elapsed < 300.0,
@@ -282,7 +282,7 @@ def test_cover_market_best_crp(acceptance):
     dims = ProblemDims(2, 16)
     rounds = generate(MarketSpec("cover_alternating", dims))
     crp, total_loss = best_crp(rounds, dims)
-    weight_gap = float(np.abs(crp.x - 0.5).max())
+    weight_gap = float(np.abs(crp - 0.5).max())
     want_log_wealth = (dims.t / 2.0) * math.log(9.0 / 8.0)
     got_log_wealth = -total_loss + (dims.t / 2.0) * math.log(2.0)
     rel = abs(got_log_wealth - want_log_wealth) / want_log_wealth

@@ -137,7 +137,8 @@ def test_best_crp_cover_market_even_money():
     dims = ProblemDims(2, 16)
     rounds = generate(MarketSpec("cover_alternating", dims))
     crp, total_loss = best_crp(rounds, dims)
-    np.testing.assert_allclose(crp.x, [0.5, 0.5], atol=1e-5)
+    np.testing.assert_allclose(crp, [0.5, 0.5], atol=1e-5)
+    assert not crp.flags.writeable
     # Per pair of normalized rounds the even-money wealth factor is 9/16.
     assert total_loss == pytest.approx(8.0 * math.log(16.0 / 9.0), rel=1e-9)
 

@@ -1,9 +1,15 @@
 """Command line entry points and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import barrons
 from barrons.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, main
 from barrons.harness import load_trace
 from barrons.markets import generate
@@ -84,6 +90,37 @@ def test_gen_then_run_from_csv(tmp_path):
     trace = load_trace(out)
     assert trace["config"]["t"] == 12
     assert trace["config"]["market"].startswith("csv:")
+
+
+def test_csv_market_with_a_bankrupt_asset_runs_strict_and_verifies(tmp_path):
+    # Asset 0 is worth nothing in every round: the clipped-simplex learners
+    # keep it at the floor and every invariant holds.
+    n = 3
+    rows = np.exp(0.3 * np.random.default_rng(5).standard_normal((64, n)))
+    rows[:, 0] = 0.0
+    csv_path = tmp_path / "bankrupt.csv"
+    np.savetxt(csv_path, rows, delimiter=",")
+    for learner in ("ada", "barrons", "ons"):
+        out = tmp_path / f"{learner}.json"
+        assert main([
+            "run", "--learner", learner, "--csv", str(csv_path),
+            "--n", str(n), "--strict", "--out", str(out),
+        ]) == EXIT_OK, learner
+        assert main(["verify", str(out)]) == EXIT_OK, learner
+
+
+def test_trace_body_does_not_depend_on_python_optimize(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(barrons.__file__).resolve().parent.parent)}
+    bodies = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"trace{len(flags)}.json"
+        subprocess.run(
+            [sys.executable, *flags, "-m", "barrons.cli", "run", "--learner", "ada",
+             "--market", "blowup", "--n", "2", "--t-horizon", "64", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        bodies.append(json.dumps(load_trace(out), sort_keys=True, separators=(",", ":")))
+    assert bodies[0] == bodies[1]
 
 
 def test_sweep_writes_table(tmp_path, capsys):

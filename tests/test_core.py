@@ -118,11 +118,11 @@ def test_bregman_rejects_nonpositive_points():
 
 def test_step_charges_loss_at_current_play():
     state = barrons_init(DIMS, 0.5, default_eta(DIMS))
-    _, rec = barrons_step(state, MarketRound(np.array([1.0, 0.5])))
-    assert rec.loss == pytest.approx(-math.log(0.75), abs=1e-15)
-    np.testing.assert_allclose(rec.gradient, [-4.0 / 3.0, -2.0 / 3.0], atol=1e-15)
+    loss, grad = barrons_step(state, MarketRound(np.array([1.0, 0.5])))
+    assert loss == pytest.approx(-math.log(0.75), abs=1e-15)
+    np.testing.assert_allclose(grad, [-4.0 / 3.0, -2.0 / 3.0], atol=1e-15)
     # The state absorbed exactly this one round.
-    np.testing.assert_array_equal(state.cov, 2.0 * np.eye(2) + np.outer(rec.gradient, rec.gradient))
+    np.testing.assert_array_equal(state.cov, 2.0 * np.eye(2) + np.outer(grad, grad))
 
 
 def test_covariance_accumulates_observed_outer_products():
@@ -132,7 +132,7 @@ def test_covariance_accumulates_observed_outer_products():
     for _ in range(12):
         raw = rng.uniform(0.2, 1.0, 2)
         raw[rng.integers(2)] = 1.0
-        grads.append(barrons_step(state, MarketRound(raw))[1].gradient)
+        grads.append(barrons_step(state, MarketRound(raw))[1])
     want = 2.0 * np.eye(2)
     for g in grads:
         want = want + np.outer(g, g)
@@ -167,8 +167,8 @@ def test_flat_market_keeps_uniform_play():
     state = barrons_init(DIMS, 0.5, default_eta(DIMS))
     flat = MarketRound(np.ones(2))
     for _ in range(10):
-        _, rec = barrons_step(state, flat)
-        assert rec.loss == 0.0
+        loss, _ = barrons_step(state, flat)
+        assert loss == 0.0
         np.testing.assert_allclose(state.x, [0.5, 0.5], atol=1e-9)
 
 

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from barrons.domain import (
-    LossRecord,
     MarketRound,
-    PortfolioState,
     ProblemDims,
+    clipped_point,
     column_sums,
-    loss_and_gradient,
     loss_grad_arrays,
     normalize_round,
     nudge_interior,
@@ -54,7 +52,7 @@ def test_market_round_requires_exact_unit_max():
     with pytest.raises(ValueError, match="not normalized"):
         MarketRound(np.array([0.9, 0.5]))
     rnd = MarketRound(np.array([1.0, 0.0]))
-    assert rnd.n == 2
+    assert rnd.r.size == 2
 
 
 def test_market_round_is_immutable():
@@ -64,39 +62,28 @@ def test_market_round_is_immutable():
 
 
 def test_loss_zero_on_flat_round():
-    rec = loss_and_gradient(
-        PortfolioState(np.array([0.5, 0.5])), MarketRound(np.array([1.0, 1.0]))
-    )
-    assert rec.loss == 0.0
-    np.testing.assert_array_equal(rec.gradient, [-1.0, -1.0])
+    loss, grad = loss_grad_arrays(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+    assert loss == 0.0
+    np.testing.assert_array_equal(grad, [-1.0, -1.0])
 
 
 def test_loss_known_value_uneven_round():
-    rec = loss_and_gradient(
-        PortfolioState(np.array([0.5, 0.5])), MarketRound(np.array([1.0, 0.5]))
-    )
-    assert rec.loss == pytest.approx(0.2876820724517809, abs=1e-15)
-    np.testing.assert_allclose(rec.gradient, [-4.0 / 3.0, -2.0 / 3.0], atol=1e-15)
+    loss, grad = loss_grad_arrays(np.array([0.5, 0.5]), np.array([1.0, 0.5]))
+    assert loss == pytest.approx(0.2876820724517809, abs=1e-15)
+    np.testing.assert_allclose(grad, [-4.0 / 3.0, -2.0 / 3.0], atol=1e-15)
 
 
 def test_loss_at_the_floor_attains_log_nt():
     dims = ProblemDims(2, 16)
-    x = PortfolioState(np.array([dims.floor, 1.0 - dims.floor]))
-    rec = loss_and_gradient(x, MarketRound(np.array([1.0, 0.0])))
-    assert rec.loss == pytest.approx(math.log(32.0), abs=1e-15)
-    np.testing.assert_allclose(rec.gradient, [-32.0, 0.0], atol=1e-12)
+    x = clipped_point(np.array([dims.floor, 1.0 - dims.floor]), dims)
+    loss, grad = loss_grad_arrays(x, np.array([1.0, 0.0]))
+    assert loss == pytest.approx(math.log(32.0), abs=1e-15)
+    np.testing.assert_allclose(grad, [-32.0, 0.0], atol=1e-12)
 
 
 def test_loss_grad_arrays_rejects_dead_portfolio():
     with pytest.raises(ValueError, match="dead on this round"):
         loss_grad_arrays(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-
-
-def test_loss_and_gradient_rejects_size_mismatch():
-    with pytest.raises(ValueError, match="assets"):
-        loss_and_gradient(
-            PortfolioState(np.array([0.5, 0.5])), MarketRound(np.array([1.0, 0.5, 0.25]))
-        )
 
 
 def test_loss_and_gradient_bounds_on_clipped_simplex():
@@ -109,32 +96,33 @@ def test_loss_and_gradient_bounds_on_clipped_simplex():
         x = smooth_comparator(u, dims)
         raw = rng.uniform(0.0, 1.0, dims.n)
         raw[rng.integers(dims.n)] = 1.0
-        rec = loss_and_gradient(x, MarketRound(raw))
-        assert rec.loss <= math.log(dims.n * dims.t) + 1e-12
-        assert np.abs(rec.gradient).max() <= dims.n * dims.t + 1e-9
+        loss, grad = loss_grad_arrays(x, MarketRound(raw).r)
+        assert loss <= math.log(dims.n * dims.t) + 1e-12
+        assert np.abs(grad).max() <= dims.n * dims.t + 1e-9
 
 
 def test_portfolio_checked_accepts_floor_point():
     dims = ProblemDims(2, 16)
-    state = PortfolioState.checked(np.array([1.0 - dims.floor, dims.floor]), dims)
-    assert state.n == 2
+    x = clipped_point(np.array([1.0 - dims.floor, dims.floor]), dims)
+    assert x.shape == (2,)
+    assert not x.flags.writeable
 
 
 def test_portfolio_checked_rejections():
     dims = ProblemDims(2, 16)
     with pytest.raises(ValueError, match="sum to"):
-        PortfolioState.checked(np.array([0.6, 0.6]), dims)
+        clipped_point(np.array([0.6, 0.6]), dims)
     with pytest.raises(ValueError, match="floor"):
-        PortfolioState.checked(np.array([0.999, 0.001]), dims)
+        clipped_point(np.array([0.999, 0.001]), dims)
     with pytest.raises(ValueError, match="assets"):
-        PortfolioState.checked(np.array([0.5, 0.25, 0.25]), dims)
+        clipped_point(np.array([0.5, 0.25, 0.25]), dims)
     with pytest.raises(ValueError, match="finite"):
-        PortfolioState(np.array([np.inf, 0.5]))
+        clipped_point(np.array([np.inf, 0.5]), dims)
 
 
 @pytest.mark.parametrize("n", (2, 3, 5, 20))
 def test_portfolio_checks_agree_with_numpy_predicates(n):
-    # PortfolioState tests finiteness and the floor on Python floats.
+    # clipped_point tests finiteness and the floor on Python floats.
     dims = ProblemDims(n, 64)
     rng = np.random.default_rng(800 + n)
     for trial in range(40):
@@ -144,38 +132,47 @@ def test_portfolio_checks_agree_with_numpy_predicates(n):
         finite = bool(np.all(np.isfinite(x)))
         if not finite:
             with pytest.raises(ValueError, match="finite"):
-                PortfolioState(x)
+                clipped_point(x, dims)
             continue
         above = bool(x.min() >= dims.floor - 1e-12)
         if above:
-            assert PortfolioState.checked(x, dims).x.tobytes() == x.tobytes()
+            assert clipped_point(x, dims).tobytes() == x.tobytes()
         else:
             with pytest.raises(ValueError, match="floor"):
-                PortfolioState.checked(x, dims)
+                clipped_point(x, dims)
 
 
 def test_uniform_portfolio_sums_to_one():
-    x = uniform_portfolio(ProblemDims(5, 100)).x
+    x = uniform_portfolio(ProblemDims(5, 100))
     assert x.sum() == 1.0
     assert np.all(x == 0.2)
+
+
+def test_uniform_portfolio_is_a_fresh_writable_array():
+    dims = ProblemDims(3, 10)
+    first, second = uniform_portfolio(dims), uniform_portfolio(dims)
+    assert first.flags.writeable and second.flags.writeable
+    first[0] = 0.0
+    np.testing.assert_array_equal(second, np.full(3, 1.0 / 3.0))
+    np.testing.assert_array_equal(uniform_portfolio(dims), np.full(3, 1.0 / 3.0))
 
 
 def test_smooth_comparator_vertex_two_assets():
     dims = ProblemDims(2, 10)
     out = smooth_comparator(np.array([1.0, 0.0]), dims)
-    np.testing.assert_allclose(out.x, [0.95, 0.05], atol=1e-15)
+    np.testing.assert_allclose(out, [0.95, 0.05], atol=1e-15)
 
 
 def test_smooth_comparator_vertex_three_assets():
     dims = ProblemDims(3, 100)
     out = smooth_comparator(np.array([1.0, 0.0, 0.0]), dims)
-    np.testing.assert_allclose(out.x, [0.99 + 1.0 / 300.0, 1.0 / 300.0, 1.0 / 300.0], atol=1e-15)
+    np.testing.assert_allclose(out, [0.99 + 1.0 / 300.0, 1.0 / 300.0, 1.0 / 300.0], atol=1e-15)
 
 
 def test_smooth_comparator_fixes_uniform():
     dims = ProblemDims(4, 25)
-    u = uniform_portfolio(dims).x
-    np.testing.assert_allclose(smooth_comparator(u, dims).x, u, atol=1e-15)
+    u = uniform_portfolio(dims)
+    np.testing.assert_allclose(smooth_comparator(u, dims), u, atol=1e-15)
 
 
 def test_smooth_comparator_validation():
@@ -197,7 +194,7 @@ def test_smoothing_costs_at_most_two_nats():
         r_mat = np.exp(0.4 * rng.standard_normal((dims.t, dims.n)))
         r_mat /= r_mat.max(axis=1, keepdims=True)
         u_prime = rng.dirichlet(np.full(dims.n, 0.4))
-        u_s = smooth_comparator(u_prime, dims).x
+        u_s = smooth_comparator(u_prime, dims)
         inflation = float(np.log(r_mat @ u_prime).sum() - np.log(r_mat @ u_s).sum())
         assert inflation <= 2.0 + 1e-9
 
@@ -222,9 +219,3 @@ def test_column_sums_matches_fsum():
     want = np.array([math.fsum(mat[:, j]) for j in range(mat.shape[1])])
     scale = np.abs(mat).sum(axis=0)
     assert np.abs(got - want).max() <= 1e-12 * scale.max()
-
-
-def test_loss_record_gradient_is_frozen():
-    rec = LossRecord(0.5, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        rec.gradient[0] = 3.0

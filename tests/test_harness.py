@@ -147,6 +147,37 @@ def test_verifier_catches_nan_in_a_record(blowup_results, learner, field, value)
     assert any(p.startswith("round 11:") for p in problems), problems
 
 
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "learner, field, value",
+    [
+        ("ons", "x", [-1.0, 2.0]),
+        ("ada", "loss", _DELETE),
+        ("ons", "x", [1.0]),
+        ("eg", "x", "abc"),
+        ("ada", "u", None),
+        ("ada", "epoch", "2"),
+        ("eg", "grad_inf", _DELETE),
+        ("barrons", None, [1.0, 2.0]),
+    ],
+    ids=["ons-dead_play", "ada-missing_loss", "ons-one_coordinate", "eg-string_play",
+         "ada-null_leader", "ada-string_epoch", "eg-missing_grad_inf", "barrons-record_not_an_object"],
+)
+def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learner, field, value):
+    trace = json.loads(blowup_results[learner].body_json())
+    rec = trace["per_round"][10]
+    if field is None:
+        trace["per_round"][10] = value
+    elif value is _DELETE:
+        del rec[field]
+    else:
+        rec[field] = value
+    problems = verify_trace(trace)
+    assert any(p.startswith("round 11:") for p in problems), problems
+
+
 @pytest.mark.parametrize("key", ("total_loss", "max_grad_inf_norm"))
 @pytest.mark.parametrize("missing", (True, False), ids=("missing", "nan"))
 def test_verifier_catches_missing_or_nan_summary_fields(blowup_result, key, missing):

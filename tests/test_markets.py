@@ -148,6 +148,10 @@ def test_csv_parse_errors_carry_position():
         load_csv(_write("1,0.5\n1,abc\n0.5,1\n"), 2)
     with pytest.raises(ValueError, match="row 2, column 2"):
         load_csv(_write("1,0.5\n1,-3\n0.5,1\n"), 2)
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        load_csv(_write("1,0.5\nnan,1\n0.5,1\n"), 2)
+    with pytest.raises(ValueError, match="row 2: every price relative is zero"):
+        load_csv(_write("1,0.5\n0,0\n0.5,1\n"), 2)
     with pytest.raises(ValueError, match="expected 2 fields, got 3"):
         load_csv(_write("1,0.5\n1,0.5,0.25\n"), 2)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from barrons.adaptive import default_eta, leader_objective
 from barrons.baselines import ons_objective
 from barrons.core import omd_step_objective
-from barrons.domain import PortfolioState, ProblemDims, nudge_interior, uniform_portfolio
+from barrons.domain import ProblemDims, nudge_interior, uniform_portfolio
 from barrons.solver import (
     Objective,
     SolveDiagnostics,
@@ -77,13 +77,15 @@ def test_euclidean_projection_hits_the_floor():
     obj = quadratic_objective([1.2, -0.2])
     warm = uniform_portfolio(DIMS2)
     out = minimize_over_clipped_simplex(obj, warm, DIMS2)
-    np.testing.assert_allclose(out.x, [31.0 / 32.0, 1.0 / 32.0], atol=1e-9)
+    np.testing.assert_allclose(out, [31.0 / 32.0, 1.0 / 32.0], atol=1e-9)
+    assert not out.flags.writeable
 
 
 def test_euclidean_projection_interior_point_is_fixed():
     obj = quadratic_objective([0.3, 0.7])
     out = minimize_over_clipped_simplex(obj, uniform_portfolio(DIMS2), DIMS2)
-    np.testing.assert_allclose(out.x, [0.3, 0.7], atol=1e-9)
+    np.testing.assert_allclose(out, [0.3, 0.7], atol=1e-9)
+    assert not out.flags.writeable
 
 
 def test_warm_start_validation():
@@ -115,7 +117,7 @@ def test_oracle_exact_on_anchored_lattice_two_assets():
     # a lattice point is recovered without discretization error.
     target = np.array([DIMS2.floor + 0.368, 1.0 - DIMS2.floor - 0.368])
     out = grid_search_oracle(quadratic_objective(target), DIMS2, 1e-3)
-    np.testing.assert_allclose(out.x, target, atol=1e-12)
+    np.testing.assert_allclose(out, target, atol=1e-12)
 
 
 def test_oracle_input_validation():
@@ -129,15 +131,15 @@ def test_oracle_input_validation():
 def test_oracle_refinement_three_assets():
     target = np.array([0.2, 0.3, 0.5])
     out = grid_search_oracle(quadratic_objective(target), DIMS3, 1e-5)
-    assert np.abs(out.x - target).max() <= 2e-5
+    assert np.abs(out - target).max() <= 2e-5
 
 
 def test_solver_matches_oracle_single_omd_instance():
     rng = np.random.default_rng(0)
     obj, x_prev = random_omd_objective(rng, DIMS2)
-    got = minimize_over_clipped_simplex(obj, PortfolioState(nudge_interior(x_prev, DIMS2)), DIMS2)
+    got = minimize_over_clipped_simplex(obj, nudge_interior(x_prev, DIMS2), DIMS2)
     want = grid_search_oracle(obj, DIMS2, 1e-5)
-    assert np.abs(got.x - want.x).max() <= 1e-4
+    assert np.abs(got - want).max() <= 1e-4
 
 
 def test_solver_matches_oracle_single_leader_instance():
@@ -145,7 +147,7 @@ def test_solver_matches_oracle_single_leader_instance():
     obj = random_leader_objective(rng, DIMS3)
     got = minimize_over_clipped_simplex(obj, uniform_portfolio(DIMS3), DIMS3)
     want = grid_search_oracle(obj, DIMS3, 1e-5)
-    assert np.abs(got.x - want.x).max() <= 1e-4
+    assert np.abs(got - want).max() <= 1e-4
 
 
 def test_penalized_value_descends_within_stages():
@@ -156,7 +158,7 @@ def test_penalized_value_descends_within_stages():
         obj, x_prev = random_omd_objective(rng, DIMS3)
         diag = SolveDiagnostics()
         minimize_over_clipped_simplex(
-            obj, PortfolioState(nudge_interior(x_prev, DIMS3)), DIMS3, diagnostics=diag
+            obj, nudge_interior(x_prev, DIMS3), DIMS3, diagnostics=diag
         )
         assert diag.stages, "solver reported no stages"
         for stage in diag.stages:
@@ -186,12 +188,12 @@ def test_first_order_conditions_at_the_answer():
     cases = []
     for _ in range(5):
         obj, x_prev = random_omd_objective(rng, DIMS2)
-        cases.append((obj, PortfolioState(nudge_interior(x_prev, DIMS2)), DIMS2))
+        cases.append((obj, nudge_interior(x_prev, DIMS2), DIMS2))
         cases.append((random_leader_objective(rng, DIMS3), uniform_portfolio(DIMS3), DIMS3))
     cases.append((quadratic_objective([1.2, -0.2]), uniform_portfolio(DIMS2), DIMS2))
     for obj, warm, dims in cases:
         out = minimize_over_clipped_simplex(obj, warm, dims, cfg)
-        stationarity, lam_min = reconstructed_kkt_gap(obj, out.x, dims)
+        stationarity, lam_min = reconstructed_kkt_gap(obj, out, dims)
         assert stationarity <= 10.0 * cfg.kkt_tol
         assert lam_min >= -10.0 * cfg.kkt_tol
 
@@ -203,13 +205,13 @@ def test_resolve_from_answer_takes_few_steps():
     for _ in range(5):
         obj, x_prev = random_omd_objective(rng, DIMS3)
         first = minimize_over_clipped_simplex(
-            obj, PortfolioState(nudge_interior(x_prev, DIMS3)), DIMS3
+            obj, nudge_interior(x_prev, DIMS3), DIMS3
         )
-        assert first.x.min() > DIMS3.floor
+        assert first.min() > DIMS3.floor
         diag = SolveDiagnostics()
         again = minimize_over_clipped_simplex(obj, first, DIMS3, diagnostics=diag)
         assert diag.newton_iters <= 3
-        assert np.abs(again.x - first.x).max() <= 1e-8
+        assert np.abs(again - first).max() <= 1e-8
 
 
 def test_budget_exhaustion_raises_with_context():
@@ -232,8 +234,8 @@ def test_solutions_respect_floor_and_sum():
         out = minimize_over_clipped_simplex(
             quadratic_objective(target), uniform_portfolio(DIMS3), DIMS3
         )
-        assert abs(out.x.sum() - 1.0) <= 1e-12
-        assert out.x.min() >= DIMS3.floor - 1e-12
+        assert abs(out.sum() - 1.0) <= 1e-12
+        assert out.min() >= DIMS3.floor - 1e-12
 
 
 def test_interior_optimum_takes_the_affine_phase_alone():
@@ -241,7 +243,7 @@ def test_interior_optimum_takes_the_affine_phase_alone():
     obj, x_prev = random_omd_objective(rng, DIMS3)
     diag = SolveDiagnostics()
     first = minimize_over_clipped_simplex(
-        obj, PortfolioState(nudge_interior(x_prev, DIMS3)), DIMS3, diagnostics=diag
+        obj, nudge_interior(x_prev, DIMS3), DIMS3, diagnostics=diag
     )
     assert not diag.fell_back
     assert [stage["mu"] for stage in diag.stages] == [0.0]
@@ -262,7 +264,7 @@ def test_floor_active_quadratic_falls_back_to_the_barrier_path():
     barrier = diag.stages[1:]
     assert barrier and all(stage["mu"] > 0.0 for stage in barrier)
     assert diag.newton_iters == sum(stage["iters"] for stage in diag.stages)
-    np.testing.assert_allclose(out.x, [31.0 / 32.0, 1.0 / 32.0], atol=1e-9)
+    np.testing.assert_allclose(out, [31.0 / 32.0, 1.0 / 32.0], atol=1e-9)
 
 
 def test_kkt_certificate_accepts_optima_and_rejects_other_points():
@@ -272,7 +274,7 @@ def test_kkt_certificate_accepts_optima_and_rejects_other_points():
     # On the floor the multiplier must push into the wall, not away from it.
     pushed = quadratic_objective([1.2, -0.2])
     at_floor = np.array([1.0 - DIMS2.floor, DIMS2.floor])
-    assert kkt_certificate(pushed, PortfolioState(at_floor), DIMS2, 1e-12)
+    assert kkt_certificate(pushed, at_floor, DIMS2, 1e-12)
     pulled = quadratic_objective([0.9, 0.1])
     assert not kkt_certificate(pulled, at_floor, DIMS2, 1e-3)
 
@@ -331,7 +333,7 @@ def _leader_case(rng, dims, floor_active):
     r_mat = rng.uniform(0.05, 1.0, (m, dims.n))
     r_mat[np.arange(m), rng.integers(0, dims.n, m)] = 1.0
     gamma = 10.0 ** rng.uniform(-3.0, np.log10(1.0 / 25.0))
-    return leader_objective(r_mat, gamma), uniform_portfolio(dims).x, None
+    return leader_objective(r_mat, gamma), uniform_portfolio(dims), None
 
 
 def _certificate_tol(obj, x):
@@ -353,7 +355,7 @@ def test_affine_first_agrees_with_barrier_path(family, n, floor_active, seed):
     warm = nudge_interior(x_prev, dims)
     cfg = SolverConfig()
     diag = SolveDiagnostics()
-    got = minimize_over_clipped_simplex(obj, PortfolioState(warm), dims, cfg, diag).x
+    got = minimize_over_clipped_simplex(obj, warm, dims, cfg, diag)
     start = warm - dims.floor
     s = _barrier_path(obj, start, obj.gradient(dims.floor + start), dims, cfg, _null_basis(n), None)
     barrier = (dims.floor + s) / (dims.floor + s).sum()
