@@ -20,10 +20,27 @@ of invariant violations recorded, and the problems ``verify_trace`` finds
 in the body; a run that raises prints its exception instead.  Run it at
 two commits and diff the outputs: equal output means byte-identical trace
 bodies that both verifiers accept alike.
+
+A change that may move the leader in its last bits (the leader refit's
+summation order, say) changes every body digest as soon as one ceiling
+moves by an ulp.  Two options prove such a change instead:
+
+    python3 scripts/trace_digests.py --bodies parent_bodies > parent.json   # at the parent
+    python3 scripts/trace_digests.py --against parent_bodies > change.json  # at the change
+
+``--bodies DIR`` writes each run's canonical body to DIR.  ``--against
+DIR`` adds to each run an ``against`` entry: whether its body is
+byte-identical to the one in DIR once the fields that depend on the
+leader are blanked (per round ``u``, ``alpha``, ``u_ratio``,
+``ratio_max`` and ``ratio_max_prev``; in the summary ``best_crp``,
+``best_crp_loss`` and ``regret``), and the largest relative move of each
+of those fields (``regret`` also as an absolute move).  A summary of
+every run goes to standard error.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -64,29 +81,77 @@ NON_DEFAULT = [
 ]
 
 
-def digest(learner: str, kind: str, n: int, t: int, strict: bool, params=None, solver=None) -> dict:
+# Fields whose values depend on the leader, per round and in the summary.
+LEADER_RECORD_FIELDS = ("u", "alpha", "u_ratio", "ratio_max", "ratio_max_prev")
+LEADER_SUMMARY_FIELDS = ("best_crp", "best_crp_loss", "regret")
+
+
+def digest(learner: str, kind: str, n: int, t: int, strict: bool, params=None, solver=None):
+    """One run's digest entry, and its canonical body (None when the run raised)."""
     spec = MarketSpec(kind, ProblemDims(n, t), seed=SEED)
     solver_cfg = None if solver is None else SolverConfig(kkt_tol=solver[0], max_newton_iters=solver[1])
     try:
         result = run_market(learner, spec, params=params, solver_cfg=solver_cfg, strict=strict)
     except (ValueError, AssertionError, SolverFailure) as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        return {"error": f"{type(exc).__name__}: {exc}"}, None
     body = result.body_json()
-    return {
+    entry = {
         "sha256": hashlib.sha256(body.encode()).hexdigest(),
         "violations": len(result.summary["invariant_violations"]),
         "verify": verify_trace(json.loads(body)),
     }
+    return entry, body
 
 
-def main() -> int:
-    out = {}
+def _flat(value) -> list:
+    """A field's value as a flat list of numbers and Nones."""
+    return list(value) if isinstance(value, list) else [value]
+
+
+def _without_leader(body: dict):
+    """The body with every leader field set to None, canonically serialized, and those fields' values."""
+    pulled = {field: [] for field in LEADER_RECORD_FIELDS + LEADER_SUMMARY_FIELDS}
+    for rec in body["per_round"]:
+        for field in LEADER_RECORD_FIELDS:
+            if field in rec:
+                pulled[field] += _flat(rec[field])
+                rec[field] = None
+    for field in LEADER_SUMMARY_FIELDS:
+        if field in body["summary"]:
+            pulled[field] += _flat(body["summary"][field])
+            body["summary"][field] = None
+    return json.dumps(body, sort_keys=True, separators=(",", ":")), pulled
+
+
+def compare(body: str, old_body: str) -> dict:
+    """How ``body`` differs from ``old_body``: identical, identical but for the leader fields, and by how much."""
+    rest, new = _without_leader(json.loads(body))
+    old_rest, old = _without_leader(json.loads(old_body))
+    same_shape = all(
+        len(new[f]) == len(old[f]) and all((a is None) == (b is None) for a, b in zip(new[f], old[f]))
+        for f in new
+    )
+    moves = {}
+    if same_shape:
+        for field in new:
+            pairs = [(a, b) for a, b in zip(new[field], old[field]) if a is not None]
+            moves[field] = max((abs(a - b) / abs(b) if b else abs(a - b) for a, b in pairs), default=0.0)
+        moves["regret_abs"] = max((abs(a - b) for a, b in zip(new["regret"], old["regret"]) if a is not None), default=0.0)
+    return {
+        "identical": body == old_body,
+        "identical_except_leader": same_shape and rest == old_rest,
+        "leader_moves": moves,
+    }
+
+
+def grid():
+    """Every run of the proof as (name, digest arguments)."""
     for learner in LEARNER_NAMES:
         for kind in MARKET_KINDS:
             for n in N_VALUES:
                 for t in T_VALUES:
                     for strict in (False, True):
-                        out[f"{learner}/{kind}/n={n}/T={t}/strict={int(strict)}"] = digest(learner, kind, n, t, strict)
+                        yield f"{learner}/{kind}/n={n}/T={t}/strict={int(strict)}", (learner, kind, n, t, strict)
     for learner, params, solver in NON_DEFAULT:
         parts = [f"{k}={v}" for k, v in sorted(params.items())]
         if solver is not None:
@@ -94,15 +159,58 @@ def main() -> int:
         setting = ",".join(parts)
         for kind in MARKET_KINDS:
             for n in N_VALUES:
-                out[f"{learner}[{setting}]/{kind}/n={n}/T=64"] = digest(learner, kind, n, 64, False, params, solver)
+                yield f"{learner}[{setting}]/{kind}/n={n}/T=64", (learner, kind, n, 64, False, params, solver)
     for learner in WIDE_LEARNERS:
         for kind in MARKET_KINDS:
-            out[f"{learner}/{kind}/n={WIDE_N}/T=64/strict=0"] = digest(learner, kind, WIDE_N, 64, False)
+            yield f"{learner}/{kind}/n={WIDE_N}/T=64/strict=0", (learner, kind, WIDE_N, 64, False)
     for learner in BENCHMARK_RUNS:
-        out[f"{learner}/blowup/n=2/T=512/strict=0"] = digest(learner, "blowup", 2, 512, False)
+        yield f"{learner}/blowup/n=2/T=512/strict=0", (learner, "blowup", 2, 512, False)
+
+
+def body_path(directory: Path, name: str) -> Path:
+    return directory / (name.replace("/", "+") + ".json")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--bodies", type=Path, help="write each run's canonical trace body to this directory")
+    parser.add_argument("--against", type=Path, help="compare each run's body with the one in this directory")
+    args = parser.parse_args(argv)
+    if args.bodies is not None:
+        args.bodies.mkdir(parents=True, exist_ok=True)
+    out = {}
+    for name, spec in grid():
+        out[name], body = digest(*spec)
+        if body is None:
+            continue
+        if args.bodies is not None:
+            body_path(args.bodies, name).write_text(body)
+        if args.against is not None:
+            old = body_path(args.against, name)
+            out[name]["against"] = compare(body, old.read_text()) if old.exists() else {"missing": str(old)}
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
+    if args.against is not None:
+        summarize(out)
     return 0
+
+
+def summarize(out: dict):
+    """Print to standard error how many runs kept their bodies and the largest move of each leader field."""
+    against = [e["against"] for e in out.values() if "against" in e]
+    compared = [a for a in against if "missing" not in a]
+    largest: dict = {}
+    for a in compared:
+        for field, move in a["leader_moves"].items():
+            largest[field] = max(largest.get(field, 0.0), move)
+    print(
+        f"{len(out)} runs, {len(compared)} compared ({len(against) - len(compared)} without a body to compare), "
+        f"{sum(a['identical'] for a in compared)} identical, "
+        f"{sum(a['identical_except_leader'] for a in compared)} identical except the leader fields",
+        file=sys.stderr,
+    )
+    for field, move in sorted(largest.items()):
+        print(f"  largest move of {field}: {move:.3g}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .core import BarronsState, barrons_init, barrons_step
 from .domain import (
     MarketRound,
     ProblemDims,
-    column_sums,
     nudge_interior,
     uniform_portfolio,
 )
@@ -96,17 +95,23 @@ def _cap(largest: float) -> float:
 
 
 class EpochHistory:
-    """Rounds, gradients and ``<x_s, g_s>`` of the current epoch, in preallocated rows.
+    """Rounds, gradients and ``<x_s, g_s>`` of the current epoch, in preallocated buffers.
 
-    Appending a round and clearing the epoch cost O(n) however long the
-    epoch is; only the leader refit and the ceiling read all rows.  The
-    controller and the trace verifier both compute the ceiling here, so the
-    recorded and the recomputed values agree.  A history that outgrows its
-    capacity doubles it.
+    The price relatives are kept twice: round-major, in a (capacity, n)
+    buffer, and epoch-major, in an (n, capacity) buffer whose row i holds
+    asset i's relatives over the epoch in contiguous memory.  The gradients
+    are kept round-major, in a (capacity, n) buffer.  Appending a round and
+    clearing the epoch cost O(n) however long the epoch is; only the leader
+    refit (O(m n^2) per Newton iteration over m rounds) and the ceiling
+    (one O(m n) matrix-vector product) read all rounds.  The controller
+    and the trace verifier both compute the ceiling here, so the recorded
+    and the recomputed values agree.  A history that outgrows its capacity
+    doubles it.
     """
 
     def __init__(self, capacity: int, n: int):
         self._r = np.empty((capacity, n))
+        self._rows = np.empty((n, capacity))
         self._g = np.empty((capacity, n))
         self._xg = np.empty(capacity)
         self.size = 0
@@ -114,16 +119,23 @@ class EpochHistory:
     def append(self, r: np.ndarray, x: np.ndarray, g: np.ndarray):
         i = self.size
         if i == len(self._xg):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)], axis=1)
             self._r, self._g, self._xg = (
                 np.concatenate([a, np.empty_like(a)]) for a in (self._r, self._g, self._xg)
             )
         self._r[i] = r
+        self._rows[:, i] = r
         self._g[i] = g
         self._xg[i] = np.add.reduce(x * g)  # (x * g).sum(), fixed once round s is played
         self.size = i + 1
 
     def clear(self):
         self.size = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The epoch's price relatives as an (n, m) view with contiguous rows; valid until the next append or clear."""
+        return self._rows[:, : self.size]
 
     @property
     def rounds(self) -> np.ndarray:
@@ -133,8 +145,8 @@ class EpochHistory:
     def ceiling(self, u: np.ndarray) -> float:
         """``alpha(u, xs, grads)`` from the cached rows: 1/2 capped by max_s |<u, g_s> - <x_s, g_s>|."""
         m = self.size
-        # The ufuncs' own reduce, as ndarray.sum and ndarray.max call it, without the methods' overhead.
-        gaps = np.abs(np.add.reduce(self._g[:m] * u, axis=1) - self._xg[:m])
+        gaps = np.abs(self._g[:m] @ u - self._xg[:m])
+        # The ufunc's own reduce, as ndarray.max calls it, without the method's overhead.
         return _cap(float(np.maximum.reduce(gaps, initial=0.0)))
 
 
@@ -163,17 +175,24 @@ def ada_init(dims: ProblemDims, cfg: Optional[AdaConfig] = None) -> AdaState:
     return AdaState(dims, cfg)
 
 
-def leader_objective(rounds: np.ndarray, gamma: float) -> Objective:
+def leader_objective(rounds: np.ndarray, gamma: float, rows: Optional[np.ndarray] = None) -> Objective:
     """Cumulative log-loss over `rounds` plus a barrier of weight 1/gamma.
 
-    Value, gradient and Hessian at one point share the per-round wealths
-    ``r_mat @ u`` and the scaled rows ``r_mat / wealth``.  They are kept for
-    the last point seen, keyed on its bytes, so a solver's value, gradient
-    and Hessian at one iterate compute them once, and a point changed in
-    place is a new point.  `rounds` must not change while the objective is
-    in use.
+    `rounds` is (m, n), and `rows` its transpose with contiguous rows, as
+    `EpochHistory.rows` keeps it; without `rows`, `rounds` is transposed
+    once here.  At a point u, the wealths ``rounds @ u`` and the scaled
+    rows ``rows / wealth`` (O(m n) each) are shared by the value, the
+    gradient (a pairwise sum along each contiguous scaled row, accurate
+    over thousands of correlated terms) and the Hessian
+    (``scaled @ scaled.T``, O(m n^2)).  They are kept for the last point
+    seen, keyed on its bytes, so a solver's value, gradient and Hessian at
+    one iterate compute them once, and a point changed in place is a new
+    point.  `rounds` and `rows` must not change while the objective is in
+    use.
     """
     r_mat = np.asarray(rounds, dtype=float)
+    if rows is None:
+        rows = np.ascontiguousarray(r_mat.T)
     inv_gamma = 1.0 / gamma
     last = [None, None, None]  # bytes of the last point, its wealths, its scaled rows (or None)
 
@@ -186,7 +205,7 @@ def leader_objective(rounds: np.ndarray, gamma: float) -> Objective:
     def scaled_rows(u):
         p = wealth(u)
         if last[2] is None:
-            last[2] = r_mat / p[:, None]
+            last[2] = rows / p
         return last[2]
 
     def value(u):
@@ -195,12 +214,12 @@ def leader_objective(rounds: np.ndarray, gamma: float) -> Objective:
 
     def gradient(u):
         u = np.asarray(u, dtype=float)
-        return -column_sums(scaled_rows(u)) - inv_gamma / u
+        return -scaled_rows(u).sum(axis=1) - inv_gamma / u
 
     def hessian(u):
         u = np.asarray(u, dtype=float)
         scaled = scaled_rows(u)
-        h = scaled.T @ scaled
+        h = scaled @ scaled.T
         h.ravel()[:: u.size + 1] += inv_gamma / (u * u)
         return h
 
@@ -217,20 +236,22 @@ def regularized_leader(
     warm_start: np.ndarray,
     dims: ProblemDims,
     solver_cfg: Optional[SolverConfig] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Minimizer of epoch log-loss plus barrier over the clipped simplex, as a read-only array.
 
     `rounds` is an (m, n) array, used without a copy, or a sequence of
-    rounds.  The barrier term keeps the leader a multiple of gamma away
-    from the faces, which is what makes consecutive leaders stable round to
-    round.
+    rounds; `rows` is its transpose with contiguous rows when the caller
+    keeps one (see `leader_objective`).  The barrier term keeps the leader
+    a multiple of gamma away from the faces, which is what makes
+    consecutive leaders stable round to round.
     """
     r_mat = np.asarray(rounds, dtype=float)
     if len(r_mat) == 0:
         raise ValueError("need at least one round to fit a leader")
     if r_mat.ndim != 2 or r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must be vectors of {dims.n} price relatives")
-    obj = leader_objective(r_mat, gamma)
+    obj = leader_objective(r_mat, gamma, rows)
     return minimize_over_clipped_simplex(obj, nudge_interior(warm_start, dims), dims, solver_cfg)
 
 
@@ -264,13 +285,14 @@ def ada_step(
     """
     played = state.inner.x  # barrons_step rebinds state.x and mutates nothing in place
     loss, grad = barrons_step(state.inner, rnd, solver_cfg)
-    state.history.append(rnd.r, played, grad)
+    history = state.history
+    history.append(rnd.r, played, grad)
 
     warm = state.u if state.u is not None else uniform_portfolio(state.dims)
-    state.u = regularized_leader(state.history.rounds, state.cfg.gamma, warm, state.dims, solver_cfg)
+    state.u = regularized_leader(history.rounds, state.cfg.gamma, warm, state.dims, solver_cfg, rows=history.rows)
     state.last_u = state.u
 
-    ceiling = state.history.ceiling(state.u)
+    ceiling = history.ceiling(state.u)
     state.last_alpha = ceiling
 
     restarted = state.beta > ceiling

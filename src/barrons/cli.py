@@ -170,7 +170,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     trace = load_trace(args.trace)
     problems = verify_trace(trace)
-    recorded = trace.get("summary", {}).get("invariant_violations", [])
+    summary = trace.get("summary")  # verify_trace reports one that is not an object
+    recorded = summary.get("invariant_violations", []) if isinstance(summary, dict) else []
     if problems:
         print(f"{args.trace}: {len(problems)} problems", file=sys.stderr)
         for line in problems[:20]:

@@ -146,18 +146,6 @@ def loss_grad_arrays(x: np.ndarray, r: np.ndarray):
     return -np.log(wealth), -r / wealth
 
 
-def column_sums(mat: np.ndarray) -> np.ndarray:
-    """Column sums of an (m, n) matrix with pairwise accumulation.
-
-    ``mat.sum(axis=0)`` reduces along the strided axis, which numpy does
-    with a sequential loop; over thousands of correlated terms that loses
-    enough digits to stall Newton polishing at ~1e-10.  Summing the
-    transposed copy runs along contiguous memory and gets the pairwise
-    algorithm.
-    """
-    return np.ascontiguousarray(np.asarray(mat).T).sum(axis=1)
-
-
 def smooth_comparator(u_prime, dims: ProblemDims) -> np.ndarray:
     """Pull a full-simplex comparator into the clipped simplex.
 

@@ -134,6 +134,13 @@ class TraceChecker:
     and its band, ceiling and restart flag, rate schedule, ratio-max.  A
     violation is appended to ``problems``; with ``strict`` it also raises.
     Every test is written so that a NaN fails it.
+
+    A record costs O(n), plus for an adaptive record the ceiling over the
+    m rounds of its epoch: one O(m n) matrix-vector product over the
+    round-major gradients of an ``EpochHistory``.  The rate schedule costs
+    one min() per round while the plays stay on the clipped simplex.  The
+    plays of the epoch are kept as lists of floats, which the ratio-max
+    check at a restart reads once, in O(m n).
     """
 
     def __init__(self, config: dict, strict: bool = False):
@@ -161,7 +168,7 @@ class TraceChecker:
             self.budget = epoch_budget(dims)
             self.history = EpochHistory(dims.t, dims.n)
             self.log_t = np.log(dims.t)
-            self.log_max = None  # running max of the epoch's rate exponents
+            self.rate_left = False  # whether the epoch's rate schedule has left its band
             self.prev_u = None  # previous leader of the current epoch, as a list of floats
 
     def _fail(self, t, message: str):
@@ -184,6 +191,27 @@ class TraceChecker:
         if not lo >= floor - FLOOR_TOL:
             self._fail(t, f"{name} coordinate {lo!r} under the floor {floor!r}")
         return total
+
+    def _rate_schedule_left(self, x: np.ndarray, xs: list, total: float) -> bool:
+        """Whether the epoch's rate schedule has left [eta, e*eta] by the play ``x``.
+
+        ``xs`` is ``x`` as a list of floats and ``total`` its sum.  The
+        schedule is eta times exp of the running max of the rate exponents
+        log_t(1/(n x_i)), clipped at 0 so it never falls under eta; a NaN
+        exponent leaves the band.  Once left, the schedule stays out for the
+        rest of the epoch, since that running max never falls, so a play
+        only needs testing while the schedule is still in.  A finite
+        coordinate at or above the floor 1/(n t) has an exponent of at most
+        1 plus a few ulps, far inside the band's 1e-12 slack, so a play
+        whose coordinates are all finite (its sum is finite) and at or above
+        the floor passes without evaluating its exponents.  A run that keeps
+        its plays on the clipped simplex thus costs one min() per round
+        here, against five O(n) array passes.
+        """
+        if not self.rate_left and not (math.isfinite(total) and min(xs) >= self.dims.floor):
+            log_rates = np.maximum(np.log(1.0 / (self.dims.n * x)) / self.log_t, 0.0)
+            self.rate_left = not (self.eta_base * np.exp(log_rates)).max() <= math.e * self.eta_base * (1.0 + 1e-12)
+        return self.rate_left
 
     def check(self, rec: dict) -> dict:
         """Check one record; return its derived ``grad_inf``, ``x_ratio`` and ``u_ratio``
@@ -214,7 +242,7 @@ class TraceChecker:
                     self._fail(t, f"play moved {dev!r}, band {self.x_band!r}")
             self.epoch_xs.append(xs)
             if self.learner == "ada":
-                self._check_controller(rec, x, r, grad, derived)
+                self._check_controller(rec, x, xs, total, r, grad, derived)
         else:
             if self.prev_sum is not None and not abs(total - self.prev_sum) <= 1e-12:
                 self._fail(t, f"step changed the weight sum by {abs(total - self.prev_sum)!r}")
@@ -222,7 +250,7 @@ class TraceChecker:
         self.prev = rec
         return derived
 
-    def _check_controller(self, rec, x, r, grad, derived):
+    def _check_controller(self, rec, x, xs, total, r, grad, derived):
         t, epoch, beta, a = rec["t"], rec["epoch"], rec["beta"], rec["alpha"]
         restart = bool(rec["restart"])
         if beta != self.beta_init * 0.5 ** (epoch - 1):
@@ -243,11 +271,7 @@ class TraceChecker:
             self._fail(t, f"ceiling {a!r} outside [{self.alpha_floor!r}, 0.5]")
         if restart != (beta > ceiling):
             self._fail(t, "restart flag contradicts the ceiling test")
-        # Rate exponents log_t(1/(n x_i)) clipped at 0, so the schedule eta * exp(their running max) never falls under eta.
-        log_rates = np.maximum(np.log(1.0 / (self.dims.n * x)) / self.log_t, 0.0)
-        self.log_max = log_rates if self.log_max is None else np.maximum(self.log_max, log_rates)
-        eta_now = self.eta_base * np.exp(self.log_max)
-        if not eta_now.max() <= math.e * self.eta_base * (1.0 + 1e-12):
+        if self._rate_schedule_left(x, xs, total):
             self._fail(t, "rate schedule left [eta, e*eta]")
         if self.prev_u is not None:
             dev = _ratio_dev(us, self.prev_u)
@@ -268,7 +292,7 @@ class TraceChecker:
                 self._fail(t, "ceiling was already below beta a round earlier")
         self.epoch_xs = []
         self.history.clear()
-        self.log_max = None
+        self.rate_left = False
         self.prev_u = None
 
 
@@ -466,10 +490,20 @@ def save_trace(result: ExperimentResult, path, per_round_ms=None, started=None) 
 
 
 def load_trace(path) -> dict:
+    """The ``trace`` part of a saved trace document.
+
+    Raises ValueError when the document or its ``trace`` is not a JSON
+    object, or when the trace is not of schema ``TRACE_SCHEMA``.
+    """
     doc = json.loads(Path(path).read_text())
-    if "trace" not in doc or doc["trace"].get("schema") != TRACE_SCHEMA:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the document is not a JSON object")
+    trace = doc.get("trace")
+    if trace is not None and not isinstance(trace, dict):
+        raise ValueError(f"{path}: its trace is not a JSON object")
+    if trace is None or trace.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"{path}: not a {TRACE_SCHEMA} trace")
-    return doc["trace"]
+    return trace
 
 
 def verify_trace(trace: dict) -> list:
@@ -505,6 +539,9 @@ def verify_trace(trace: dict) -> list:
             problems.append(f"round {position}: record cannot be checked ({type(exc).__name__}: {exc})")
             return problems
 
+    if not isinstance(summary, dict):
+        problems.append("summary: not an object")
+        return problems
     if not records:
         return problems
     try:

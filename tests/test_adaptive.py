@@ -17,7 +17,7 @@ from barrons.adaptive import (
     leader_objective,
     regularized_leader,
 )
-from barrons.domain import MarketRound, ProblemDims, column_sums, uniform_portfolio
+from barrons.domain import MarketRound, ProblemDims, uniform_portfolio
 from barrons.markets import MarketSpec, generate
 
 DIMS = ProblemDims(2, 64)
@@ -187,6 +187,7 @@ def test_epoch_budget_violation_raises():
 @pytest.mark.parametrize("n", (2, 3, 5, 20))
 def test_epoch_history_is_bitwise_its_method_formulas(n):
     # append and ceiling call the ufuncs' reduce directly; ndarray.sum and ndarray.max call the same.
+    # The ceiling's reference is the gemv over the stacked gradients, NaN and inf rows included.
     rng = np.random.default_rng(700 + n)
     history = EpochHistory(8, n)
     xs, grads = [], []
@@ -205,7 +206,7 @@ def test_epoch_history_is_bitwise_its_method_formulas(n):
         xg = np.array([(x_s * g_s).sum() for x_s, g_s in zip(xs, grads)])
         assert history._xg[: len(xs)].tobytes() == xg.tobytes()
         with np.errstate(invalid="ignore"):
-            largest = float(np.abs((np.stack(grads) * u).sum(axis=1) - xg).max(initial=0.0))
+            largest = float(np.abs(np.stack(grads) @ u - xg).max(initial=0.0))
             want = 0.5 if largest <= 0.25 else 1.0 / (8.0 * largest)
             assert np.float64(history.ceiling(u)).tobytes() == np.float64(want).tobytes()
 
@@ -234,6 +235,43 @@ def test_epoch_history_ceiling_matches_alpha():
     assert history.rounds.shape == (0, n) and history.ceiling(u) == 0.5
 
 
+def test_epoch_history_rows_are_the_appended_rounds():
+    rng = np.random.default_rng(23)
+    n = 3
+    history = EpochHistory(2, n)  # doubles to 4, then to 8
+    for length in (7, 5):  # a second epoch after a clear reuses the grown buffers
+        appended = []
+        for _ in range(length):
+            r = rng.uniform(0.01, 1.0, n)
+            history.append(r, rng.dirichlet(np.ones(n)), -r)
+            appended.append(r)
+            want = np.stack(appended)
+            assert history.rows.shape == (n, len(appended))
+            assert history.rows.strides[1] == history.rows.itemsize  # contiguous rows
+            assert np.array_equal(history.rows, want.T)
+            assert np.array_equal(history.rounds, want) and len(history.rounds) == len(appended)
+        history.clear()
+        assert history.rows.shape == (n, 0) and history.rounds.shape == (0, n)
+
+
+def test_leader_gradient_matches_fsum():
+    # Thousands of correlated terms are the worst case for sequential
+    # accumulation; the gradient's pairwise row sums must stay at fsum-level
+    # accuracy.  Dyadic relatives and weights make every wealth exact, so the
+    # scaled terms are known to the bit and fsum gives their exact sum.
+    rng = np.random.default_rng(3)
+    m, gamma = 4096, 1.0 / 25.0
+    u = np.array([0.25, 0.25, 0.5])
+    r_mat = np.ones((m, 3))
+    r_mat[::2, :2] = np.round(rng.uniform(0.0, 1.0, (m // 2, 2)) * 2.0**30) / 2.0**30
+    r_mat[1::2, :2] = np.round(r_mat[::2, :2] * (1.0 - 1e-9) * 2.0**30) / 2.0**30
+    scaled = r_mat / (0.25 * r_mat[:, 0] + 0.25 * r_mat[:, 1] + 0.5)[:, None]
+    got = leader_objective(r_mat, gamma).gradient(u)
+    want = np.array([-math.fsum(scaled[:, j]) for j in range(3)]) - (1.0 / gamma) / u
+    scale = np.abs(scaled).sum(axis=0)
+    assert np.abs(got - want).max() <= 1e-12 * scale.max()
+
+
 def test_ada_runs_are_deterministic():
     def run_bytes():
         state = ada_init(DIMS)
@@ -256,7 +294,8 @@ def _uncached_leader(r_mat, gamma):
 
     def gradient(u):
         p = r_mat @ u
-        return -column_sums(r_mat / p[:, None]) - inv_gamma / u
+        # The pairwise sum along contiguous memory of a transposed copy.
+        return -np.ascontiguousarray((r_mat / p[:, None]).T).sum(axis=1) - inv_gamma / u
 
     def hessian(u):
         p = r_mat @ u

@@ -59,6 +59,32 @@ def test_verify_rejects_foreign_file(tmp_path):
     assert main(["verify", str(path)]) == EXIT_BAD_INPUT
 
 
+@pytest.fixture
+def saved_trace(tmp_path):
+    out = tmp_path / "trace.json"
+    assert main([
+        "run", "--learner", "ada", "--market", "blowup",
+        "--n", "2", "--t-horizon", "16", "--out", str(out),
+    ]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize(
+    "reshape, code, message",
+    [
+        (lambda doc: [doc], EXIT_BAD_INPUT, "the document is not a JSON object"),
+        (lambda doc: {**doc, "trace": [doc["trace"]]}, EXIT_BAD_INPUT, "its trace is not a JSON object"),
+        (lambda doc: {**doc, "trace": {**doc["trace"], "summary": [doc["trace"]["summary"]]}}, EXIT_VERIFY, "summary: not an object"),
+    ],
+    ids=["document", "trace", "summary"],
+)
+def test_verify_reports_a_part_that_is_not_an_object(saved_trace, capsys, reshape, code, message):
+    saved_trace.write_text(json.dumps(reshape(json.loads(saved_trace.read_text()))))
+    capsys.readouterr()
+    assert main(["verify", str(saved_trace)]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_bad_configuration_exits_one(tmp_path):
     assert main([
         "run", "--learner", "eg", "--market", "constant", "--n", "1", "--t-horizon", "8",

@@ -9,7 +9,6 @@ from barrons.domain import (
     MarketRound,
     ProblemDims,
     clipped_point,
-    column_sums,
     loss_grad_arrays,
     normalize_round,
     nudge_interior,
@@ -206,16 +205,3 @@ def test_nudge_interior_clears_the_floor():
     assert nudged.min() > dims.floor
     assert abs(nudged.sum() - 1.0) <= 1e-15
     assert np.abs(nudged - x).max() <= 1e-6
-
-
-def test_column_sums_matches_fsum():
-    # Correlated alternating terms are the worst case for sequential
-    # accumulation; the pairwise path must stay at fsum-level accuracy.
-    rng = np.random.default_rng(3)
-    mat = rng.standard_normal((4096, 3))
-    mat[::2] *= 1e6
-    mat[1::2] = -mat[::2][: mat[1::2].shape[0]] * (1.0 - 1e-9)
-    got = column_sums(mat)
-    want = np.array([math.fsum(mat[:, j]) for j in range(mat.shape[1])])
-    scale = np.abs(mat).sum(axis=0)
-    assert np.abs(got - want).max() <= 1e-12 * scale.max()

@@ -100,6 +100,49 @@ def test_verifier_catches_tampered_ceiling(blowup_result):
     assert any("alpha" in p or "ceiling" in p for p in problems)
 
 
+def test_verifier_reports_a_play_under_the_rate_floor(blowup_result):
+    trace = json.loads(blowup_result.body_json())
+    rec = trace["per_round"][10]
+    low = DIMS.floor * (1.0 - 1e-6)  # the rate exponent log_t(1/(n x)) just over 1
+    rec["x"] = [low, 1.0 - low] if rec["x"][0] < rec["x"][1] else [1.0 - low, low]
+    problems = verify_trace(trace)
+    assert f"round {rec['t']}: rate schedule left [eta, e*eta]" in problems, problems
+
+
+def _rate_band_reference(plays, n, t, eta):
+    # The array formula: rate exponents clipped at 0, their running max over the epoch, the schedule's largest entry.
+    out, log_max = [], None
+    for x in plays:
+        log_rates = np.maximum(np.log(1.0 / (n * x)) / np.log(t), 0.0)
+        log_max = log_rates if log_max is None else np.maximum(log_max, log_rates)
+        out.append(not (eta * np.exp(log_max)).max() <= math.e * eta * (1.0 + 1e-12))
+    return out
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_rate_band_check_matches_the_array_formula(n):
+    rng = np.random.default_rng(900 + n)
+    t = 64 * n
+    floor = 1.0 / (n * t)
+    # Sub-floor (some inside the band's slack), exactly-at-floor, zero, NaN and infinite coordinates.
+    odd = [floor * (1.0 - 1e-6), floor * (1.0 - 1e-14), floor * 0.5, floor, 0.0, -floor, math.nan, math.inf, -math.inf]
+    outcomes = set()
+    for _ in range(400):
+        checker = TraceChecker({"learner": "ada", "n": n, "t": t})
+        plays = []
+        for _ in range(int(rng.integers(1, 12))):
+            x = rng.dirichlet(np.full(n, 0.3)) * (1.0 - n * floor) + floor
+            for i in rng.choice(n, int(rng.integers(0, 3)), replace=False) if rng.random() < 0.3 else ():
+                x[i] = odd[rng.integers(len(odd))]
+            plays.append(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = _rate_band_reference(plays, n, t, checker.eta_base)
+            got = [checker._rate_schedule_left(x, x.tolist(), float(np.add.reduce(x))) for x in plays]
+        assert got == want
+        outcomes.update(want)
+    assert outcomes == {False, True}
+
+
 @pytest.fixture(scope="module")
 def blowup_results(blowup_result):
     others = ("barrons", "ons", "eg")
