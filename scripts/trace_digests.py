@@ -36,13 +36,27 @@ leader are blanked (per round ``u``, ``alpha``, ``u_ratio``,
 ``best_crp_loss`` and ``regret``), and the largest relative move of each
 of those fields (``regret`` also as an absolute move).  A summary of
 every run goes to standard error.
+
+A change to the checkers is proved on traces that fail them:
+
+    python3 scripts/trace_digests.py --tamper > tamper.json
+
+``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
+blowup market at n=2 and T=64, applies each entry of ``TAMPERS`` (one
+field of one record, of the per-round list or of the summary) to a fresh
+copy of the learner's body, and prints the full list of problems
+``verify_trace`` finds in it (or the exception it raises).  The entries
+trigger every message of the checker, and repeat the NaN and
+malformed-record cases of the tests.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -167,6 +181,85 @@ def grid():
         yield f"{learner}/blowup/n=2/T=512/strict=0", (learner, "blowup", 2, 512, False)
 
 
+_DELETE = object()  # a tamper's value that deletes the field
+
+# (learner, name, record index or None for the trace itself, field or None for the whole record,
+#  the new value as a function of the old one).  Round 20 (index 19) closes the ada run's first epoch.
+TAMPERS = [
+    ("ada", "play_sum", 10, "x", lambda x: [x[0] + 1e-6, x[1]]),
+    ("ada", "play_floor", 10, "x", lambda x: [-1e-3, 1.0 + 1e-3]),
+    ("ada", "leader_sum", 10, "u", lambda u: [u[0] + 1e-6, u[1]]),
+    ("ada", "leader_floor", 10, "u", lambda u: [1e-3, 1.0 - 1e-3]),
+    ("ada", "loss", 10, "loss", lambda v: v + 1e-6),
+    ("ada", "cum_loss", 10, "cum_loss", lambda v: v + 1e-6),
+    ("ada", "beta", 10, "beta", lambda v: v / 2.0),
+    ("ada", "epoch_budget", 63, "epoch", lambda v: 99),
+    ("ada", "epoch_sequence", 10, "epoch", lambda v: v + 1),
+    ("ada", "ceiling_recorded", 10, "alpha", lambda v: 0.4999),
+    ("ada", "ceiling_range", 10, "alpha", lambda v: 0.6),
+    ("ada", "restart_flag", 19, "restart", lambda v: not v),
+    ("ada", "rate_schedule", 10, "x", lambda x: [1.0 / 128.0 * (1.0 - 1e-6), 1.0 - 1.0 / 128.0 * (1.0 - 1e-6)]),
+    ("ada", "leader_band", 10, "u", lambda u: [0.9, 0.1]),
+    ("ada", "ratio_max_halves", 19, "x", lambda x: [0.99, 0.01]),
+    ("ada", "ceiling_earlier", 18, "alpha", lambda v: 0.25),
+    ("ada", "grad_inf", 10, "grad_inf", lambda v: v + 1e-6),
+    ("ada", "x_ratio", 10, "x_ratio", lambda v: v + 1e-9),
+    ("ada", "u_ratio", 10, "u_ratio", lambda v: v + 1e-9),
+    ("ada", "x_ratio_null", 10, "x_ratio", lambda v: None),
+    ("ada", "ratio_max", 19, "ratio_max", lambda v: 2.0 * v),
+    ("ada", "ratio_max_prev", 19, "ratio_max_prev", lambda v: 2.0 * v),
+    ("ada", "total_loss", None, "summary", lambda s: {**s, "total_loss": s["total_loss"] + 0.5}),
+    ("ada", "per_round_not_a_list", None, "per_round", lambda v: 5),
+    ("barrons", "play_band", 10, "x", lambda x: [0.6, 0.4]),
+    ("barrons", "x_ratio", 10, "x_ratio", lambda v: v + 1e-9),
+    ("ons", "weight_sum", 10, "x", lambda x: [c * (1.0 + 1e-11) for c in x]),
+    ("eg", "weight_sum", 10, "x", lambda x: [c * (1.0 + 1e-11) for c in x]),
+    # The NaN cases of tests/test_harness.py.
+    *[(learner, "nan_play", 10, "x", lambda x: [math.nan, math.nan]) for learner in ("ada", "barrons", "ons", "eg")],
+    *[(learner, "nan_loss", 10, "loss", lambda v: math.nan) for learner in ("ada", "eg")],
+    *[(learner, "nan_relative", 10, "r", lambda r: [1.0, math.nan]) for learner in ("ada", "ons")],
+    # The malformed-record cases of tests/test_harness.py.
+    ("ons", "dead_play", 10, "x", lambda x: [-1.0, 2.0]),
+    ("ada", "missing_loss", 10, "loss", lambda v: _DELETE),
+    ("ons", "one_coordinate", 10, "x", lambda x: [1.0]),
+    ("eg", "string_play", 10, "x", lambda x: "abc"),
+    ("ada", "null_leader", 10, "u", lambda u: None),
+    ("ada", "string_epoch", 10, "epoch", lambda v: "2"),
+    ("eg", "missing_grad_inf", 10, "grad_inf", lambda v: _DELETE),
+    ("barrons", "record_not_an_object", 10, None, lambda rec: [1.0, 2.0]),
+]
+
+
+def tampered(body: dict, index, field, change) -> dict:
+    """A copy of the parsed ``body`` with one tamper applied."""
+    body = copy.deepcopy(body)
+    target = body if index is None else body["per_round"][index]
+    if field is None:
+        body["per_round"][index] = change(target)
+        return body
+    value = change(target[field])
+    if value is _DELETE:
+        del target[field]
+    else:
+        target[field] = value
+    return body
+
+
+def tamper_problems() -> dict:
+    """``verify_trace``'s problems for each entry of ``TAMPERS``, keyed by learner and name."""
+    bodies = {}
+    out = {}
+    for learner, name, index, field, change in TAMPERS:
+        if learner not in bodies:
+            result = run_market(learner, MarketSpec("blowup", ProblemDims(2, 64)))
+            bodies[learner] = json.loads(result.body_json())
+        try:
+            out[f"{learner}/{name}"] = verify_trace(tampered(bodies[learner], index, field, change))
+        except Exception as exc:  # a verifier that raises is a finding to print, not to stop at
+            out[f"{learner}/{name}"] = {"error": f"{type(exc).__name__}: {exc}"}
+    return out
+
+
 def body_path(directory: Path, name: str) -> Path:
     return directory / (name.replace("/", "+") + ".json")
 
@@ -175,7 +268,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bodies", type=Path, help="write each run's canonical trace body to this directory")
     parser.add_argument("--against", type=Path, help="compare each run's body with the one in this directory")
+    parser.add_argument("--tamper", action="store_true", help="print verify's problems on tampered blowup traces instead")
     args = parser.parse_args(argv)
+    if args.tamper:
+        json.dump(tamper_problems(), sys.stdout, indent=1)
+        sys.stdout.write("\n")
+        return 0
     if args.bodies is not None:
         args.bodies.mkdir(parents=True, exist_ok=True)
     out = {}

@@ -38,6 +38,7 @@ __all__ = [
     "alpha",
     "default_eta",
     "epoch_budget",
+    "epoch_ceiling",
     "leader_objective",
     "regularized_leader",
 ]
@@ -94,6 +95,19 @@ def _cap(largest: float) -> float:
     return 0.5 if largest <= 0.25 else 1.0 / (8.0 * largest)
 
 
+def epoch_ceiling(grads: np.ndarray, xg: np.ndarray, u: np.ndarray) -> float:
+    """``alpha`` from the epoch's (m, n) gradients, their ``<x_s, g_s>`` and the leader ``u``.
+
+    1/2 capped by max_s |<u, g_s> - <x_s, g_s>|, with the m inner products as
+    one matrix-vector product.  The controller and the trace checker both
+    compute the ceiling here, so the recorded and the recomputed values
+    share their bits.
+    """
+    gaps = np.abs(grads @ u - xg)
+    # The ufunc's own reduce, as ndarray.max calls it, without the method's overhead.
+    return _cap(float(np.maximum.reduce(gaps, initial=0.0)))
+
+
 class EpochHistory:
     """Rounds, gradients and ``<x_s, g_s>`` of the current epoch, in preallocated buffers.
 
@@ -103,10 +117,8 @@ class EpochHistory:
     are kept round-major, in a (capacity, n) buffer.  Appending a round and
     clearing the epoch cost O(n) however long the epoch is; only the leader
     refit (O(m n^2) per Newton iteration over m rounds) and the ceiling
-    (one O(m n) matrix-vector product) read all rounds.  The controller
-    and the trace verifier both compute the ceiling here, so the recorded
-    and the recomputed values agree.  A history that outgrows its capacity
-    doubles it.
+    (one O(m n) matrix-vector product, `epoch_ceiling`) read all rounds.  A
+    history that outgrows its capacity doubles it.
     """
 
     def __init__(self, capacity: int, n: int):
@@ -145,9 +157,7 @@ class EpochHistory:
     def ceiling(self, u: np.ndarray) -> float:
         """``alpha(u, xs, grads)`` from the cached rows: 1/2 capped by max_s |<u, g_s> - <x_s, g_s>|."""
         m = self.size
-        gaps = np.abs(self._g[:m] @ u - self._xg[:m])
-        # The ufunc's own reduce, as ndarray.max calls it, without the method's overhead.
-        return _cap(float(np.maximum.reduce(gaps, initial=0.0)))
+        return epoch_ceiling(self._g[:m], self._xg[:m], u)
 
 
 class AdaState:

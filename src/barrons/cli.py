@@ -57,7 +57,7 @@ def _add_learner_args(parser):
     parser.add_argument("--resolution", type=float, help="grid pitch for up-grid")
     parser.add_argument("--solver-tol", type=float, help="solver first-order tolerance")
     parser.add_argument("--max-newton-iters", type=int, help="per-stage iteration budget")
-    parser.add_argument("--strict", action="store_true", help="raise on the first invariant violation")
+    parser.add_argument("--strict", action="store_true", help="fail on the earliest invariant violation, found when the records are checked after the last round")
 
 
 def _market_params(args) -> dict:

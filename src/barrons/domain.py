@@ -26,6 +26,7 @@ __all__ = [
     "MarketRound",
     "normalize_round",
     "clipped_point",
+    "dead_portfolio",
     "loss_grad_arrays",
     "smooth_comparator",
     "uniform_portfolio",
@@ -133,6 +134,11 @@ def uniform_portfolio(dims: ProblemDims) -> np.ndarray:
     return np.full(dims.n, 1.0 / dims.n)
 
 
+def dead_portfolio(wealth: float) -> ValueError:
+    """The error for a play with the nonpositive ``wealth`` on its round."""
+    return ValueError(f"nonpositive round wealth {wealth!r}: portfolio dead on this round")
+
+
 def loss_grad_arrays(x: np.ndarray, r: np.ndarray):
     """Per-round log-loss ``-log <x, r>`` and its gradient ``-r / <x, r>``.
 
@@ -142,7 +148,7 @@ def loss_grad_arrays(x: np.ndarray, r: np.ndarray):
     """
     wealth = float(x @ r)
     if wealth <= 0.0:
-        raise ValueError(f"nonpositive round wealth {wealth!r}: portfolio dead on this round")
+        raise dead_portfolio(wealth)
     return -np.log(wealth), -r / wealth
 
 

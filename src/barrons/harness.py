@@ -6,12 +6,15 @@ config echo, per-round records, and summary).  The trace part serializes
 canonically, so identical runs produce byte-identical bodies.
 
 One run loop drives every learner through its ``start``/``step`` interface,
-and one ``TraceChecker`` holds every per-round invariant.  The runner feeds
-it each record as it is built; in the default mode a violation is recorded
-in the summary and the run completes, while ``strict=True`` raises
-immediately.  ``verify`` feeds the same checker a persisted trace, so a
-trace is self-certifying: it carries the played points, the rounds, and the
-leaders needed to recompute every quantity it claims.
+and one ``TraceChecker`` holds every per-round invariant.  It checks a whole
+list of records at once, as arrays.  The runner builds the records without
+checking them and runs the checker once after the last round (or on the
+partial records of a run a solver failure aborts), so ``meta.per_round_ms``
+times the learner's round alone.  In the default mode the violations are
+recorded in the summary; ``strict=True`` then raises for the earliest one.
+``verify`` runs the same checker over a persisted trace, so a trace is
+self-certifying: it carries the played points, the rounds, and the leaders
+needed to recompute every quantity it claims.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import ETA_MAX, AdaConfig, EpochHistory, ada_init, ada_step, epoch_budget
+from .adaptive import ETA_MAX, AdaConfig, ada_init, ada_step, epoch_budget, epoch_ceiling
 from .baselines import (
     EgLearner,
     OgdLearner,
@@ -40,7 +43,7 @@ from .domain import (
     MarketRound,
     ProblemDims,
     SUM_TOL,
-    loss_grad_arrays,
+    dead_portfolio,
 )
 from .markets import MarketSpec, generate
 from .solver import SolverConfig, SolverFailure
@@ -48,6 +51,7 @@ from .solver import SolverConfig, SolverFailure
 __all__ = [
     "LEARNER_NAMES",
     "TRACE_SCHEMA",
+    "CheckedRecords",
     "ExperimentResult",
     "TraceChecker",
     "run_experiment",
@@ -98,20 +102,23 @@ def _floats(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _ratio_dev(cur: list, prev: list) -> float:
-    """``np.abs(cur / prev - 1.0).max()`` of two lists of floats, as a float.
+# The checks of a record in the order they run: within a round, problems follow this order.
+_CHECKS = (
+    "play_sum", "play_floor", "loss", "cum_loss", "play_step",
+    "beta", "budget", "sequence", "leader_sum", "leader_floor",
+    "ceiling", "ceiling_range", "restart", "rate", "leader_band", "ratio_max", "earlier",
+)
+_ORDER = {name: i for i, name in enumerate(_CHECKS)}
 
-    Python floats give the same result while every ratio is finite.  A zero,
-    infinite or NaN coordinate takes numpy's formula: Python raises on
-    division by zero, and its max skips a NaN that numpy's max returns.
-    """
-    try:
-        devs = [abs(a / b - 1.0) for a, b in zip(cur, prev)]
-        if math.isfinite(sum(devs)):  # so no term is NaN
-            return max(devs)
-    except ZeroDivisionError:
-        pass
-    return float(np.abs(np.asarray(cur, dtype=float) / np.asarray(prev, dtype=float) - 1.0).max())
+# What a record that cannot be converted, or checked, raises.
+_MALFORMED = (KeyError, TypeError, ValueError)
+
+
+def _ratio_steps(v: np.ndarray) -> np.ndarray:
+    """``np.abs(v[i] / v[i - 1] - 1.0).max()`` for every row i of ``v``; NaN for the first row."""
+    out = np.full(len(v), np.nan)
+    out[1:] = np.abs(v[1:] / v[:-1] - 1.0).max(axis=1)
+    return out
 
 
 def _ada_config(params: dict) -> AdaConfig:
@@ -124,35 +131,55 @@ def _ada_config(params: dict) -> AdaConfig:
     return AdaConfig(**{kw: params[key] for key, kw in keywords.items() if key in params})
 
 
+@dataclass
+class CheckedRecords:
+    """What `TraceChecker.check_records` found in a list of records.
+
+    ``issues`` pairs each violation with the position of its record, in
+    record order and, within a record, in the order of ``_CHECKS``.
+    ``derived`` holds, per checked record, its ``grad_inf``, ``x_ratio`` and
+    ``u_ratio`` (None without an earlier play or leader in the epoch), plus
+    ``ratio_max`` and ``ratio_max_prev`` at a restart that ends an epoch of
+    two or more rounds.  ``ceilings`` are an ada run's recomputed ceilings.
+    ``stop`` is None, or the position of the first record that cannot be
+    checked and the exception that says why: no record from there on is
+    checked, and that record's issues are those of the checks that ran
+    before it failed.
+    """
+
+    issues: list
+    derived: list
+    ceilings: Optional[np.ndarray] = None
+    stop: Optional[tuple] = None
+
+    @property
+    def problems(self) -> list:
+        return [message for _, message in self.issues]
+
+
 class TraceChecker:
-    """Every per-round invariant of the run whose config echo is ``config``, one record at a time.
+    """Every per-round invariant of the run whose config echo is ``config``, over all its records at once.
 
     Plays must lie on their simplex, reproduce the recorded losses, and stay
     in their stability band (fixed-rate and adaptive) or keep their weight
     sum (baselines).  Adaptive records are also checked against the
     controller's rules: beta per epoch, epoch budget and sequence, leader
-    and its band, ceiling and restart flag, rate schedule, ratio-max.  A
-    violation is appended to ``problems``; with ``strict`` it also raises.
-    Every test is written so that a NaN fails it.
+    and its band, ceiling and restart flag, rate schedule, ratio-max.  Every
+    test is written so that a NaN fails it; with ``strict``,
+    `check_records` raises for the earliest violation.
 
-    A record costs O(n), plus for an adaptive record the ceiling over the
-    m rounds of its epoch: one O(m n) matrix-vector product over the
-    round-major gradients of an ``EpochHistory``.  The rate schedule costs
-    one min() per round while the plays stay on the clipped simplex.  The
-    plays of the epoch are kept as lists of floats, which the ratio-max
-    check at a restart reads once, in O(m n).
+    The records' fields are converted to arrays once, and each check is an
+    array expression over all rounds, or over the rounds of one epoch.  The
+    ceiling costs one O(m n) matrix-vector product per round over the m
+    rounds of its epoch so far, through `epoch_ceiling`, the controller's
+    own formula, so the restart-flag test compares the controller's bits.
     """
 
     def __init__(self, config: dict, strict: bool = False):
         self.dims = dims = ProblemDims(int(config["n"]), int(config["t"]))
         self.learner = config.get("learner")
         self.strict = strict
-        self.problems: list = []
         self.floor = dims.floor if self.learner in _CLIPPED else 0.0
-        self.cum = 0.0
-        self.prev = None  # previous record
-        self.prev_sum = None  # weight sum of the previous play (baselines)
-        self.epoch_xs: list = []  # plays of the current epoch as lists of floats (ada, barrons)
         if self.learner not in ("ada", "barrons"):
             return
         params = config.get("params", {})
@@ -166,134 +193,197 @@ class TraceChecker:
             self.u_band = math.sqrt(cfg.gamma) / 2.0 + _U_BAND_SLACK
             self.alpha_floor = 1.0 / (16.0 * dims.n * dims.t)
             self.budget = epoch_budget(dims)
-            self.history = EpochHistory(dims.t, dims.n)
             self.log_t = np.log(dims.t)
-            self.rate_left = False  # whether the epoch's rate schedule has left its band
-            self.prev_u = None  # previous leader of the current epoch, as a list of floats
 
-    def _fail(self, t, message: str):
-        message = f"round {t}: {message}"
-        self.problems.append(message)
-        if self.strict:
-            raise AssertionError(f"invariant violation: {message}")
+    def _vectors(self, records, key: str) -> np.ndarray:
+        arr = np.array([rec[key] for rec in records], dtype=float)
+        if records and arr.shape != (len(records), self.dims.n):
+            raise ValueError(f"{key} does not hold {self.dims.n} numbers")
+        return arr.reshape(len(records), self.dims.n)
 
-    def _check_point(self, t, name: str, v: np.ndarray, vals: list, floor: float) -> float:
-        """Check that ``v`` sums to 1 with no coordinate under ``floor``; return its sum.
+    @staticmethod
+    def _numbers(records, key: str):
+        """The field ``key`` of each record, as given and as an array of floats."""
+        values = [rec[key] for rec in records]
+        if not all(issubclass(kind, (int, float)) for kind in set(map(type, values))):
+            raise TypeError(f"{key} must be a number")
+        return values, np.array(values, dtype=float)
 
-        ``vals`` is ``v`` as a list of floats.  A NaN or infinite coordinate
-        fails the sum test, so the floor test's min() only matters on finite
-        coordinates.
-        """
-        total = float(np.add.reduce(v))  # v.sum(), without the method's overhead
-        if not abs(total - 1.0) <= SUM_TOL:
-            self._fail(t, f"{name} sums to {total!r}")
-        lo = min(vals)  # exact, and faster than ndarray.min() on a few coordinates
-        if not lo >= floor - FLOOR_TOL:
-            self._fail(t, f"{name} coordinate {lo!r} under the floor {floor!r}")
-        return total
+    def _columns(self, records) -> dict:
+        """The fields the checks read, one entry per field, in the order a record's checks read them."""
+        cols = {
+            "t": [rec["t"] for rec in records],
+            "x": self._vectors(records, "x"),
+            "r": self._vectors(records, "r"),
+            "loss": self._numbers(records, "loss"),
+            "cum_loss": self._numbers(records, "cum_loss"),
+        }
+        if self.learner == "ada":
+            for key in ("epoch", "beta", "alpha"):
+                cols[key] = self._numbers(records, key)
+            cols["restart"] = [bool(rec["restart"]) for rec in records]
+            cols["u"] = self._vectors(records, "u")
+        return cols
 
-    def _rate_schedule_left(self, x: np.ndarray, xs: list, total: float) -> bool:
-        """Whether the epoch's rate schedule has left [eta, e*eta] by the play ``x``.
+    def check_records(self, records: list) -> CheckedRecords:
+        """Check every record of the run, in order; see `CheckedRecords` for the result."""
+        stop = None  # (position, order of the first check that did not run, exception)
+        try:
+            cols = self._columns(records)
+        except _MALFORMED:
+            position, exc = self._first_malformed(records)
+            stop = (position, 0, exc)
+            cols = self._columns(records[:position])
+        ts, x, r = cols["t"], cols["x"], cols["r"]
+        m = len(ts)
+        if m == 0:
+            return CheckedRecords([], [], np.empty(0) if self.learner == "ada" else None, stop and (stop[0], stop[2]))
+        issues = []  # (position, order, message)
 
-        ``xs`` is ``x`` as a list of floats and ``total`` its sum.  The
-        schedule is eta times exp of the running max of the rate exponents
-        log_t(1/(n x_i)), clipped at 0 so it never falls under eta; a NaN
-        exponent leaves the band.  Once left, the schedule stays out for the
-        rest of the epoch, since that running max never falls, so a play
-        only needs testing while the schedule is still in.  A finite
-        coordinate at or above the floor 1/(n t) has an exponent of at most
-        1 plus a few ulps, far inside the band's 1e-12 slack, so a play
-        whose coordinates are all finite (its sum is finite) and at or above
-        the floor passes without evaluating its exponents.  A run that keeps
-        its plays on the clipped simplex thus costs one min() per round
-        here, against five O(n) array passes.
-        """
-        if not self.rate_left and not (math.isfinite(total) and min(xs) >= self.dims.floor):
-            log_rates = np.maximum(np.log(1.0 / (self.dims.n * x)) / self.log_t, 0.0)
-            self.rate_left = not (self.eta_base * np.exp(log_rates)).max() <= math.e * self.eta_base * (1.0 + 1e-12)
-        return self.rate_left
+        def fail(check: str, rows, message):
+            issues.extend((int(i), _ORDER[check], f"round {ts[i]}: {message(i)}") for i in rows)
 
-    def check(self, rec: dict) -> dict:
-        """Check one record; return its derived ``grad_inf``, ``x_ratio`` and ``u_ratio``
-        (None without an earlier play or leader in the epoch), plus ``ratio_max`` and
-        ``ratio_max_prev`` at a restart that ends an epoch of two or more rounds.
-        """
-        t = rec["t"]
-        x = np.array(rec["x"], dtype=float)
-        xs = x.tolist()
-        r = np.array(rec["r"], dtype=float)
-        total = self._check_point(t, "play", x, xs, self.floor)
-        loss, grad = loss_grad_arrays(x, r)
-        loss = float(loss)
-        # A NaN price relative or play makes the recomputed loss NaN, which fails here.
-        if not abs(loss - rec["loss"]) <= 1e-12 * max(1.0, abs(loss)):
-            self._fail(t, f"recorded loss {rec['loss']!r} != recomputed {loss!r}")
-        self.cum += rec["loss"]
-        if not abs(self.cum - rec["cum_loss"]) <= 1e-9:
-            self._fail(t, "cumulative loss drifts from the per-round sum")
-        grads = grad.tolist()
-        # max() skips a NaN that numpy's max returns, but a NaN gradient has already failed the loss test.
-        derived = {"grad_inf": max(map(abs, grads)), "x_ratio": None, "u_ratio": None}
-        if self.learner in ("ada", "barrons"):
-            if self.epoch_xs:
-                dev = _ratio_dev(xs, self.epoch_xs[-1])
-                derived["x_ratio"] = dev
-                if not dev <= self.x_band:
-                    self._fail(t, f"play moved {dev!r}, band {self.x_band!r}")
-            self.epoch_xs.append(xs)
+        with np.errstate(all="ignore"):
+            sums = np.add.reduce(x, axis=1)  # each row summed as np.add.reduce sums it alone
+            self._check_points(fail, "play", x, sums, self.floor)
+            wealth = np.matmul(x[:, None, :], r[:, :, None])[:, 0, 0]  # each x @ r, by the same dot product
+            dead = np.flatnonzero(wealth <= 0.0)
+            if dead.size:
+                i = int(dead[0])
+                stop = (i, _ORDER["loss"], dead_portfolio(wealth[i].item()))
+            loss = -np.log(wealth)
+            grad = -r / wealth[:, None]
+            recorded, rec_loss = cols["loss"]
+            fail("loss", np.flatnonzero(~(np.abs(loss - rec_loss) <= 1e-12 * np.maximum(1.0, np.abs(loss)))),
+                 lambda i: f"recorded loss {recorded[i]!r} != recomputed {loss[i].item()!r}")
+            cum = np.cumsum(rec_loss)  # the running sum, one addition per round
+            fail("cum_loss", np.flatnonzero(~(np.abs(cum - cols["cum_loss"][1]) <= 1e-9)),
+                 lambda i: "cumulative loss drifts from the per-round sum")
+            grad_inf = np.abs(grad).max(axis=1).tolist()
+            for i in np.flatnonzero(np.isnan(grad_inf)):
+                grad_inf[i] = max(map(abs, grad[i].tolist()))  # max() keeps a NaN only in first place
+            starts = [0]
             if self.learner == "ada":
-                self._check_controller(rec, x, xs, total, r, grad, derived)
-        else:
-            if self.prev_sum is not None and not abs(total - self.prev_sum) <= 1e-12:
-                self._fail(t, f"step changed the weight sum by {abs(total - self.prev_sum)!r}")
-            self.prev_sum = total
-        self.prev = rec
-        return derived
+                starts += [i + 1 for i, restart in enumerate(cols["restart"][:-1]) if restart]
+            first = np.zeros(m, dtype=bool)
+            first[starts] = True
+            x_ratio = u_ratio = [None] * m
+            if self.learner in ("ada", "barrons"):
+                steps = _ratio_steps(x)
+                fail("play_step", np.flatnonzero(~first & ~(steps <= self.x_band)),
+                     lambda i: f"play moved {steps[i].item()!r}, band {self.x_band!r}")
+                x_ratio = [None if f else v for f, v in zip(first.tolist(), steps.tolist())]
+            else:
+                moves = np.abs(sums[1:] - sums[:-1])
+                fail("play_step", np.flatnonzero(~(moves <= 1e-12)) + 1,
+                     lambda i: f"step changed the weight sum by {moves[i - 1].item()!r}")
+            ceilings, ratios = None, {}
+            if self.learner == "ada":
+                ceilings, ratios, u_ratio = self._check_controller(fail, cols, x, sums, grad, starts, first)
+        issues.sort(key=lambda issue: issue[:2])
+        if stop is not None:
+            issues = [issue for issue in issues if issue[:2] < stop[:2]]
+        if self.strict and issues:
+            raise AssertionError(f"invariant violation: {issues[0][2]}")
+        checked = m if stop is None else stop[0]
+        derived = [
+            {"grad_inf": g, "x_ratio": xr, "u_ratio": ur}
+            for g, xr, ur in zip(grad_inf[:checked], x_ratio, u_ratio)
+        ]
+        for i, (cur, prev) in ratios.items():
+            if i < checked:
+                derived[i].update(ratio_max=cur, ratio_max_prev=prev)
+        return CheckedRecords([(i, message) for i, _, message in issues], derived, ceilings, stop and (stop[0], stop[2]))
 
-    def _check_controller(self, rec, x, xs, total, r, grad, derived):
-        t, epoch, beta, a = rec["t"], rec["epoch"], rec["beta"], rec["alpha"]
-        restart = bool(rec["restart"])
-        if beta != self.beta_init * 0.5 ** (epoch - 1):
-            self._fail(t, f"beta {beta!r} is not beta_init/2^(epoch-1)")
-        if epoch > self.budget:
-            self._fail(t, f"epoch {epoch} exceeds budget {self.budget}")
-        expected = 1 if self.prev is None else self.prev["epoch"] + bool(self.prev["restart"])
-        if epoch != expected:
-            self._fail(t, f"epoch {epoch} does not follow the restart sequence (expected {expected})")
-        u = np.array(rec["u"], dtype=float)
-        us = u.tolist()
-        self._check_point(t, "leader", u, us, self.dims.floor)
-        self.history.append(r, x, grad)
-        ceiling = self.history.ceiling(u)
-        if not abs(ceiling - a) <= 1e-12:
-            self._fail(t, f"recorded ceiling {a!r} != recomputed {ceiling!r}")
-        if not (self.alpha_floor <= a <= 0.5):
-            self._fail(t, f"ceiling {a!r} outside [{self.alpha_floor!r}, 0.5]")
-        if restart != (beta > ceiling):
-            self._fail(t, "restart flag contradicts the ceiling test")
-        if self._rate_schedule_left(x, xs, total):
-            self._fail(t, "rate schedule left [eta, e*eta]")
-        if self.prev_u is not None:
-            dev = _ratio_dev(us, self.prev_u)
-            derived["u_ratio"] = dev
-            if not dev <= self.u_band:
-                self._fail(t, f"leader moved {dev!r}, band {self.u_band!r}")
-        if not restart:
-            self.prev_u = us
-            return
-        if len(self.epoch_xs) >= 2:
-            a_cur = float((u / np.array(self.epoch_xs)).max())
-            a_prev = float((np.array(self.prev_u) / np.array(self.epoch_xs[:-1])).max())
-            derived["ratio_max"] = a_cur
-            derived["ratio_max_prev"] = a_prev
-            if not a_prev >= 0.5 * a_cur:
-                self._fail(t, f"ratio-max fell more than half at restart ({a_prev!r} < {a_cur!r}/2)")
-            if self.prev["epoch"] == epoch and self.prev["alpha"] < beta:
-                self._fail(t, "ceiling was already below beta a round earlier")
-        self.epoch_xs = []
-        self.history.clear()
-        self.rate_left = False
-        self.prev_u = None
+    def _first_malformed(self, records) -> tuple:
+        """The position of the first record whose fields do not convert on their own, and the exception."""
+        for position, rec in enumerate(records):
+            try:
+                self._columns([rec])
+            except _MALFORMED as exc:
+                return position, exc
+        raise AssertionError("the records convert one by one but not together")
+
+    @staticmethod
+    def _check_points(fail, name: str, v: np.ndarray, sums: np.ndarray, floor: float):
+        """Each row of ``v`` (row sums ``sums``) must sum to 1 with no coordinate under ``floor``.
+
+        A NaN or infinite coordinate fails the sum test.  The floor test
+        reports the row's min() as Python takes it, which keeps a NaN only in
+        first place, on the few rows whose numpy minimum is under the floor
+        or NaN.
+        """
+        fail(f"{name}_sum", np.flatnonzero(~(np.abs(sums - 1.0) <= SUM_TOL)),
+             lambda i: f"{name} sums to {sums[i].item()!r}")
+        lows = {int(i): min(v[i].tolist()) for i in np.flatnonzero(~(np.minimum.reduce(v, axis=1) >= floor - FLOOR_TOL))}
+        fail(f"{name}_floor", [i for i, lo in lows.items() if not lo >= floor - FLOOR_TOL],
+             lambda i: f"{name} coordinate {lows[i]!r} under the floor {floor!r}")
+
+    def _rate_left(self, x: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """Whether the rate schedule of the epoch whose plays are ``x`` (row sums ``sums``) has left [eta, e*eta] by each play.
+
+        The schedule is eta times exp of the running max of the rate
+        exponents log_t(1/(n x_i)), clipped at 0 so it never falls under
+        eta; a NaN exponent leaves the band.  Once left, the schedule stays
+        out for the rest of the epoch, since that running max never falls.
+        A finite coordinate at or above the floor 1/(n t) has an exponent of
+        at most 1 plus a few ulps, far inside the band's 1e-12 slack, so only
+        the plays with a coordinate that is not finite (their sum is not
+        finite) or is under the floor evaluate their exponents.
+        """
+        n = self.dims.n
+        leaves = np.zeros(len(x), dtype=bool)
+        odd = np.flatnonzero(~(np.isfinite(sums) & (np.minimum.reduce(x, axis=1) >= self.dims.floor)))
+        if odd.size:
+            log_rates = np.maximum(np.log(1.0 / (n * x[odd])) / self.log_t, 0.0)
+            leaves[odd] = ~((self.eta_base * np.exp(log_rates)).max(axis=1) <= math.e * self.eta_base * (1.0 + 1e-12))
+        return np.logical_or.accumulate(leaves)
+
+    def _check_controller(self, fail, cols, x, sums, grad, starts, first):
+        """The controller's checks; returns the ceilings, the ratio maxima by restart position, and ``u_ratio``."""
+        epochs = cols["epoch"][0]
+        betas, beta = cols["beta"]
+        alphas, alpha = cols["alpha"]
+        restarts, u = cols["restart"], cols["u"]
+        m = len(epochs)
+        fail("beta", [i for i, (b, e) in enumerate(zip(betas, epochs)) if b != self.beta_init * 0.5 ** (e - 1)],
+             lambda i: f"beta {betas[i]!r} is not beta_init/2^(epoch-1)")
+        fail("budget", [i for i, e in enumerate(epochs) if e > self.budget],
+             lambda i: f"epoch {epochs[i]} exceeds budget {self.budget}")
+        expected = [1] + [e + restart for e, restart in zip(epochs[:-1], restarts[:-1])]
+        fail("sequence", [i for i, (e, want) in enumerate(zip(epochs, expected)) if e != want],
+             lambda i: f"epoch {epochs[i]} does not follow the restart sequence (expected {expected[i]})")
+        self._check_points(fail, "leader", u, np.add.reduce(u, axis=1), self.dims.floor)
+
+        xg = np.add.reduce(x * grad, axis=1)  # each <x_s, g_s>, as the controller's history sums it
+        ceilings = np.empty(m)
+        rate_left = np.empty(m, dtype=bool)
+        ratios = {}
+        for s, e in zip(starts, starts[1:] + [m]):
+            g_epoch, xg_epoch = grad[s:e], xg[s:e]
+            for k in range(e - s):
+                ceilings[s + k] = epoch_ceiling(g_epoch[: k + 1], xg_epoch[: k + 1], u[s + k])
+            rate_left[s:e] = self._rate_left(x[s:e], sums[s:e])
+            i = e - 1
+            if restarts[i] and i > s:
+                ratios[i] = (float((u[i] / x[s:e]).max()), float((u[i - 1] / x[s:i]).max()))
+
+        fail("ceiling", np.flatnonzero(~(np.abs(ceilings - alpha) <= 1e-12)),
+             lambda i: f"recorded ceiling {alphas[i]!r} != recomputed {ceilings[i].item()!r}")
+        fail("ceiling_range", np.flatnonzero(~((self.alpha_floor <= alpha) & (alpha <= 0.5))),
+             lambda i: f"ceiling {alphas[i]!r} outside [{self.alpha_floor!r}, 0.5]")
+        fail("restart", np.flatnonzero(np.array(restarts) != (beta > ceilings)),
+             lambda i: "restart flag contradicts the ceiling test")
+        fail("rate", np.flatnonzero(rate_left), lambda i: "rate schedule left [eta, e*eta]")
+        steps = _ratio_steps(u)
+        fail("leader_band", np.flatnonzero(~first & ~(steps <= self.u_band)),
+             lambda i: f"leader moved {steps[i].item()!r}, band {self.u_band!r}")
+        fail("ratio_max", [i for i, (cur, prev) in ratios.items() if not prev >= 0.5 * cur],
+             lambda i: f"ratio-max fell more than half at restart ({ratios[i][1]!r} < {ratios[i][0]!r}/2)")
+        fail("earlier", [i for i in ratios if epochs[i - 1] == epochs[i] and alphas[i - 1] < betas[i]],
+             lambda i: "ceiling was already below beta a round earlier")
+        u_ratio = [None if f else v for f, v in zip(first.tolist(), steps.tolist())]
+        return ceilings, ratios, u_ratio
 
 
 class _AdaRun:
@@ -404,33 +494,49 @@ def run_experiment(
     checker = TraceChecker(cfg_echo, strict)
     plain = {"epoch": 1, "beta": getattr(run, "beta", None), "alpha": None, "u": None, "restart": False}
     cum = 0.0
+    problems = None
     try:
         for t, rnd in enumerate(rounds, start=1):
             tick = time.perf_counter()
             played, loss = run.step(rnd)
             cum += loss
-            rec = {
+            records.append({
                 "t": t,
                 **getattr(run, "fields", plain),
                 "x": _floats(played),
                 "r": _floats(rnd.r),
                 "loss": float(loss),
                 "cum_loss": float(cum),
-            }
-            rec.update(checker.check(rec))
-            records.append(rec)
+            })
             per_round_ms.append(1000.0 * (time.perf_counter() - tick))
+        problems = _check(checker, records)
         crp, crp_loss = best_crp(rounds, dims, solver_cfg)
     except SolverFailure as failure:
-        result = _assemble(cfg_echo, records, checker.problems, None, None, aborted=str(failure))
+        if problems is None:
+            problems = _check(checker, records)
+        result = _assemble(cfg_echo, records, problems, None, None, aborted=str(failure))
         if out_path is not None:
             save_trace(result, out_path, per_round_ms, started)
         raise
 
-    result = _assemble(cfg_echo, records, checker.problems, _floats(crp), crp_loss, None)
+    result = _assemble(cfg_echo, records, problems, _floats(crp), crp_loss, None)
     if out_path is not None:
         save_trace(result, out_path, per_round_ms, started)
     return result
+
+
+def _check(checker: TraceChecker, records: list) -> list:
+    """Check the run's records, add the derived fields to them and return the problems.
+
+    A strict checker raises for the earliest violation; a record that cannot
+    be checked raises what checking it raised.
+    """
+    checked = checker.check_records(records)
+    if checked.stop is not None:
+        raise checked.stop[1]
+    for rec, derived in zip(records, checked.derived):
+        rec.update(derived)
+    return checked.problems
 
 
 def _assemble(cfg_echo, records, violations, crp_weights, crp_loss, aborted):
@@ -523,21 +629,36 @@ def verify_trace(trace: dict) -> list:
         checker = TraceChecker(trace.get("config", {}))
     except (KeyError, TypeError, ValueError) as exc:
         return [f"config: unusable ({exc})"]
-    problems = checker.problems  # the checker appends its findings here
-    for position, rec in enumerate(records, start=1):
+    if not isinstance(records, list):
+        return ["per_round: not a list"]
+    checked = checker.check_records(records)
+    found: dict = {}  # the checker's problems by record position
+    for position, message in checked.issues:
+        found.setdefault(position, []).append(message)
+    problems = []
+    stop = checked.stop
+    for position, derived in enumerate(checked.derived):
+        problems += found.get(position, ())
+        rec = records[position]
         try:
-            derived = checker.check(rec)
             for key, value in derived.items():
                 recorded = rec.get(key)
                 if value == recorded:
                     continue
                 if value is None or recorded is None or not abs(value - recorded) <= _DERIVED_TOL[key] * max(1.0, abs(value)):
                     problems.append(f"round {rec['t']}: recorded {key} {recorded!r} != recomputed {value!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            # A partly checked record leaves the checker's state undefined, so the replay stops here.
-            # The round is the record's position, since its own "t" may be what is malformed.
-            problems.append(f"round {position}: record cannot be checked ({type(exc).__name__}: {exc})")
-            return problems
+        except (TypeError, ValueError) as exc:
+            stop = (position, exc)
+            break
+    else:
+        if stop is not None:  # what the checks of the stopped record found before it failed
+            problems += found.get(stop[0], ())
+    if stop is not None:
+        # The replay stops at a record that cannot be checked at all.  The round is the record's
+        # position, since its own "t" may be what is malformed.
+        position, exc = stop
+        problems.append(f"round {position + 1}: record cannot be checked ({type(exc).__name__}: {exc})")
+        return problems
 
     if not isinstance(summary, dict):
         problems.append("summary: not an object")

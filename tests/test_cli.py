@@ -75,8 +75,9 @@ def saved_trace(tmp_path):
         (lambda doc: [doc], EXIT_BAD_INPUT, "the document is not a JSON object"),
         (lambda doc: {**doc, "trace": [doc["trace"]]}, EXIT_BAD_INPUT, "its trace is not a JSON object"),
         (lambda doc: {**doc, "trace": {**doc["trace"], "summary": [doc["trace"]["summary"]]}}, EXIT_VERIFY, "summary: not an object"),
+        (lambda doc: {**doc, "trace": {**doc["trace"], "per_round": 5}}, EXIT_VERIFY, "per_round: not a list"),
     ],
-    ids=["document", "trace", "summary"],
+    ids=["document", "trace", "summary", "per_round"],
 )
 def test_verify_reports_a_part_that_is_not_an_object(saved_trace, capsys, reshape, code, message):
     saved_trace.write_text(json.dumps(reshape(json.loads(saved_trace.read_text()))))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from barrons import harness
-from barrons.adaptive import AdaConfig
-from barrons.domain import ProblemDims
+from barrons.adaptive import AdaConfig, EpochHistory
+from barrons.domain import ProblemDims, loss_grad_arrays
 from barrons.harness import (
     LEARNER_NAMES,
     TraceChecker,
@@ -137,7 +137,8 @@ def test_rate_band_check_matches_the_array_formula(n):
             plays.append(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             want = _rate_band_reference(plays, n, t, checker.eta_base)
-            got = [checker._rate_schedule_left(x, x.tolist(), float(np.add.reduce(x))) for x in plays]
+            epoch = np.array(plays)
+            got = checker._rate_left(epoch, np.add.reduce(epoch, axis=1)).tolist()
         assert got == want
         outcomes.update(want)
     assert outcomes == {False, True}
@@ -233,21 +234,6 @@ def test_verifier_catches_missing_or_nan_summary_fields(blowup_result, key, miss
     assert any(p.startswith("summary:") and (key in p or "max gradient" in p) for p in problems), problems
 
 
-@pytest.mark.parametrize("n", (2, 3, 5, 20))
-def test_ratio_dev_is_bitwise_the_numpy_formula(n):
-    rng = np.random.default_rng(600 + n)
-    for trial in range(60):
-        prev = rng.dirichlet(np.ones(n))
-        cur = prev * (1.0 + rng.normal(0.0, 10.0 ** rng.uniform(-12.0, -1.0), n))
-        if trial >= 40:  # a zero, NaN or infinite coordinate
-            target = cur if trial % 2 else prev
-            target[rng.integers(n)] = (0.0, np.nan, np.inf, -np.inf)[trial % 4]
-        with np.errstate(all="ignore"):
-            want = float(np.abs(cur / prev - 1.0).max())
-            got = harness._ratio_dev(cur.tolist(), prev.tolist())
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
 def test_checker_raises_when_strict_and_records_otherwise(blowup_result):
     records = json.loads(blowup_result.body_json())["per_round"]
     # A round whose ceiling no later check reads: neither it nor the next round restarts.
@@ -255,16 +241,54 @@ def test_checker_raises_when_strict_and_records_otherwise(blowup_result):
     records[bad]["alpha"] = 0.4999
     t = records[bad]["t"]
 
-    relaxed = TraceChecker(blowup_result.config)
-    derived = [relaxed.check(rec) for rec in records]
+    relaxed = TraceChecker(blowup_result.config).check_records(records)
+    derived = relaxed.derived
     assert len(relaxed.problems) == 1 and relaxed.problems[0].startswith(f"round {t}: recorded ceiling")
     assert [d["u_ratio"] for d in derived] == [rec["u_ratio"] for rec in records]
 
     strict = TraceChecker(blowup_result.config, strict=True)
     with pytest.raises(AssertionError, match=f"round {t}: recorded ceiling"):
-        for rec in records:
-            strict.check(rec)
-    assert rec is records[bad]
+        strict.check_records(records)
+
+
+@pytest.mark.parametrize("n, t", [(2, 512), (5, 256), (20, 256)])
+def test_checker_ceiling_is_bitwise_the_controllers(n, t):
+    # Each round's ceiling is one matrix-vector product over its epoch so far, as the controller takes
+    # it; one matrix product per epoch would move some ceilings in their last bits.
+    result = run_market("ada", MarketSpec("blowup", ProblemDims(n, t)))
+    assert result.summary["restarts"] >= 2
+    ceilings = TraceChecker(result.config).check_records(result.per_round).ceilings
+    history = EpochHistory(t, n)
+    for rec, ceiling in zip(result.per_round, ceilings):
+        x, r = np.array(rec["x"]), np.array(rec["r"])
+        history.append(r, x, loss_grad_arrays(x, r)[1])
+        want = history.ceiling(np.array(rec["u"]))
+        assert np.float64(ceiling).tobytes() == np.float64(want).tobytes() == np.float64(rec["alpha"]).tobytes(), rec["t"]
+        if rec["restart"]:
+            history.clear()
+
+
+def test_runner_checks_its_records_after_the_last_round(monkeypatch, blowup_result):
+    records = blowup_result.per_round
+    # A round whose ceiling no later check reads: neither it nor the next round restarts.
+    bad = next(i for i in range(1, len(records) - 1) if not (records[i]["restart"] or records[i + 1]["restart"]))
+    k = records[bad]["t"]
+    step = harness._AdaRun.step
+
+    def step_recording_a_wrong_ceiling_on_round_k(self, rnd):
+        out = step(self, rnd)
+        self.round = getattr(self, "round", 0) + 1
+        if self.round == k:
+            self.fields["alpha"] = 0.4999
+        return out
+
+    monkeypatch.setattr(harness._AdaRun, "step", step_recording_a_wrong_ceiling_on_round_k)
+    relaxed = run_market("ada", MarketSpec("blowup", DIMS))
+    assert relaxed.summary["invariant_violations"] == [
+        f"round {k}: recorded ceiling 0.4999 != recomputed {records[bad]['alpha']!r}"
+    ]
+    with pytest.raises(AssertionError, match=f"^invariant violation: round {k}: recorded ceiling"):
+        run_market("ada", MarketSpec("blowup", DIMS), strict=True)
 
 
 def test_verifier_catches_tampered_restart_flag(blowup_result):
@@ -331,6 +355,9 @@ def test_partial_trace_persisted_on_solver_failure(tmp_path):
     trace = load_trace(out)
     assert trace["summary"]["aborted"]
     assert trace["summary"]["best_crp_loss"] is None
+    records = trace["per_round"]
+    assert records and all({"grad_inf", "x_ratio", "u_ratio"} <= rec.keys() for rec in records)
+    assert verify_trace(trace) == []
 
 
 def test_bad_learner_params_propagate():
