@@ -43,11 +43,11 @@ A change to the checkers is proved on traces that fail them:
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
 blowup market at n=2 and T=64, applies each entry of ``TAMPERS`` (one
-field of one record, of the per-round list or of the summary) to a fresh
-copy of the learner's body, and prints the full list of problems
+field of one record, or the per-round list, the summary or the config) to
+a fresh copy of the learner's body, and prints the full list of problems
 ``verify_trace`` finds in it (or the exception it raises).  The entries
-trigger every message of the checker, and repeat the NaN and
-malformed-record cases of the tests.
+trigger every message of the checker and of the summary comparison, and
+repeat the NaN, malformed-record and extreme-integer cases of the tests.
 """
 
 from __future__ import annotations
@@ -209,6 +209,9 @@ TAMPERS = [
     ("ada", "ratio_max", 19, "ratio_max", lambda v: 2.0 * v),
     ("ada", "ratio_max_prev", 19, "ratio_max_prev", lambda v: 2.0 * v),
     ("ada", "total_loss", None, "summary", lambda s: {**s, "total_loss": s["total_loss"] + 0.5}),
+    ("ada", "rounds_played", None, "summary", lambda s: {**s, "rounds_played": 10}),
+    ("ada", "invariant_violations", None, "summary", lambda s: {**s, "invariant_violations": ["x"]}),
+    ("ada", "huge_best_crp_loss", None, "summary", lambda s: {**s, "best_crp_loss": 10**400}),
     ("ada", "per_round_not_a_list", None, "per_round", lambda v: 5),
     ("barrons", "play_band", 10, "x", lambda x: [0.6, 0.4]),
     ("barrons", "x_ratio", 10, "x_ratio", lambda v: v + 1e-9),
@@ -227,6 +230,13 @@ TAMPERS = [
     ("ada", "string_epoch", 10, "epoch", lambda v: "2"),
     ("eg", "missing_grad_inf", 10, "grad_inf", lambda v: _DELETE),
     ("barrons", "record_not_an_object", 10, None, lambda rec: [1.0, 2.0]),
+    # Extreme integers, which overflow a float.
+    ("ada", "epoch_overflows_beta", 10, "epoch", lambda v: -2000),
+    ("ada", "huge_epoch", 10, "epoch", lambda v: 10**400),
+    ("ada", "huge_loss", 10, "loss", lambda v: 10**400),
+    ("eg", "huge_loss", 10, "loss", lambda v: 10**400),
+    ("ada", "huge_grad_inf", 10, "grad_inf", lambda v: 10**400),
+    ("ada", "huge_horizon", None, "config", lambda c: {**c, "t": 10**400}),
 ]
 
 

@@ -3,9 +3,12 @@
 The update rules are plain functions so they can be tested against closed
 forms; thin stateful classes adapt them to the harness stepping interface
 (``start`` once, then ``step`` per round returning the played point and its
-log-loss).  Only the Newton-step learners operate on the clipped simplex;
-the multiplicative and projected-gradient baselines use the full simplex as
-they classically do.
+log-loss).  The online Newton step is the fixed-rate learner's
+mirror-descent step without its barrier (``omd_step_objective`` with no
+rates) and, like it, plays on the clipped simplex; the multiplicative,
+projected-gradient, Soft-Bayes and universal-portfolio baselines use the
+full simplex as they classically do.  ``best_crp`` is the hindsight
+comparator every run's regret is measured against.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import leader_objective
+from .core import omd_step_objective
 from .domain import (
     MarketRound,
     ProblemDims,
@@ -22,16 +26,14 @@ from .domain import (
     nudge_interior,
     uniform_portfolio,
 )
-from .solver import Objective, SolverConfig, minimize_over_clipped_simplex
+from .solver import SolverConfig, minimize_over_clipped_simplex
 
 __all__ = [
     "project_simplex",
     "eg_step",
     "ogd_step",
     "soft_bayes_step",
-    "ons_objective",
     "best_crp",
-    "universal_portfolio_grid",
     "OnsLearner",
     "EgLearner",
     "OgdLearner",
@@ -69,33 +71,6 @@ def soft_bayes_step(x: np.ndarray, r: np.ndarray, eta: float) -> np.ndarray:
     exactly because the reweighting has mean one under ``x``.
     """
     return x * (1.0 - eta + eta * r / float(x @ r))
-
-
-def ons_objective(grad_t, cov, x_prev, beta) -> Objective:
-    """Linearized loss plus a pure covariance-quadratic divergence.
-
-    The Hessian is constant: every call returns the same read-only array,
-    so `cov` must not change while the objective is in use.
-    """
-    half_beta = 0.5 * beta  # the value's ``0.5 * beta * q`` multiplies left to right
-    beta_cov = beta * cov
-    beta_cov.setflags(write=False)
-
-    def value(x):
-        d = x - x_prev
-        return float(grad_t @ d + half_beta * (d @ cov @ d))
-
-    def gradient(x):
-        return grad_t + beta * (cov @ (x - x_prev))
-
-    def hessian(x):
-        return beta_cov
-
-    def value_many(pts):
-        d = pts - x_prev
-        return d @ grad_t + 0.5 * beta * np.einsum("ij,jk,ik->i", d, cov, d)
-
-    return Objective(value, gradient, hessian, value_many)
 
 
 def best_crp(
@@ -137,29 +112,8 @@ def _full_simplex_grid(n: int, resolution: float) -> np.ndarray:
     raise ValueError("grid portfolios support 2 or 3 assets only")
 
 
-def universal_portfolio_grid(rounds, dims: ProblemDims, resolution: float):
-    """Wealth-weighted average of constant-rebalanced portfolios on a grid.
-
-    Quadrature stand-in for the integral strategy: every grid point runs as
-    a CRP, and each round the play is the wealth-weighted mean of the grid.
-    Returns ``(plays, total_loss)`` where `plays` is a (rounds, n) array.
-    """
-    grid = _full_simplex_grid(dims.n, resolution)
-    wealth = np.ones(len(grid))
-    plays = []
-    total_loss = 0.0
-    for rnd in rounds:
-        r = np.asarray(rnd.r if isinstance(rnd, MarketRound) else rnd, dtype=float)
-        x = wealth @ grid / wealth.sum()
-        plays.append(x)
-        total_loss += -np.log(float(x @ r))
-        wealth = wealth * (grid @ r)
-        wealth /= wealth.max()  # rescaling cancels in the weighted mean
-    return np.array(plays), float(total_loss)
-
-
 class OnsLearner:
-    """Online Newton step: quadratic-divergence mirror descent, clipped simplex.
+    """Online Newton step: mirror descent with the covariance quadratic alone, clipped simplex.
 
     ``mix`` blends the played point toward uniform; the internal iterate
     still follows the mirror-descent recursion with gradients taken at the
@@ -187,7 +141,7 @@ class OnsLearner:
         played = (1.0 - self.mix) * self.x + self.mix / self.dims.n
         loss, grad = loss_grad_arrays(played, rnd.r)
         self.cov = self.cov + np.outer(grad, grad)
-        obj = ons_objective(grad, self.cov, self.x, self.beta)
+        obj = omd_step_objective(grad, self.cov, self.x, self.beta)
         self.x = minimize_over_clipped_simplex(obj, nudge_interior(self.x, self.dims), self.dims, self.solver_cfg)
         return played, loss
 

@@ -169,18 +169,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     trace = load_trace(args.trace)
+    # The run's own violations are among the problems: the checker finds them again.
     problems = verify_trace(trace)
-    summary = trace.get("summary")  # verify_trace reports one that is not an object
-    recorded = summary.get("invariant_violations", []) if isinstance(summary, dict) else []
     if problems:
         print(f"{args.trace}: {len(problems)} problems", file=sys.stderr)
         for line in problems[:20]:
             print(f"  {line}", file=sys.stderr)
         return EXIT_VERIFY
-    if recorded:
-        print(f"{args.trace}: consistent, but the run itself recorded {len(recorded)} violations")
-    else:
-        print(f"{args.trace}: ok")
+    print(f"{args.trace}: ok")
     return EXIT_OK
 
 

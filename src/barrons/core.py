@@ -27,7 +27,6 @@ __all__ = [
     "BarronsState",
     "barrons_init",
     "barrons_step",
-    "bregman_divergence",
     "omd_step_objective",
 ]
 
@@ -67,37 +66,54 @@ def omd_step_objective(
     cov: np.ndarray,
     x_prev: np.ndarray,
     beta: float,
-    eta: np.ndarray,
+    eta: Optional[np.ndarray] = None,
 ) -> Objective:
     """Linearized loss plus divergence from the previous play.
+
+    The divergence is the covariance quadratic (weight ``beta``) plus, when
+    rates ``eta`` are given, the per-coordinate log-barriers.  Without
+    ``eta`` it is the quadratic alone: the online Newton step, whose
+    Hessian is constant, so every call returns the same read-only array.
+    ``cov`` must not change while the objective is in use.
 
     Written in displacement form (value 0 at ``x_prev``): additive constants
     do not move the argmin, and evaluating ``z - log1p(z)`` on the relative
     displacement ``z = (x - x_prev)/x_prev`` keeps line-search comparisons
     meaningful when the rates 1/eta are large and steps are tiny.
     """
-    inv_eta = 1.0 / eta
+    barrier = eta is not None
+    inv_eta = 1.0 / eta if barrier else None
     half_beta = 0.5 * beta  # the value's ``0.5 * beta * q`` multiplies left to right
+    beta_cov = beta * cov
+    beta_cov.setflags(write=False)
 
     def value(x):
         d = x - x_prev
-        z = d / x_prev
-        return float(grad_t @ d + half_beta * (d @ cov @ d) + inv_eta @ (z - np.log1p(z)))
+        v = grad_t @ d + half_beta * (d @ cov @ d)
+        if barrier:
+            z = d / x_prev
+            v = v + inv_eta @ (z - np.log1p(z))
+        return float(v)
 
     def gradient(x):
         d = x - x_prev
-        return grad_t + beta * (cov @ d) + inv_eta * d / (x * x_prev)
+        g = grad_t + beta * (cov @ d)
+        return g + inv_eta * d / (x * x_prev) if barrier else g
 
     def hessian(x):
-        h = beta * cov
+        if not barrier:
+            return beta_cov
+        h = beta_cov.copy()
         h.ravel()[:: x.size + 1] += inv_eta / (x * x)
         return h
 
     def value_many(pts):
         d = pts - x_prev
-        z = d / x_prev
-        quad = 0.5 * beta * np.einsum("ij,jk,ik->i", d, cov, d)
-        return d @ grad_t + quad + (z - np.log1p(z)) @ inv_eta
+        v = d @ grad_t + half_beta * np.einsum("ij,jk,ik->i", d, cov, d)
+        if barrier:
+            z = d / x_prev
+            v = v + (z - np.log1p(z)) @ inv_eta
+        return v
 
     return Objective(value, gradient, hessian, value_many)
 
@@ -134,27 +150,3 @@ def barrons_step(
     obj = omd_step_objective(grad, state.cov, x_t, state.beta, state.eta)
     state.x = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims, solver_cfg, diagnostics)
     return loss, grad
-
-
-def bregman_divergence(
-    x: np.ndarray,
-    y: np.ndarray,
-    cov: np.ndarray,
-    beta: float,
-    eta: np.ndarray,
-) -> float:
-    """Divergence of the mixed quadratic/log-barrier regularizer.
-
-    Equals ``beta/2 (x-y)' cov (x-y) + sum_i (1/eta_i) h(x_i/y_i)`` with
-    ``h(z) = z - 1 - log z``.  Nonnegative, zero iff ``x == y`` (for
-    positive definite ``cov``; the barrier part alone is already zero only
-    at equal points).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise ValueError("divergence needs strictly positive coordinates")
-    d = x - y
-    z = d / y
-    quad = 0.5 * beta * float(d @ np.asarray(cov) @ d)
-    return quad + float((1.0 / np.asarray(eta)) @ (z - np.log1p(z)))

@@ -12,9 +12,10 @@ checking them and runs the checker once after the last round (or on the
 partial records of a run a solver failure aborts), so ``meta.per_round_ms``
 times the learner's round alone.  In the default mode the violations are
 recorded in the summary; ``strict=True`` then raises for the earliest one.
-``verify`` runs the same checker over a persisted trace, so a trace is
-self-certifying: it carries the played points, the rounds, and the leaders
-needed to recompute every quantity it claims.
+``verify`` runs the same checker over a persisted trace and rebuilds the
+summary with the runner's own function, so a trace is self-certifying: it
+carries the played points, the rounds, and the leaders needed to recompute
+every quantity it claims.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ class ExperimentResult:
         return json.dumps(self.trace_dict(), sort_keys=True, separators=(",", ":"))
 
 
-# Summary fields that verify_trace checks against the records.
-_SUMMARY_CHECKED = ("total_loss", "best_crp_loss", "regret", "max_grad_inf_norm", "epoch_count", "restarts")
-
-
 def _floats(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
@@ -110,8 +107,8 @@ _CHECKS = (
 )
 _ORDER = {name: i for i, name in enumerate(_CHECKS)}
 
-# What a record that cannot be converted, or checked, raises.
-_MALFORMED = (KeyError, TypeError, ValueError)
+# What a record that cannot be converted, or checked, raises; an extreme integer overflows a float.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _ratio_steps(v: np.ndarray) -> np.ndarray:
@@ -210,7 +207,7 @@ class TraceChecker:
         return values, np.array(values, dtype=float)
 
     def _columns(self, records) -> dict:
-        """The fields the checks read, one entry per field, in the order a record's checks read them."""
+        """The fields the checks read, one entry per field plus an ada run's beta schedule, in the order a record's checks read them."""
         cols = {
             "t": [rec["t"] for rec in records],
             "x": self._vectors(records, "x"),
@@ -221,6 +218,8 @@ class TraceChecker:
         if self.learner == "ada":
             for key in ("epoch", "beta", "alpha"):
                 cols[key] = self._numbers(records, key)
+            # beta_init/2^(epoch-1) per record, as the beta check compares it; an extreme epoch overflows it.
+            cols["beta_want"] = [self.beta_init * 0.5 ** (e - 1) for e in cols["epoch"][0]]
             cols["restart"] = [bool(rec["restart"]) for rec in records]
             cols["u"] = self._vectors(records, "u")
         return cols
@@ -346,7 +345,7 @@ class TraceChecker:
         alphas, alpha = cols["alpha"]
         restarts, u = cols["restart"], cols["u"]
         m = len(epochs)
-        fail("beta", [i for i, (b, e) in enumerate(zip(betas, epochs)) if b != self.beta_init * 0.5 ** (e - 1)],
+        fail("beta", [i for i, (b, want) in enumerate(zip(betas, cols["beta_want"])) if b != want],
              lambda i: f"beta {betas[i]!r} is not beta_init/2^(epoch-1)")
         fail("budget", [i for i, e in enumerate(epochs) if e > self.budget],
              lambda i: f"epoch {epochs[i]} exceeds budget {self.budget}")
@@ -425,7 +424,6 @@ class _BarronsRun:
     def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
         self.state = barrons_init(dims, self.beta, self.cfg.base_rate(dims))
         self.solver_cfg = solver_cfg
-        self.fields = {"epoch": 1, "beta": self.beta, "alpha": None, "u": None, "restart": False}
         return self
 
     def step(self, rnd: MarketRound):
@@ -492,6 +490,7 @@ def run_experiment(
     # The learner validates its parameters before the checker derives bands from them.
     run = _BUILDERS[learner](params).start(dims, solver_cfg)
     checker = TraceChecker(cfg_echo, strict)
+    # The controller's fields of a one-epoch run with no leader: the fixed-rate learner and the baselines.
     plain = {"epoch": 1, "beta": getattr(run, "beta", None), "alpha": None, "u": None, "restart": False}
     cum = 0.0
     problems = None
@@ -514,12 +513,12 @@ def run_experiment(
     except SolverFailure as failure:
         if problems is None:
             problems = _check(checker, records)
-        result = _assemble(cfg_echo, records, problems, None, None, aborted=str(failure))
+        result = ExperimentResult(cfg_echo, records, _summary(records, problems, None, None, str(failure)))
         if out_path is not None:
             save_trace(result, out_path, per_round_ms, started)
         raise
 
-    result = _assemble(cfg_echo, records, problems, _floats(crp), crp_loss, None)
+    result = ExperimentResult(cfg_echo, records, _summary(records, problems, _floats(crp), crp_loss, None))
     if out_path is not None:
         save_trace(result, out_path, per_round_ms, started)
     return result
@@ -539,7 +538,12 @@ def _check(checker: TraceChecker, records: list) -> list:
     return checked.problems
 
 
-def _assemble(cfg_echo, records, violations, crp_weights, crp_loss, aborted):
+def _summary(records, violations, crp_weights, crp_loss, aborted) -> dict:
+    """The summary of a run's records, given its violations, comparator and abort message (None if complete).
+
+    The runner writes it, and `verify_trace` rebuilds it from a persisted
+    trace to compare field by field.
+    """
     total = records[-1]["cum_loss"] if records else 0.0
     summary = {
         "total_loss": float(total),
@@ -554,7 +558,7 @@ def _assemble(cfg_echo, records, violations, crp_weights, crp_loss, aborted):
     }
     if aborted is not None:
         summary["aborted"] = aborted
-    return ExperimentResult(cfg_echo, records, summary)
+    return summary
 
 
 def run_market(
@@ -618,16 +622,19 @@ def verify_trace(trace: dict) -> list:
     A ``TraceChecker`` replays every per-round invariant from the recorded
     plays, rounds and leaders, and the fields it derives (gradient norm,
     play and leader ratios, ratio maxima) must match the recorded ones.
-    Then the summary arithmetic is recomputed.  A record that cannot be
-    checked at all (a field missing, of the wrong type or shape, or a play
-    with no wealth on its round) is reported by its round, and the replay
-    stops there.  An empty list means the trace is internally consistent.
+    Then the summary is rebuilt from the records, the checker's problems and
+    the summary's own comparator and abort message, with the runner's
+    function, and every field must equal the recorded one.  A record that
+    cannot be checked at all (a field missing, of the wrong type or shape,
+    an integer too large for a float, or a play with no wealth on its
+    round) is reported by its round, and the replay stops there.  An empty
+    list means the trace is internally consistent.
     """
     records = trace.get("per_round", [])
     summary = trace.get("summary", {})
     try:
         checker = TraceChecker(trace.get("config", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         return [f"config: unusable ({exc})"]
     if not isinstance(records, list):
         return ["per_round: not a list"]
@@ -647,7 +654,7 @@ def verify_trace(trace: dict) -> list:
                     continue
                 if value is None or recorded is None or not abs(value - recorded) <= _DERIVED_TOL[key] * max(1.0, abs(value)):
                     problems.append(f"round {rec['t']}: recorded {key} {recorded!r} != recomputed {value!r}")
-        except (TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             stop = (position, exc)
             break
     else:
@@ -663,31 +670,16 @@ def verify_trace(trace: dict) -> list:
     if not isinstance(summary, dict):
         problems.append("summary: not an object")
         return problems
-    if not records:
-        return problems
     try:
-        missing = [key for key in _SUMMARY_CHECKED if key not in summary]
-        if missing:
-            problems.append(f"summary: missing {', '.join(missing)}")
-        total = records[-1]["cum_loss"]
-        if "total_loss" in summary and not abs(summary["total_loss"] - total) <= 1e-9:
-            problems.append("summary: total_loss disagrees with the last cumulative loss")
-        crp_loss = summary.get("best_crp_loss")
-        regret = summary.get("regret")
-        if crp_loss is not None and regret is not None:  # both None in an aborted run
-            if not abs(regret - (total - crp_loss)) <= 1e-9:
-                problems.append("summary: regret is not total_loss - best_crp_loss")
-        g = max(rec["grad_inf"] for rec in records)
-        if "max_grad_inf_norm" in summary and not abs(summary["max_grad_inf_norm"] - g) <= 1e-9 * max(1.0, g):
-            problems.append("summary: max gradient norm mismatch")
-        epochs = max(rec["epoch"] for rec in records)
-        if "epoch_count" in summary and summary["epoch_count"] != epochs:
-            problems.append("summary: epoch_count mismatch")
-        restarts = sum(1 for rec in records if rec["restart"])
-        if "restarts" in summary and summary["restarts"] != restarts:
-            problems.append("summary: restart count mismatch")
-    except (KeyError, TypeError, ValueError) as exc:
+        rebuilt = _summary(records, checked.problems, summary.get("best_crp"), summary.get("best_crp_loss"), summary.get("aborted"))
+    except _MALFORMED as exc:
         problems.append(f"summary: cannot be checked against the records ({type(exc).__name__}: {exc})")
+        return problems
+    for key, value in rebuilt.items():
+        if key not in summary:
+            problems.append(f"summary: missing {key}")
+        elif summary[key] != value:  # values stay out of the message: a list of violations can be long
+            problems.append(f"summary: {key} disagrees with the records")
     return problems
 
 

@@ -14,15 +14,53 @@ from barrons.baselines import (
     best_crp,
     eg_step,
     ogd_step,
-    ons_objective,
     project_simplex,
     soft_bayes_step,
-    universal_portfolio_grid,
 )
+from barrons.core import omd_step_objective
 from barrons.domain import MarketRound, ProblemDims, uniform_portfolio
 from barrons.markets import MarketSpec, generate
+from barrons.solver import Objective
 
 DIMS = ProblemDims(2, 16)
+
+
+def ons_objective(grad_t, cov, x_prev, beta) -> Objective:
+    """Reference: linearized loss plus the covariance quadratic, the online Newton step's objective."""
+    half_beta = 0.5 * beta
+
+    def value(x):
+        d = x - x_prev
+        return float(grad_t @ d + half_beta * (d @ cov @ d))
+
+    def gradient(x):
+        return grad_t + beta * (cov @ (x - x_prev))
+
+    def hessian(x):
+        return beta * cov
+
+    def value_many(pts):
+        d = pts - x_prev
+        return d @ grad_t + 0.5 * beta * np.einsum("ij,jk,ik->i", d, cov, d)
+
+    return Objective(value, gradient, hessian, value_many)
+
+
+def universal_portfolio_grid(rounds, resolution: float):
+    """Reference: the wealth-weighted mean of two-asset CRPs on a grid, as plays and total loss."""
+    ticks = int(round(1.0 / resolution))
+    a = np.arange(ticks + 1) / ticks
+    grid = np.column_stack([a, 1.0 - a])
+    wealth = np.ones(len(grid))
+    plays = []
+    total_loss = 0.0
+    for rnd in rounds:
+        x = wealth @ grid / wealth.sum()
+        plays.append(x)
+        total_loss += -np.log(float(x @ rnd.r))
+        wealth = wealth * (grid @ rnd.r)
+        wealth /= wealth.max()
+    return np.array(plays), float(total_loss)
 
 
 def random_market(rng, dims: ProblemDims):
@@ -84,7 +122,7 @@ def test_ons_objective_derivatives_consistent():
     rng = np.random.default_rng(23)
     g = np.array([-2.0, -0.5])
     cov = 2.0 * np.eye(2) + np.outer(g, g)
-    obj = ons_objective(g, cov, np.array([0.5, 0.5]), 0.5)
+    obj = omd_step_objective(g, cov, np.array([0.5, 0.5]), 0.5)
     for _ in range(10):
         x = rng.dirichlet(np.ones(2))
         h = 1e-7
@@ -98,6 +136,21 @@ def test_ons_objective_derivatives_consistent():
     np.testing.assert_allclose(
         obj.evaluate_many(pts), [obj.evaluate(p) for p in pts], rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("n", (2, 5, 20))
+def test_step_objective_without_rates_is_bitwise_the_ons_objective(n):
+    rng = np.random.default_rng(n)
+    x_prev = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+    g = -rng.uniform(0.5, 3.0, n)
+    cov = n * np.eye(n) + np.outer(g, g)
+    got, want = omd_step_objective(g, cov, x_prev, 0.5), ons_objective(g, cov, x_prev, 0.5)
+    pts = rng.dirichlet(np.ones(n), size=20) * 0.9 + 0.1 / n
+    for x in pts:
+        assert got.evaluate(x) == want.evaluate(x)
+        assert got.gradient(x).tobytes() == want.gradient(x).tobytes()
+        assert got.hessian(x).tobytes() == want.hessian(x).tobytes()
+    assert got.evaluate_many(pts).tobytes() == want.evaluate_many(pts).tobytes()
 
 
 def test_learner_constructor_validation():
@@ -208,7 +261,7 @@ def test_learner_regret_mild_on_benign_markets():
 def test_universal_portfolio_grid_known_shape():
     dims = ProblemDims(2, 8)
     rounds = generate(MarketSpec("cover_alternating", dims))
-    plays, total_loss = universal_portfolio_grid(rounds, dims, 0.01)
+    plays, total_loss = universal_portfolio_grid(rounds, 0.01)
     assert plays.shape == (8, 2)
     np.testing.assert_allclose(plays[0], [0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(plays.sum(axis=1), np.ones(8), atol=1e-12)
@@ -217,7 +270,7 @@ def test_universal_portfolio_grid_known_shape():
 
 def test_universal_portfolio_grid_rejects_high_dimensions():
     with pytest.raises(ValueError, match="2 or 3 assets"):
-        universal_portfolio_grid([np.ones(4)], ProblemDims(4, 8), 0.05)
+        UpGridLearner(resolution=0.05).start(ProblemDims(4, 8))
 
 
 def test_up_grid_learner_matches_offline_quadrature():
@@ -230,6 +283,6 @@ def test_up_grid_learner_matches_offline_quadrature():
         played, loss = learner.step(rnd)
         online += loss
         plays.append(played)
-    offline_plays, offline_loss = universal_portfolio_grid(rounds, dims, 0.01)
+    offline_plays, offline_loss = universal_portfolio_grid(rounds, 0.01)
     np.testing.assert_allclose(np.array(plays), offline_plays, atol=1e-12)
     assert online == pytest.approx(offline_loss, rel=1e-12)

@@ -10,13 +10,30 @@ from barrons.core import (
     BarronsState,
     barrons_init,
     barrons_step,
-    bregman_divergence,
     omd_step_objective,
 )
 from barrons.domain import MarketRound, ProblemDims, uniform_portfolio
 from barrons.solver import SolveDiagnostics
 
 DIMS = ProblemDims(2, 16)
+
+
+def bregman_divergence(x, y, cov, beta, eta) -> float:
+    """Reference: the divergence of the mixed quadratic/log-barrier regularizer.
+
+    Equals ``beta/2 (x-y)' cov (x-y) + sum_i (1/eta_i) h(x_i/y_i)`` with
+    ``h(z) = z - 1 - log z``.  Nonnegative, zero iff ``x == y`` (for
+    positive definite ``cov``; the barrier part alone is already zero only
+    at equal points).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(x <= 0.0) or np.any(y <= 0.0):
+        raise ValueError("divergence needs strictly positive coordinates")
+    d = x - y
+    z = d / y
+    quad = 0.5 * beta * float(d @ np.asarray(cov) @ d)
+    return quad + float((1.0 / np.asarray(eta)) @ (z - np.log1p(z)))
 
 
 def numeric_gradient(f, x, h=1e-7):
@@ -80,6 +97,19 @@ def test_step_objective_batch_matches_scalar():
     batch = obj.evaluate_many(pts)
     single = np.array([obj.evaluate(p) for p in pts])
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12)
+
+
+def test_step_objective_is_the_linearized_loss_plus_the_divergence():
+    rng = np.random.default_rng(6)
+    for n in (2, 5, 20):
+        x_prev = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+        grad = -rng.uniform(0.5, 3.0, n)
+        cov = n * np.eye(n) + np.outer(grad, grad)
+        eta = rng.uniform(1e-5, 1e-3, n)
+        obj = omd_step_objective(grad, cov, x_prev, 0.4, eta)
+        for x in rng.dirichlet(np.ones(n), size=10) * 0.9 + 0.1 / n:
+            want = float(grad @ (x - x_prev)) + bregman_divergence(x, x_prev, cov, 0.4, eta)
+            assert obj.evaluate(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_bregman_known_value():

@@ -205,9 +205,16 @@ _DELETE = object()
         ("ada", "epoch", "2"),
         ("eg", "grad_inf", _DELETE),
         ("barrons", None, [1.0, 2.0]),
+        # Extreme integers, which overflow a float.
+        ("ada", "epoch", -2000),
+        ("ada", "epoch", 10**400),
+        ("ada", "loss", 10**400),
+        ("eg", "loss", 10**400),
+        ("ada", "grad_inf", 10**400),
     ],
     ids=["ons-dead_play", "ada-missing_loss", "ons-one_coordinate", "eg-string_play",
-         "ada-null_leader", "ada-string_epoch", "eg-missing_grad_inf", "barrons-record_not_an_object"],
+         "ada-null_leader", "ada-string_epoch", "eg-missing_grad_inf", "barrons-record_not_an_object",
+         "ada-epoch_overflows_beta", "ada-huge_epoch", "ada-huge_loss", "eg-huge_loss", "ada-huge_grad_inf"],
 )
 def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learner, field, value):
     trace = json.loads(blowup_results[learner].body_json())
@@ -220,6 +227,39 @@ def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learne
         rec[field] = value
     problems = verify_trace(trace)
     assert any(p.startswith("round 11:") for p in problems), problems
+    if isinstance(value, int):
+        assert problems[-1].startswith("round 11: record cannot be checked (OverflowError: "), problems
+
+
+@pytest.mark.parametrize("key, value", [("t", 10**400), ("n", None)])
+def test_verifier_reports_an_unusable_config(blowup_result, key, value):
+    trace = json.loads(blowup_result.body_json())
+    trace["config"][key] = value
+    problems = verify_trace(trace)
+    assert len(problems) == 1 and problems[0].startswith("config: unusable"), problems
+
+
+@pytest.mark.parametrize(
+    "key, tamper",
+    [
+        ("rounds_played", lambda v: 10),
+        ("invariant_violations", lambda v: ["x"]),
+        ("epoch_count", lambda v: v + 1),
+        ("restarts", lambda v: v - 1),
+    ],
+    ids=["rounds_played", "invariant_violations", "epoch_count", "restarts"],
+)
+def test_verifier_catches_a_summary_field_the_records_contradict(blowup_result, key, tamper):
+    trace = json.loads(blowup_result.body_json())
+    trace["summary"][key] = tamper(trace["summary"][key])
+    assert verify_trace(trace) == [f"summary: {key} disagrees with the records"]
+
+
+def test_verifier_reports_a_summary_it_cannot_rebuild(blowup_result):
+    trace = json.loads(blowup_result.body_json())
+    trace["summary"]["best_crp_loss"] = 10**400
+    problems = verify_trace(trace)
+    assert len(problems) == 1 and problems[0].startswith("summary: cannot be checked"), problems
 
 
 @pytest.mark.parametrize("key", ("total_loss", "max_grad_inf_norm"))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barrons.adaptive import default_eta, leader_objective
-from barrons.baselines import ons_objective
 from barrons.core import omd_step_objective
 from barrons.domain import ProblemDims, nudge_interior, uniform_portfolio
 from barrons.solver import (
@@ -325,7 +324,7 @@ def _ons_case(rng, dims, floor_active):
     x_prev = _nearby_point(rng, dims, x_star, -3.0, 0.0)
     cov = _random_cov(rng, dims.n)
     grad = multipliers - 0.5 * (cov @ (x_star - x_prev))
-    return ons_objective(grad, cov, x_prev, 0.5), x_prev, x_star
+    return omd_step_objective(grad, cov, x_prev, 0.5), x_prev, x_star
 
 
 def _leader_case(rng, dims, floor_active):
