@@ -3,15 +3,14 @@
     python3 scripts/trace_digests.py > digests.json
 
 The main grid is every learner on every market kind at n in {2, 5} and
-T in {64, 256}, with strict checking off and on, all at market seed 3
-(224 runs).  A second grid covers non-default settings at T=64 on every
+T in {64, 256}, all at market seed 3 (112 runs).  A second grid covers non-default settings at T=64 on every
 market kind and n in {2, 5}: each entry of ``NON_DEFAULT`` (learner
 parameters, and one solver configuration for the learners that call the
 solver), 128 runs.  A third, wide grid runs ada, barrons and ons on every
 market kind at n=10 and T=64 (12 runs), where the solver's reduced Newton
 system has nine columns and its step sums many terms.  Last come the
 benchmark's two inputs, ada and ons on blowup at n=2 and T=512, so the
-proof covers the runs being timed.  The 366 runs take about 35 s on one
+proof covers the runs being timed.  The 254 runs take about 13 s on one
 core.  The package is imported from the ``src`` directory beside this
 script.
 
@@ -46,8 +45,9 @@ blowup market at n=2 and T=64, applies each entry of ``TAMPERS`` (one
 field of one record, or the per-round list, the summary or the config) to
 a fresh copy of the learner's body, and prints the full list of problems
 ``verify_trace`` finds in it (or the exception it raises).  The entries
-trigger every message of the checker and of the summary comparison, and
-repeat the NaN, malformed-record and extreme-integer cases of the tests.
+trigger every message of the checker, of the record count and of the
+summary comparison, and repeat the NaN, floor-tolerance, malformed-record
+and extreme-integer cases of the tests.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from barrons.domain import ProblemDims
+from barrons.domain import FLOOR_TOL, ProblemDims
 from barrons.harness import LEARNER_NAMES, run_market, verify_trace
 from barrons.markets import MARKET_KINDS, MarketSpec
 from barrons.solver import SolverConfig, SolverFailure
@@ -100,13 +100,13 @@ LEADER_RECORD_FIELDS = ("u", "alpha", "u_ratio", "ratio_max", "ratio_max_prev")
 LEADER_SUMMARY_FIELDS = ("best_crp", "best_crp_loss", "regret")
 
 
-def digest(learner: str, kind: str, n: int, t: int, strict: bool, params=None, solver=None):
+def digest(learner: str, kind: str, n: int, t: int, params=None, solver=None):
     """One run's digest entry, and its canonical body (None when the run raised)."""
     spec = MarketSpec(kind, ProblemDims(n, t), seed=SEED)
     solver_cfg = None if solver is None else SolverConfig(kkt_tol=solver[0], max_newton_iters=solver[1])
     try:
-        result = run_market(learner, spec, params=params, solver_cfg=solver_cfg, strict=strict)
-    except (ValueError, AssertionError, SolverFailure) as exc:
+        result = run_market(learner, spec, params=params, solver_cfg=solver_cfg)
+    except (ValueError, SolverFailure) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, None
     body = result.body_json()
     entry = {
@@ -164,8 +164,7 @@ def grid():
         for kind in MARKET_KINDS:
             for n in N_VALUES:
                 for t in T_VALUES:
-                    for strict in (False, True):
-                        yield f"{learner}/{kind}/n={n}/T={t}/strict={int(strict)}", (learner, kind, n, t, strict)
+                    yield f"{learner}/{kind}/n={n}/T={t}", (learner, kind, n, t)
     for learner, params, solver in NON_DEFAULT:
         parts = [f"{k}={v}" for k, v in sorted(params.items())]
         if solver is not None:
@@ -173,15 +172,16 @@ def grid():
         setting = ",".join(parts)
         for kind in MARKET_KINDS:
             for n in N_VALUES:
-                yield f"{learner}[{setting}]/{kind}/n={n}/T=64", (learner, kind, n, 64, False, params, solver)
+                yield f"{learner}[{setting}]/{kind}/n={n}/T=64", (learner, kind, n, 64, params, solver)
     for learner in WIDE_LEARNERS:
         for kind in MARKET_KINDS:
-            yield f"{learner}/{kind}/n={WIDE_N}/T=64/strict=0", (learner, kind, WIDE_N, 64, False)
+            yield f"{learner}/{kind}/n={WIDE_N}/T=64", (learner, kind, WIDE_N, 64)
     for learner in BENCHMARK_RUNS:
-        yield f"{learner}/blowup/n=2/T=512/strict=0", (learner, "blowup", 2, 512, False)
+        yield f"{learner}/blowup/n=2/T=512", (learner, "blowup", 2, 512)
 
 
 _DELETE = object()  # a tamper's value that deletes the field
+_FLOOR = 1.0 / 128.0  # the clipped-simplex floor 1/(nT) at n=2, T=64
 
 # (learner, name, record index or None for the trace itself, field or None for the whole record,
 #  the new value as a function of the old one).  Round 20 (index 19) closes the ada run's first epoch.
@@ -198,7 +198,10 @@ TAMPERS = [
     ("ada", "ceiling_recorded", 10, "alpha", lambda v: 0.4999),
     ("ada", "ceiling_range", 10, "alpha", lambda v: 0.6),
     ("ada", "restart_flag", 19, "restart", lambda v: not v),
-    ("ada", "rate_schedule", 10, "x", lambda x: [1.0 / 128.0 * (1.0 - 1e-6), 1.0 - 1.0 / 128.0 * (1.0 - 1e-6)]),
+    ("ada", "rate_schedule", 10, "x", lambda x: [_FLOOR * (1.0 - 1e-6), 1.0 - _FLOOR * (1.0 - 1e-6)]),
+    # A coordinate within FLOOR_TOL under the floor is on it for both the floor and the rate checks.
+    ("ada", "play_within_floor_tol", 10, "x", lambda x: [_FLOOR - 1e-13, 1.0 - _FLOOR + 1e-13]),
+    ("ada", "play_past_floor_tol", 10, "x", lambda x: [_FLOOR - 2.0 * FLOOR_TOL, 1.0 - _FLOOR + 2.0 * FLOOR_TOL]),
     ("ada", "leader_band", 10, "u", lambda u: [0.9, 0.1]),
     ("ada", "ratio_max_halves", 19, "x", lambda x: [0.99, 0.01]),
     ("ada", "ceiling_earlier", 18, "alpha", lambda v: 0.25),
@@ -213,10 +216,18 @@ TAMPERS = [
     ("ada", "invariant_violations", None, "summary", lambda s: {**s, "invariant_violations": ["x"]}),
     ("ada", "huge_best_crp_loss", None, "summary", lambda s: {**s, "best_crp_loss": 10**400}),
     ("ada", "per_round_not_a_list", None, "per_round", lambda v: 5),
+    ("ada", "horizon_past_records", None, "config", lambda c: {**c, "t": 128}),
+    ("ada", "aborted_complete_run", None, "summary", lambda s: {**s, "aborted": "x"}),
+    ("ada", "null_best_crp", None, "summary", lambda s: {**s, "best_crp": None}),
+    ("ada", "record_out_of_order", 4, "t", lambda v: 50),
     ("barrons", "play_band", 10, "x", lambda x: [0.6, 0.4]),
     ("barrons", "x_ratio", 10, "x_ratio", lambda v: v + 1e-9),
     ("ons", "weight_sum", 10, "x", lambda x: [c * (1.0 + 1e-11) for c in x]),
     ("eg", "weight_sum", 10, "x", lambda x: [c * (1.0 + 1e-11) for c in x]),
+    # The controller fields of a one-epoch run.
+    *[(learner, f"one_epoch_{field}", 10, field, lambda v, new=new: new)
+      for learner in ("barrons", "ons", "eg")
+      for field, new in (("beta", 0.123), ("epoch", 0), ("alpha", 0.3), ("u", [0.5, 0.5]))],
     # The NaN cases of tests/test_harness.py.
     *[(learner, "nan_play", 10, "x", lambda x: [math.nan, math.nan]) for learner in ("ada", "barrons", "ons", "eg")],
     *[(learner, "nan_loss", 10, "loss", lambda v: math.nan) for learner in ("ada", "eg")],

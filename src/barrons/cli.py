@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for bad inputs or configuration, 2 when the
-inner solver fails, 3 when a trace fails verification.
+inner solver fails, 3 when a trace fails verification or a run records an
+invariant violation.  ``run`` writes its trace (``--out``) before it exits,
+whatever the code.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ def _add_learner_args(parser):
     parser.add_argument("--resolution", type=float, help="grid pitch for up-grid")
     parser.add_argument("--solver-tol", type=float, help="solver first-order tolerance")
     parser.add_argument("--max-newton-iters", type=int, help="per-stage iteration budget")
-    parser.add_argument("--strict", action="store_true", help="fail on the earliest invariant violation, found when the records are checked after the last round")
 
 
 def _market_params(args) -> dict:
@@ -113,7 +114,6 @@ def _cmd_run(args) -> int:
             dims,
             params=params,
             solver_cfg=solver_cfg,
-            strict=args.strict,
             market_desc=f"csv:{args.csv.name}",
             seed=None,
             out_path=args.out,
@@ -124,7 +124,6 @@ def _cmd_run(args) -> int:
             _market_spec(args),
             params=params,
             solver_cfg=solver_cfg,
-            strict=args.strict,
             out_path=args.out,
         )
     summary = result.summary
@@ -138,7 +137,7 @@ def _cmd_run(args) -> int:
             print(f"  {line}", file=sys.stderr)
     if args.out is not None:
         print(f"trace written to {args.out}")
-    return EXIT_OK
+    return EXIT_VERIFY if violations else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
     except SolverFailure as failure:
         print(f"solver failure: {failure}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, OSError, AssertionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

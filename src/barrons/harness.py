@@ -10,18 +10,19 @@ and one ``TraceChecker`` holds every per-round invariant.  It checks a whole
 list of records at once, as arrays.  The runner builds the records without
 checking them and runs the checker once after the last round (or on the
 partial records of a run a solver failure aborts), so ``meta.per_round_ms``
-times the learner's round alone.  In the default mode the violations are
-recorded in the summary; ``strict=True`` then raises for the earliest one.
-``verify`` runs the same checker over a persisted trace and rebuilds the
-summary with the runner's own function, so a trace is self-certifying: it
-carries the played points, the rounds, and the leaders needed to recompute
-every quantity it claims.
+times the learner's round alone.  Every run, complete or aborted, ends the
+same way: its violations are recorded in the summary and its trace is
+written.  ``verify`` runs the same checker over a persisted trace and
+rebuilds the summary with the runner's own function, so a trace is
+self-certifying: it carries the played points, the rounds, and the leaders
+needed to recompute every quantity it claims.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,8 +102,8 @@ def _floats(arr) -> list:
 
 # The checks of a record in the order they run: within a round, problems follow this order.
 _CHECKS = (
-    "play_sum", "play_floor", "loss", "cum_loss", "play_step",
-    "beta", "budget", "sequence", "leader_sum", "leader_floor",
+    "order", "play_sum", "play_floor", "loss", "cum_loss", "play_step",
+    "one_epoch", "beta", "budget", "sequence", "leader_sum", "leader_floor",
     "ceiling", "ceiling_range", "restart", "rate", "leader_band", "ratio_max", "earlier",
 )
 _ORDER = {name: i for i, name in enumerate(_CHECKS)}
@@ -116,6 +117,14 @@ def _ratio_steps(v: np.ndarray) -> np.ndarray:
     out = np.full(len(v), np.nan)
     out[1:] = np.abs(v[1:] / v[:-1] - 1.0).max(axis=1)
     return out
+
+
+def _one_epoch_fields(run) -> dict:
+    """The controller's fields of every record of a one-epoch run with no leader: the fixed-rate learner's and the baselines'.
+
+    ``run`` is the learner; its ``beta``, if it has one, is the rate it keeps.
+    """
+    return {"epoch": 1, "beta": getattr(run, "beta", None), "alpha": None, "u": None, "restart": False}
 
 
 def _ada_config(params: dict) -> AdaConfig:
@@ -161,9 +170,11 @@ class TraceChecker:
     in their stability band (fixed-rate and adaptive) or keep their weight
     sum (baselines).  Adaptive records are also checked against the
     controller's rules: beta per epoch, epoch budget and sequence, leader
-    and its band, ceiling and restart flag, rate schedule, ratio-max.  Every
-    test is written so that a NaN fails it; with ``strict``,
-    `check_records` raises for the earliest violation.
+    and its band, ceiling and restart flag, rate schedule, ratio-max; the
+    records of every other learner must carry the one-epoch controller
+    fields of the learner the config's params build.  Record k must be
+    round k.  Every test is written so that a NaN fails it.  A violation is
+    reported, never raised.
 
     The records' fields are converted to arrays once, and each check is an
     array expression over all rounds, or over the rounds of one epoch.  The
@@ -172,15 +183,18 @@ class TraceChecker:
     own formula, so the restart-flag test compares the controller's bits.
     """
 
-    def __init__(self, config: dict, strict: bool = False):
+    def __init__(self, config: dict):
         self.dims = dims = ProblemDims(int(config["n"]), int(config["t"]))
         self.learner = config.get("learner")
-        self.strict = strict
+        if self.learner not in _BUILDERS:
+            raise ValueError(f"unknown learner {self.learner!r}")
         self.floor = dims.floor if self.learner in _CLIPPED else 0.0
+        learner = _BUILDERS[self.learner](config.get("params", {}))
+        if self.learner != "ada":
+            self.one_epoch = _one_epoch_fields(learner)
         if self.learner not in ("ada", "barrons"):
             return
-        params = config.get("params", {})
-        cfg = _ada_config(params)
+        cfg = learner.cfg
         if self.learner == "ada":
             cfg = cfg.resolve(dims)
         self.beta_init, self.eta_base = cfg.beta_init, cfg.base_rate(dims)
@@ -207,7 +221,10 @@ class TraceChecker:
         return values, np.array(values, dtype=float)
 
     def _columns(self, records) -> dict:
-        """The fields the checks read, one entry per field plus an ada run's beta schedule, in the order a record's checks read them."""
+        """The fields the checks read, one entry per field plus an ada run's beta schedule, in the order a record's checks read them.
+
+        Another run's controller fields are one entry: a tuple per record.
+        """
         cols = {
             "t": [rec["t"] for rec in records],
             "x": self._vectors(records, "x"),
@@ -222,6 +239,8 @@ class TraceChecker:
             cols["beta_want"] = [self.beta_init * 0.5 ** (e - 1) for e in cols["epoch"][0]]
             cols["restart"] = [bool(rec["restart"]) for rec in records]
             cols["u"] = self._vectors(records, "u")
+        else:
+            cols["one_epoch"] = list(map(operator.itemgetter(*self.one_epoch), records))
         return cols
 
     def check_records(self, records: list) -> CheckedRecords:
@@ -242,6 +261,7 @@ class TraceChecker:
         def fail(check: str, rows, message):
             issues.extend((int(i), _ORDER[check], f"round {ts[i]}: {message(i)}") for i in rows)
 
+        fail("order", [i for i, t in enumerate(ts) if t != i + 1], lambda i: f"recorded at position {i + 1}")
         with np.errstate(all="ignore"):
             sums = np.add.reduce(x, axis=1)  # each row summed as np.add.reduce sums it alone
             self._check_points(fail, "play", x, sums, self.floor)
@@ -279,11 +299,16 @@ class TraceChecker:
             ceilings, ratios = None, {}
             if self.learner == "ada":
                 ceilings, ratios, u_ratio = self._check_controller(fail, cols, x, sums, grad, starts, first)
+            else:
+                keys, want = tuple(self.one_epoch), tuple(self.one_epoch.values())
+                # Position -> the first controller field of that record that is not the one-epoch run's.
+                odd = {i: next(k for k, a, b in zip(keys, got, want) if a != b)
+                       for i, got in enumerate(cols["one_epoch"]) if got != want}
+                fail("one_epoch", list(odd),
+                     lambda i: f"{odd[i]} {records[i][odd[i]]!r} is not the one-epoch run's {self.one_epoch[odd[i]]!r}")
         issues.sort(key=lambda issue: issue[:2])
         if stop is not None:
             issues = [issue for issue in issues if issue[:2] < stop[:2]]
-        if self.strict and issues:
-            raise AssertionError(f"invariant violation: {issues[0][2]}")
         checked = m if stop is None else stop[0]
         derived = [
             {"grad_inf": g, "x_ratio": xr, "u_ratio": ur}
@@ -325,16 +350,20 @@ class TraceChecker:
         exponents log_t(1/(n x_i)), clipped at 0 so it never falls under
         eta; a NaN exponent leaves the band.  Once left, the schedule stays
         out for the rest of the epoch, since that running max never falls.
-        A finite coordinate at or above the floor 1/(n t) has an exponent of
-        at most 1 plus a few ulps, far inside the band's 1e-12 slack, so only
-        the plays with a coordinate that is not finite (their sum is not
-        finite) or is under the floor evaluate their exponents.
+        A coordinate no more than ``FLOOR_TOL`` under the floor 1/(n t) is
+        taken to be on it, as `clipped_point` and the floor check accept it.
+        A finite coordinate at or above the floor has an exponent of at most 1
+        plus a few ulps, far inside the band's 1e-12 slack, so only the plays
+        with a coordinate that is not finite (their sum is not finite) or is
+        further under the floor evaluate their exponents.
         """
-        n = self.dims.n
+        n, floor = self.dims.n, self.dims.floor
         leaves = np.zeros(len(x), dtype=bool)
-        odd = np.flatnonzero(~(np.isfinite(sums) & (np.minimum.reduce(x, axis=1) >= self.dims.floor)))
+        odd = np.flatnonzero(~(np.isfinite(sums) & (np.minimum.reduce(x, axis=1) >= floor - FLOOR_TOL)))
         if odd.size:
-            log_rates = np.maximum(np.log(1.0 / (n * x[odd])) / self.log_t, 0.0)
+            v = x[odd]
+            v = np.where(v >= floor - FLOOR_TOL, np.maximum(v, floor), v)
+            log_rates = np.maximum(np.log(1.0 / (n * v)) / self.log_t, 0.0)
             leaves[odd] = ~((self.eta_base * np.exp(log_rates)).max(axis=1) <= math.e * self.eta_base * (1.0 + 1e-12))
         return np.logical_or.accumulate(leaves)
 
@@ -454,16 +483,16 @@ def run_experiment(
     dims: ProblemDims,
     params: Optional[dict] = None,
     solver_cfg: Optional[SolverConfig] = None,
-    strict: bool = False,
     market_desc: str = "",
     seed: Optional[int] = None,
     out_path=None,
 ) -> ExperimentResult:
     """Run one learner over one market and return its full trace.
 
-    Solver failures abort the run but persist the partial trace to
-    ``out_path`` (when given) before re-raising, so the failing round can
-    be inspected.
+    Complete and aborted runs end alike: the records are checked, the
+    summary lists any violation, and the trace is written to ``out_path``
+    (when given).  A solver failure aborts the run, so it is re-raised after
+    that, with the partial trace on disk to inspect the failing round.
     """
     if learner not in LEARNER_NAMES:
         raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
@@ -481,7 +510,6 @@ def run_experiment(
             "kkt_tol": (solver_cfg or SolverConfig()).kkt_tol,
             "max_newton_iters": (solver_cfg or SolverConfig()).max_newton_iters,
         },
-        "strict": strict,
     }
 
     records: list = []
@@ -489,11 +517,10 @@ def run_experiment(
     started = time.perf_counter()
     # The learner validates its parameters before the checker derives bands from them.
     run = _BUILDERS[learner](params).start(dims, solver_cfg)
-    checker = TraceChecker(cfg_echo, strict)
-    # The controller's fields of a one-epoch run with no leader: the fixed-rate learner and the baselines.
-    plain = {"epoch": 1, "beta": getattr(run, "beta", None), "alpha": None, "u": None, "restart": False}
+    checker = TraceChecker(cfg_echo)
+    plain = _one_epoch_fields(run)
     cum = 0.0
-    problems = None
+    crp = crp_loss = failure = None
     try:
         for t, rnd in enumerate(rounds, start=1):
             tick = time.perf_counter()
@@ -508,27 +535,26 @@ def run_experiment(
                 "cum_loss": float(cum),
             })
             per_round_ms.append(1000.0 * (time.perf_counter() - tick))
-        problems = _check(checker, records)
         crp, crp_loss = best_crp(rounds, dims, solver_cfg)
-    except SolverFailure as failure:
-        if problems is None:
-            problems = _check(checker, records)
-        result = ExperimentResult(cfg_echo, records, _summary(records, problems, None, None, str(failure)))
-        if out_path is not None:
-            save_trace(result, out_path, per_round_ms, started)
-        raise
-
-    result = ExperimentResult(cfg_echo, records, _summary(records, problems, _floats(crp), crp_loss, None))
+    except SolverFailure as exc:
+        failure = exc
+    summary = _summary(
+        records, _check(checker, records), None if crp is None else _floats(crp), crp_loss,
+        None if failure is None else str(failure),
+    )
+    result = ExperimentResult(cfg_echo, records, summary)
     if out_path is not None:
         save_trace(result, out_path, per_round_ms, started)
+    if failure is not None:
+        raise failure
     return result
 
 
 def _check(checker: TraceChecker, records: list) -> list:
     """Check the run's records, add the derived fields to them and return the problems.
 
-    A strict checker raises for the earliest violation; a record that cannot
-    be checked raises what checking it raised.
+    A violation is returned, not raised; a record that cannot be checked
+    raises what checking it raised.
     """
     checked = checker.check_records(records)
     if checked.stop is not None:
@@ -566,7 +592,6 @@ def run_market(
     spec: MarketSpec,
     params: Optional[dict] = None,
     solver_cfg: Optional[SolverConfig] = None,
-    strict: bool = False,
     out_path=None,
 ) -> ExperimentResult:
     """Generate a market from its spec and run a learner over it."""
@@ -578,7 +603,6 @@ def run_market(
         spec.dims,
         params=params,
         solver_cfg=solver_cfg,
-        strict=strict,
         market_desc=desc,
         seed=spec.seed,
         out_path=out_path,
@@ -622,12 +646,15 @@ def verify_trace(trace: dict) -> list:
     A ``TraceChecker`` replays every per-round invariant from the recorded
     plays, rounds and leaders, and the fields it derives (gradient norm,
     play and leader ratios, ratio maxima) must match the recorded ones.
-    Then the summary is rebuilt from the records, the checker's problems and
-    the summary's own comparator and abort message, with the runner's
-    function, and every field must equal the recorded one.  A record that
-    cannot be checked at all (a field missing, of the wrong type or shape,
-    an integer too large for a float, or a play with no wealth on its
-    round) is reported by its round, and the replay stops there.  An empty
+    There must be ``config.t`` records, or no more when the summary says the
+    run was ``aborted``, and ``aborted`` must be present exactly when
+    ``best_crp`` is null.  Then the summary is rebuilt from the records,
+    the checker's problems and the summary's own comparator and abort
+    message, with the runner's function, and every field must equal the
+    recorded one.  A record that cannot be checked at all (a field missing,
+    of the wrong type or shape, an integer too large for a float, or a play
+    with no wealth on its round) is reported by its round, and the replay
+    stops there.  An empty
     list means the trace is internally consistent.
     """
     records = trace.get("per_round", [])
@@ -670,6 +697,11 @@ def verify_trace(trace: dict) -> list:
     if not isinstance(summary, dict):
         problems.append("summary: not an object")
         return problems
+    aborted = "aborted" in summary
+    if not (len(records) == checker.dims.t or (aborted and len(records) < checker.dims.t)):
+        problems.append(f"per_round: {len(records)} records but config.t is {checker.dims.t}")
+    if aborted != (summary.get("best_crp") is None):
+        problems.append("summary: an aborted run has a best_crp" if aborted else "summary: a complete run has no best_crp")
     try:
         rebuilt = _summary(records, checked.problems, summary.get("best_crp"), summary.get("best_crp_loss"), summary.get("aborted"))
     except _MALFORMED as exc:

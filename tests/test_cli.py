@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import barrons
+from barrons import harness
 from barrons.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, main
 from barrons.harness import load_trace
 from barrons.markets import generate
@@ -121,7 +122,7 @@ def test_gen_then_run_from_csv(tmp_path):
 
 def test_csv_market_with_a_bankrupt_asset_runs_strict_and_verifies(tmp_path):
     # Asset 0 is worth nothing in every round: the clipped-simplex learners
-    # keep it at the floor and every invariant holds.
+    # keep it at the floor and every invariant holds (run exits 0 only then).
     n = 3
     rows = np.exp(0.3 * np.random.default_rng(5).standard_normal((64, n)))
     rows[:, 0] = 0.0
@@ -131,9 +132,33 @@ def test_csv_market_with_a_bankrupt_asset_runs_strict_and_verifies(tmp_path):
         out = tmp_path / f"{learner}.json"
         assert main([
             "run", "--learner", learner, "--csv", str(csv_path),
-            "--n", str(n), "--strict", "--out", str(out),
+            "--n", str(n), "--out", str(out),
         ]) == EXIT_OK, learner
         assert main(["verify", str(out)]) == EXIT_OK, learner
+
+
+def test_run_with_a_violation_writes_its_trace_and_exits_3(tmp_path, monkeypatch, capsys):
+    k = 10  # round 10 of ada on blowup n=2 T=64 neither restarts nor precedes a restart
+    step = harness._AdaRun.step
+
+    def step_recording_a_wrong_ceiling_on_round_k(self, rnd):
+        out = step(self, rnd)
+        self.round = getattr(self, "round", 0) + 1
+        if self.round == k:
+            self.fields["alpha"] = 0.4999
+        return out
+
+    monkeypatch.setattr(harness._AdaRun, "step", step_recording_a_wrong_ceiling_on_round_k)
+    out = tmp_path / "trace.json"
+    assert main([
+        "run", "--learner", "ada", "--market", "blowup",
+        "--n", "2", "--t-horizon", "64", "--out", str(out),
+    ]) == EXIT_VERIFY
+    assert f"round {k}: recorded ceiling 0.4999" in capsys.readouterr().err
+    (violation,) = load_trace(out)["summary"]["invariant_violations"]
+    assert violation.startswith(f"round {k}: recorded ceiling 0.4999")
+    assert main(["verify", str(out)]) == EXIT_VERIFY
+    assert f"round {k}: recorded ceiling 0.4999" in capsys.readouterr().err
 
 
 def test_trace_body_does_not_depend_on_python_optimize(tmp_path):

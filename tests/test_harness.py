@@ -8,7 +8,7 @@ import pytest
 
 from barrons import harness
 from barrons.adaptive import AdaConfig, EpochHistory
-from barrons.domain import ProblemDims, loss_grad_arrays
+from barrons.domain import FLOOR_TOL, ProblemDims, loss_grad_arrays
 from barrons.harness import (
     LEARNER_NAMES,
     TraceChecker,
@@ -109,10 +109,27 @@ def test_verifier_reports_a_play_under_the_rate_floor(blowup_result):
     assert f"round {rec['t']}: rate schedule left [eta, e*eta]" in problems, problems
 
 
+@pytest.mark.parametrize("under, flagged", [(1e-13, False), (2.0 * FLOOR_TOL, True)])
+def test_floor_and_rate_band_share_one_tolerance(blowup_result, under, flagged):
+    # A coordinate within FLOOR_TOL under the floor is on it for both checks, as clipped_point accepts it
+    # from the solver; one further under fails both.
+    trace = json.loads(blowup_result.body_json())
+    rec = trace["per_round"][10]
+    low = DIMS.floor - under
+    rec["x"] = [low, 1.0 - low]
+    t = rec["t"]
+    judged = [p for p in verify_trace(trace) if p.startswith(f"round {t}:") and ("floor" in p or "rate" in p)]
+    want = [f"round {t}: play coordinate {low!r} under the floor {DIMS.floor!r}", f"round {t}: rate schedule left [eta, e*eta]"]
+    assert judged == (want if flagged else []), judged
+
+
 def _rate_band_reference(plays, n, t, eta):
     # The array formula: rate exponents clipped at 0, their running max over the epoch, the schedule's largest entry.
+    # A coordinate within FLOOR_TOL under the floor counts as on it.
+    floor = 1.0 / (n * t)
     out, log_max = [], None
     for x in plays:
+        x = np.where(x >= floor - FLOOR_TOL, np.maximum(x, floor), x)
         log_rates = np.maximum(np.log(1.0 / (n * x)) / np.log(t), 0.0)
         log_max = log_rates if log_max is None else np.maximum(log_max, log_rates)
         out.append(not (eta * np.exp(log_max)).max() <= math.e * eta * (1.0 + 1e-12))
@@ -124,8 +141,9 @@ def test_rate_band_check_matches_the_array_formula(n):
     rng = np.random.default_rng(900 + n)
     t = 64 * n
     floor = 1.0 / (n * t)
-    # Sub-floor (some inside the band's slack), exactly-at-floor, zero, NaN and infinite coordinates.
-    odd = [floor * (1.0 - 1e-6), floor * (1.0 - 1e-14), floor * 0.5, floor, 0.0, -floor, math.nan, math.inf, -math.inf]
+    # Sub-floor (some inside the band's slack or FLOOR_TOL), exactly-at-floor, zero, NaN and infinite coordinates.
+    odd = [floor * (1.0 - 1e-6), floor * (1.0 - 1e-14), floor - 0.5 * FLOOR_TOL, floor - 2.0 * FLOOR_TOL,
+           floor * 0.5, floor, 0.0, -floor, math.nan, math.inf, -math.inf]
     outcomes = set()
     for _ in range(400):
         checker = TraceChecker({"learner": "ada", "n": n, "t": t})
@@ -231,7 +249,7 @@ def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learne
         assert problems[-1].startswith("round 11: record cannot be checked (OverflowError: "), problems
 
 
-@pytest.mark.parametrize("key, value", [("t", 10**400), ("n", None)])
+@pytest.mark.parametrize("key, value", [("t", 10**400), ("n", None), ("learner", "newton")])
 def test_verifier_reports_an_unusable_config(blowup_result, key, value):
     trace = json.loads(blowup_result.body_json())
     trace["config"][key] = value
@@ -255,6 +273,35 @@ def test_verifier_catches_a_summary_field_the_records_contradict(blowup_result, 
     assert verify_trace(trace) == [f"summary: {key} disagrees with the records"]
 
 
+@pytest.mark.parametrize("learner", ["barrons", "ons", "eg"])
+@pytest.mark.parametrize(
+    "field, value", [("beta", 0.123), ("epoch", 0), ("alpha", 0.3), ("u", [0.5, 0.5])], ids=["beta", "epoch", "alpha", "u"],
+)
+def test_verifier_checks_the_controller_fields_of_a_one_epoch_run(blowup_results, learner, field, value):
+    trace = json.loads(blowup_results[learner].body_json())
+    rec = trace["per_round"][10]
+    want = rec[field]
+    rec[field] = value
+    problems = verify_trace(trace)
+    assert f"round 11: {field} {value!r} is not the one-epoch run's {want!r}" in problems, problems
+
+
+@pytest.mark.parametrize(
+    "part, tamper, problem",
+    [
+        ("config", lambda c: {**c, "t": 128}, "per_round: 64 records but config.t is 128"),
+        ("summary", lambda s: {**s, "aborted": "x"}, "summary: an aborted run has a best_crp"),
+        ("summary", lambda s: {**s, "best_crp": None}, "summary: a complete run has no best_crp"),
+        ("per_round", lambda recs: recs[:4] + [{**recs[4], "t": 50}] + recs[5:], "round 50: recorded at position 5"),
+    ],
+    ids=["horizon_past_records", "aborted_complete_run", "null_best_crp", "record_out_of_order"],
+)
+def test_verifier_checks_the_record_count_and_order(blowup_result, part, tamper, problem):
+    trace = json.loads(blowup_result.body_json())
+    trace[part] = tamper(trace[part])
+    assert problem in verify_trace(trace)
+
+
 def test_verifier_reports_a_summary_it_cannot_rebuild(blowup_result):
     trace = json.loads(blowup_result.body_json())
     trace["summary"]["best_crp_loss"] = 10**400
@@ -274,21 +321,16 @@ def test_verifier_catches_missing_or_nan_summary_fields(blowup_result, key, miss
     assert any(p.startswith("summary:") and (key in p or "max gradient" in p) for p in problems), problems
 
 
-def test_checker_raises_when_strict_and_records_otherwise(blowup_result):
+def test_checker_records_a_violation_by_its_round(blowup_result):
     records = json.loads(blowup_result.body_json())["per_round"]
     # A round whose ceiling no later check reads: neither it nor the next round restarts.
     bad = next(i for i in range(1, len(records) - 1) if not (records[i]["restart"] or records[i + 1]["restart"]))
     records[bad]["alpha"] = 0.4999
     t = records[bad]["t"]
 
-    relaxed = TraceChecker(blowup_result.config).check_records(records)
-    derived = relaxed.derived
-    assert len(relaxed.problems) == 1 and relaxed.problems[0].startswith(f"round {t}: recorded ceiling")
-    assert [d["u_ratio"] for d in derived] == [rec["u_ratio"] for rec in records]
-
-    strict = TraceChecker(blowup_result.config, strict=True)
-    with pytest.raises(AssertionError, match=f"round {t}: recorded ceiling"):
-        strict.check_records(records)
+    checked = TraceChecker(blowup_result.config).check_records(records)
+    assert len(checked.problems) == 1 and checked.problems[0].startswith(f"round {t}: recorded ceiling")
+    assert [d["u_ratio"] for d in checked.derived] == [rec["u_ratio"] for rec in records]
 
 
 @pytest.mark.parametrize("n, t", [(2, 512), (5, 256), (20, 256)])
@@ -323,12 +365,10 @@ def test_runner_checks_its_records_after_the_last_round(monkeypatch, blowup_resu
         return out
 
     monkeypatch.setattr(harness._AdaRun, "step", step_recording_a_wrong_ceiling_on_round_k)
-    relaxed = run_market("ada", MarketSpec("blowup", DIMS))
-    assert relaxed.summary["invariant_violations"] == [
+    result = run_market("ada", MarketSpec("blowup", DIMS))
+    assert result.summary["invariant_violations"] == [
         f"round {k}: recorded ceiling 0.4999 != recomputed {records[bad]['alpha']!r}"
     ]
-    with pytest.raises(AssertionError, match=f"^invariant violation: round {k}: recorded ceiling"):
-        run_market("ada", MarketSpec("blowup", DIMS), strict=True)
 
 
 def test_verifier_catches_tampered_restart_flag(blowup_result):
@@ -424,19 +464,6 @@ def test_checker_base_rate_is_the_fixed_rate_learners(params):
     learner = harness._BUILDERS["barrons"](params).start(dims)
     assert TraceChecker(config).eta_base == learner.state.eta_base
     assert learner.state.beta == params.get("beta", AdaConfig().beta_init)
-
-
-def test_strict_run_matches_relaxed_run_when_clean():
-    # Strict mode only changes what happens on a violation; a clean run
-    # must produce the identical trace body.
-    spec = MarketSpec("blowup", ProblemDims(2, 32))
-    relaxed = run_market("ada", spec)
-    strict = run_market("ada", spec, strict=True)
-    assert relaxed.summary["invariant_violations"] == []
-    a = json.loads(relaxed.body_json())
-    b = json.loads(strict.body_json())
-    a["config"].pop("strict"), b["config"].pop("strict")
-    assert a == b
 
 
 def test_sweep_rows_and_csv(tmp_path):
