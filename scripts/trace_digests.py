@@ -30,24 +30,23 @@ moves by an ulp.  Two options prove such a change instead:
 ``--bodies DIR`` writes each run's canonical body to DIR.  ``--against
 DIR`` adds to each run an ``against`` entry: whether its body is
 byte-identical to the one in DIR once the fields that depend on the
-leader are blanked (per round ``u``, ``alpha``, ``u_ratio``,
-``ratio_max`` and ``ratio_max_prev``; in the summary ``best_crp``,
-``best_crp_loss`` and ``regret``), and the largest relative move of each
-of those fields (``regret`` also as an absolute move).  A summary of
-every run goes to standard error.
+leader are blanked (per round ``u`` and ``alpha``; in the summary
+``best_crp``, ``best_crp_loss`` and ``regret``), and the largest relative
+move of each of those fields (``regret`` also as an absolute move).  A
+summary of every run goes to standard error.
 
 A change to the checkers is proved on traces that fail them:
 
     python3 scripts/trace_digests.py --tamper > tamper.json
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
-blowup market at n=2 and T=64, applies each entry of ``TAMPERS`` (one
-field of one record, or the per-round list, the summary or the config) to
-a fresh copy of the learner's body, and prints the full list of problems
-``verify_trace`` finds in it (or the exception it raises).  The entries
-trigger every message of the checker, of the record count and of the
-summary comparison, and repeat the NaN, floor-tolerance, malformed-record
-and extreme-integer cases of the tests.
+blowup market at n=2 and T=64, applies each of the 62 entries of
+``TAMPERS`` (one field of one record, or the per-round list, the summary
+or the config) to a fresh copy of the learner's body, and prints the full
+list of problems ``verify_trace`` finds in it (or the exception it
+raises).  The entries trigger every message of the checker, of the record
+count and of the summary comparison, and repeat the NaN, floor-tolerance,
+malformed-record and extreme-integer cases of the tests.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ NON_DEFAULT = [
 
 
 # Fields whose values depend on the leader, per round and in the summary.
-LEADER_RECORD_FIELDS = ("u", "alpha", "u_ratio", "ratio_max", "ratio_max_prev")
+LEADER_RECORD_FIELDS = ("u", "alpha")
 LEADER_SUMMARY_FIELDS = ("best_crp", "best_crp_loss", "regret")
 
 
@@ -205,12 +204,6 @@ TAMPERS = [
     ("ada", "leader_band", 10, "u", lambda u: [0.9, 0.1]),
     ("ada", "ratio_max_halves", 19, "x", lambda x: [0.99, 0.01]),
     ("ada", "ceiling_earlier", 18, "alpha", lambda v: 0.25),
-    ("ada", "grad_inf", 10, "grad_inf", lambda v: v + 1e-6),
-    ("ada", "x_ratio", 10, "x_ratio", lambda v: v + 1e-9),
-    ("ada", "u_ratio", 10, "u_ratio", lambda v: v + 1e-9),
-    ("ada", "x_ratio_null", 10, "x_ratio", lambda v: None),
-    ("ada", "ratio_max", 19, "ratio_max", lambda v: 2.0 * v),
-    ("ada", "ratio_max_prev", 19, "ratio_max_prev", lambda v: 2.0 * v),
     ("ada", "total_loss", None, "summary", lambda s: {**s, "total_loss": s["total_loss"] + 0.5}),
     ("ada", "rounds_played", None, "summary", lambda s: {**s, "rounds_played": 10}),
     ("ada", "invariant_violations", None, "summary", lambda s: {**s, "invariant_violations": ["x"]}),
@@ -221,7 +214,6 @@ TAMPERS = [
     ("ada", "null_best_crp", None, "summary", lambda s: {**s, "best_crp": None}),
     ("ada", "record_out_of_order", 4, "t", lambda v: 50),
     ("barrons", "play_band", 10, "x", lambda x: [0.6, 0.4]),
-    ("barrons", "x_ratio", 10, "x_ratio", lambda v: v + 1e-9),
     ("ons", "weight_sum", 10, "x", lambda x: [c * (1.0 + 1e-11) for c in x]),
     ("eg", "weight_sum", 10, "x", lambda x: [c * (1.0 + 1e-11) for c in x]),
     # The controller fields of a one-epoch run.
@@ -239,14 +231,12 @@ TAMPERS = [
     ("eg", "string_play", 10, "x", lambda x: "abc"),
     ("ada", "null_leader", 10, "u", lambda u: None),
     ("ada", "string_epoch", 10, "epoch", lambda v: "2"),
-    ("eg", "missing_grad_inf", 10, "grad_inf", lambda v: _DELETE),
     ("barrons", "record_not_an_object", 10, None, lambda rec: [1.0, 2.0]),
     # Extreme integers, which overflow a float.
     ("ada", "epoch_overflows_beta", 10, "epoch", lambda v: -2000),
     ("ada", "huge_epoch", 10, "epoch", lambda v: 10**400),
     ("ada", "huge_loss", 10, "loss", lambda v: 10**400),
     ("eg", "huge_loss", 10, "loss", lambda v: 10**400),
-    ("ada", "huge_grad_inf", 10, "grad_inf", lambda v: 10**400),
     ("ada", "huge_horizon", None, "config", lambda c: {**c, "t": 10**400}),
 ]
 

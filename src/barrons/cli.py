@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for bad inputs or configuration, 2 when the
-inner solver fails, 3 when a trace fails verification or a run records an
-invariant violation.  ``run`` writes its trace (``--out``) before it exits,
-whatever the code.
+inner solver fails, 3 when a trace fails verification or a run (or any run
+of a sweep) records an invariant violation.  ``run`` writes its trace
+(``--out``), and ``sweep`` its tables, before it exits, whatever the code.
 """
 
 from __future__ import annotations
@@ -107,6 +107,10 @@ def _cmd_run(args) -> int:
     solver_cfg = _solver_cfg(args)
     params = _learner_params(args)
     if args.csv is not None:
+        for flag, value in (("--t-horizon", args.t_horizon), ("--eps", args.eps),
+                            ("--flip-period", args.flip_period), ("--sigma", args.sigma)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to a built-in market, not to --csv")
         rounds, dims = load_csv(args.csv, args.n)
         result = run_experiment(
             args.learner,
@@ -157,13 +161,18 @@ def _cmd_sweep(args) -> int:
     json_path = args.out.with_suffix(".json")
     write_sweep_json(rows, json_path)
     failures = [row for row in rows if row["error"]]
+    violated = [row for row in rows if row["violations"]]
     print(
         f"{len(rows)} runs, {len(failures)} failed, "
         f"table written to {args.out} and {json_path}"
     )
     for row in failures[:10]:
         print(f"  T={row['T']} seed={row['seed']}: {row['error']}", file=sys.stderr)
-    return EXIT_OK
+    if violated:
+        print(f"runs with invariant violations: {len(violated)}", file=sys.stderr)
+        for row in violated[:10]:
+            print(f"  T={row['T']} seed={row['seed']}: violations={row['violations']}", file=sys.stderr)
+    return EXIT_VERIFY if violated else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

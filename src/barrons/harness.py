@@ -12,10 +12,13 @@ checking them and runs the checker once after the last round (or on the
 partial records of a run a solver failure aborts), so ``meta.per_round_ms``
 times the learner's round alone.  Every run, complete or aborted, ends the
 same way: its violations are recorded in the summary and its trace is
-written.  ``verify`` runs the same checker over a persisted trace and
-rebuilds the summary with the runner's own function, so a trace is
-self-certifying: it carries the played points, the rounds, and the leaders
-needed to recompute every quantity it claims.
+written.  A record holds only what the run produced: the round, its
+relatives, the play, its loss and the controller's fields.  What the
+checker derives from them (gradient norms, play and leader ratios) is
+never stored, so ``verify`` recomputes it with the same checker over a
+persisted trace and rebuilds the summary with the runner's own function.
+A trace is self-certifying: it carries the played points, the rounds, and
+the leaders needed to recompute every quantity it claims.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-TRACE_SCHEMA = "portfolio-trace/1"
+TRACE_SCHEMA = "portfolio-trace/2"
+# A /1 body is a /2 body whose records also carry the checker's own figures, which verify ignores.
+_READABLE_SCHEMAS = (TRACE_SCHEMA, "portfolio-trace/1")
 LEARNER_NAMES = ("ada", "barrons", "ons", "eg", "ogd", "softbayes", "up-grid")
 
 # Clipped-simplex learners; the rest live on the full simplex.
@@ -73,9 +78,6 @@ _CLIPPED = {"ada", "barrons", "ons"}
 
 _X_BAND_SLACK = 1e-8
 _U_BAND_SLACK = 1e-8
-
-# Fields the checker derives; verify allows each a gap of tol * max(1, |value|).
-_DERIVED_TOL = {"grad_inf": 1e-9, "x_ratio": 1e-12, "u_ratio": 1e-12, "ratio_max": 1e-12, "ratio_max_prev": 1e-12}
 
 
 @dataclass
@@ -143,10 +145,8 @@ class CheckedRecords:
 
     ``issues`` pairs each violation with the position of its record, in
     record order and, within a record, in the order of ``_CHECKS``.
-    ``derived`` holds, per checked record, its ``grad_inf``, ``x_ratio`` and
-    ``u_ratio`` (None without an earlier play or leader in the epoch), plus
-    ``ratio_max`` and ``ratio_max_prev`` at a restart that ends an epoch of
-    two or more rounds.  ``ceilings`` are an ada run's recomputed ceilings.
+    ``grad_inf`` holds the largest absolute gradient coordinate of each
+    checked record's play.  ``ceilings`` are an ada run's recomputed ceilings.
     ``stop`` is None, or the position of the first record that cannot be
     checked and the exception that says why: no record from there on is
     checked, and that record's issues are those of the checks that ran
@@ -154,7 +154,7 @@ class CheckedRecords:
     """
 
     issues: list
-    derived: list
+    grad_inf: list
     ceilings: Optional[np.ndarray] = None
     stop: Optional[tuple] = None
 
@@ -286,19 +286,17 @@ class TraceChecker:
                 starts += [i + 1 for i, restart in enumerate(cols["restart"][:-1]) if restart]
             first = np.zeros(m, dtype=bool)
             first[starts] = True
-            x_ratio = u_ratio = [None] * m
             if self.learner in ("ada", "barrons"):
                 steps = _ratio_steps(x)
                 fail("play_step", np.flatnonzero(~first & ~(steps <= self.x_band)),
                      lambda i: f"play moved {steps[i].item()!r}, band {self.x_band!r}")
-                x_ratio = [None if f else v for f, v in zip(first.tolist(), steps.tolist())]
             else:
                 moves = np.abs(sums[1:] - sums[:-1])
                 fail("play_step", np.flatnonzero(~(moves <= 1e-12)) + 1,
                      lambda i: f"step changed the weight sum by {moves[i - 1].item()!r}")
-            ceilings, ratios = None, {}
+            ceilings = None
             if self.learner == "ada":
-                ceilings, ratios, u_ratio = self._check_controller(fail, cols, x, sums, grad, starts, first)
+                ceilings = self._check_controller(fail, cols, x, sums, grad, starts, first)
             else:
                 keys, want = tuple(self.one_epoch), tuple(self.one_epoch.values())
                 # Position -> the first controller field of that record that is not the one-epoch run's.
@@ -310,14 +308,7 @@ class TraceChecker:
         if stop is not None:
             issues = [issue for issue in issues if issue[:2] < stop[:2]]
         checked = m if stop is None else stop[0]
-        derived = [
-            {"grad_inf": g, "x_ratio": xr, "u_ratio": ur}
-            for g, xr, ur in zip(grad_inf[:checked], x_ratio, u_ratio)
-        ]
-        for i, (cur, prev) in ratios.items():
-            if i < checked:
-                derived[i].update(ratio_max=cur, ratio_max_prev=prev)
-        return CheckedRecords([(i, message) for i, _, message in issues], derived, ceilings, stop and (stop[0], stop[2]))
+        return CheckedRecords([(i, message) for i, _, message in issues], grad_inf[:checked], ceilings, stop and (stop[0], stop[2]))
 
     def _first_malformed(self, records) -> tuple:
         """The position of the first record whose fields do not convert on their own, and the exception."""
@@ -368,7 +359,7 @@ class TraceChecker:
         return np.logical_or.accumulate(leaves)
 
     def _check_controller(self, fail, cols, x, sums, grad, starts, first):
-        """The controller's checks; returns the ceilings, the ratio maxima by restart position, and ``u_ratio``."""
+        """The controller's checks; returns the recomputed ceilings."""
         epochs = cols["epoch"][0]
         betas, beta = cols["beta"]
         alphas, alpha = cols["alpha"]
@@ -410,8 +401,7 @@ class TraceChecker:
              lambda i: f"ratio-max fell more than half at restart ({ratios[i][1]!r} < {ratios[i][0]!r}/2)")
         fail("earlier", [i for i in ratios if epochs[i - 1] == epochs[i] and alphas[i - 1] < betas[i]],
              lambda i: "ceiling was already below beta a round earlier")
-        u_ratio = [None if f else v for f, v in zip(first.tolist(), steps.tolist())]
-        return ceilings, ratios, u_ratio
+        return ceilings
 
 
 class _AdaRun:
@@ -489,10 +479,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one learner over one market and return its full trace.
 
-    Complete and aborted runs end alike: the records are checked, the
-    summary lists any violation, and the trace is written to ``out_path``
-    (when given).  A solver failure aborts the run, so it is re-raised after
-    that, with the partial trace on disk to inspect the failing round.
+    Complete and aborted runs end alike: the records are checked once, the
+    summary lists any violation and takes the largest gradient norm from
+    the checker, and the trace is written to ``out_path`` (when given).  A
+    solver failure aborts the run, so it is re-raised after that, with the
+    partial trace on disk to inspect the failing round.  A violation is
+    recorded, never raised; a record that cannot be checked raises what
+    checking it raised.
     """
     if learner not in LEARNER_NAMES:
         raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
@@ -538,8 +531,11 @@ def run_experiment(
         crp, crp_loss = best_crp(rounds, dims, solver_cfg)
     except SolverFailure as exc:
         failure = exc
+    checked = checker.check_records(records)
+    if checked.stop is not None:
+        raise checked.stop[1]
     summary = _summary(
-        records, _check(checker, records), None if crp is None else _floats(crp), crp_loss,
+        records, checked, None if crp is None else _floats(crp), crp_loss,
         None if failure is None else str(failure),
     )
     result = ExperimentResult(cfg_echo, records, summary)
@@ -550,22 +546,8 @@ def run_experiment(
     return result
 
 
-def _check(checker: TraceChecker, records: list) -> list:
-    """Check the run's records, add the derived fields to them and return the problems.
-
-    A violation is returned, not raised; a record that cannot be checked
-    raises what checking it raised.
-    """
-    checked = checker.check_records(records)
-    if checked.stop is not None:
-        raise checked.stop[1]
-    for rec, derived in zip(records, checked.derived):
-        rec.update(derived)
-    return checked.problems
-
-
-def _summary(records, violations, crp_weights, crp_loss, aborted) -> dict:
-    """The summary of a run's records, given its violations, comparator and abort message (None if complete).
+def _summary(records, checked: CheckedRecords, crp_weights, crp_loss, aborted) -> dict:
+    """The summary of a run's records, given their `CheckedRecords`, the comparator and the abort message (None if complete).
 
     The runner writes it, and `verify_trace` rebuilds it from a persisted
     trace to compare field by field.
@@ -579,8 +561,8 @@ def _summary(records, violations, crp_weights, crp_loss, aborted) -> dict:
         "rounds_played": len(records),
         "epoch_count": max((rec["epoch"] for rec in records), default=1),
         "restarts": sum(1 for rec in records if rec["restart"]),
-        "max_grad_inf_norm": max((rec["grad_inf"] for rec in records), default=0.0),
-        "invariant_violations": list(violations),
+        "max_grad_inf_norm": max(checked.grad_inf, default=0.0),
+        "invariant_violations": checked.problems,
     }
     if aborted is not None:
         summary["aborted"] = aborted
@@ -627,7 +609,8 @@ def load_trace(path) -> dict:
     """The ``trace`` part of a saved trace document.
 
     Raises ValueError when the document or its ``trace`` is not a JSON
-    object, or when the trace is not of schema ``TRACE_SCHEMA``.
+    object, or when the trace is not of schema ``TRACE_SCHEMA`` or
+    ``portfolio-trace/1``.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -635,7 +618,7 @@ def load_trace(path) -> dict:
     trace = doc.get("trace")
     if trace is not None and not isinstance(trace, dict):
         raise ValueError(f"{path}: its trace is not a JSON object")
-    if trace is None or trace.get("schema") != TRACE_SCHEMA:
+    if trace is None or trace.get("schema") not in _READABLE_SCHEMAS:
         raise ValueError(f"{path}: not a {TRACE_SCHEMA} trace")
     return trace
 
@@ -644,18 +627,18 @@ def verify_trace(trace: dict) -> list:
     """Recheck a persisted trace from scratch; returns the list of problems.
 
     A ``TraceChecker`` replays every per-round invariant from the recorded
-    plays, rounds and leaders, and the fields it derives (gradient norm,
-    play and leader ratios, ratio maxima) must match the recorded ones.
-    There must be ``config.t`` records, or no more when the summary says the
-    run was ``aborted``, and ``aborted`` must be present exactly when
+    plays, rounds and leaders; any other field of a record (the checker's
+    own figures in a ``portfolio-trace/1`` record) is not read.  There
+    must be ``config.t`` records, or no more when the summary says the run
+    was ``aborted``, and ``aborted`` must be present exactly when
     ``best_crp`` is null.  Then the summary is rebuilt from the records,
-    the checker's problems and the summary's own comparator and abort
-    message, with the runner's function, and every field must equal the
-    recorded one.  A record that cannot be checked at all (a field missing,
-    of the wrong type or shape, an integer too large for a float, or a play
-    with no wealth on its round) is reported by its round, and the replay
-    stops there.  An empty
-    list means the trace is internally consistent.
+    the checker's problems and gradient norms, and the summary's own
+    comparator and abort message, with the runner's function, and every
+    field must equal the recorded one.  A record that cannot be checked at
+    all (a field missing, of the wrong type or shape, an integer too large
+    for a float, or a play with no wealth on its round) is reported by its
+    round, and the replay stops there.  An empty list means the trace is
+    internally consistent.
     """
     records = trace.get("per_round", [])
     summary = trace.get("summary", {})
@@ -666,31 +649,11 @@ def verify_trace(trace: dict) -> list:
     if not isinstance(records, list):
         return ["per_round: not a list"]
     checked = checker.check_records(records)
-    found: dict = {}  # the checker's problems by record position
-    for position, message in checked.issues:
-        found.setdefault(position, []).append(message)
-    problems = []
-    stop = checked.stop
-    for position, derived in enumerate(checked.derived):
-        problems += found.get(position, ())
-        rec = records[position]
-        try:
-            for key, value in derived.items():
-                recorded = rec.get(key)
-                if value == recorded:
-                    continue
-                if value is None or recorded is None or not abs(value - recorded) <= _DERIVED_TOL[key] * max(1.0, abs(value)):
-                    problems.append(f"round {rec['t']}: recorded {key} {recorded!r} != recomputed {value!r}")
-        except _MALFORMED as exc:
-            stop = (position, exc)
-            break
-    else:
-        if stop is not None:  # what the checks of the stopped record found before it failed
-            problems += found.get(stop[0], ())
-    if stop is not None:
+    problems = checked.problems
+    if checked.stop is not None:
         # The replay stops at a record that cannot be checked at all.  The round is the record's
         # position, since its own "t" may be what is malformed.
-        position, exc = stop
+        position, exc = checked.stop
         problems.append(f"round {position + 1}: record cannot be checked ({type(exc).__name__}: {exc})")
         return problems
 
@@ -703,7 +666,7 @@ def verify_trace(trace: dict) -> list:
     if aborted != (summary.get("best_crp") is None):
         problems.append("summary: an aborted run has a best_crp" if aborted else "summary: a complete run has no best_crp")
     try:
-        rebuilt = _summary(records, checked.problems, summary.get("best_crp"), summary.get("best_crp_loss"), summary.get("aborted"))
+        rebuilt = _summary(records, checked, summary.get("best_crp"), summary.get("best_crp_loss"), summary.get("aborted"))
     except _MALFORMED as exc:
         problems.append(f"summary: cannot be checked against the records ({type(exc).__name__}: {exc})")
         return problems
@@ -729,8 +692,9 @@ def sweep(
     """Grid of runs over horizons and repetitions; one row per run.
 
     Rep ``k`` of any horizon uses seed ``seed + k`` so repetitions differ
-    but the whole sweep is reproducible.  A failing run contributes a row
-    with its error message and the sweep continues.
+    but the whole sweep is reproducible.  ``violations`` counts a run's
+    invariant violations.  A failing run contributes a row with its error
+    message and the sweep continues.
     """
     if not t_values:
         raise ValueError("sweep needs at least one horizon")
@@ -747,6 +711,7 @@ def sweep(
                 "regret": None,
                 "epochs": None,
                 "G": None,
+                "violations": None,
                 "runtime_ms": None,
                 "error": "",
             }
@@ -757,6 +722,7 @@ def sweep(
                 row["regret"] = result.summary["regret"]
                 row["epochs"] = result.summary["epoch_count"]
                 row["G"] = result.summary["max_grad_inf_norm"]
+                row["violations"] = len(result.summary["invariant_violations"])
             except (ValueError, SolverFailure) as exc:
                 row["error"] = str(exc)
             row["runtime_ms"] = 1000.0 * (time.perf_counter() - tick)
@@ -769,7 +735,7 @@ def write_sweep_csv(rows, path) -> Path:
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fields = ["learner", "market", "N", "T", "seed", "regret", "epochs", "G", "runtime_ms", "error"]
+    fields = ["learner", "market", "N", "T", "seed", "regret", "epochs", "G", "violations", "runtime_ms", "error"]
     with path.open("w", newline="") as fh:
         writer = _csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

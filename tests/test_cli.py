@@ -137,8 +137,7 @@ def test_csv_market_with_a_bankrupt_asset_runs_strict_and_verifies(tmp_path):
         assert main(["verify", str(out)]) == EXIT_OK, learner
 
 
-def test_run_with_a_violation_writes_its_trace_and_exits_3(tmp_path, monkeypatch, capsys):
-    k = 10  # round 10 of ada on blowup n=2 T=64 neither restarts nor precedes a restart
+def _record_a_wrong_ceiling_on_round(monkeypatch, k):
     step = harness._AdaRun.step
 
     def step_recording_a_wrong_ceiling_on_round_k(self, rnd):
@@ -149,6 +148,11 @@ def test_run_with_a_violation_writes_its_trace_and_exits_3(tmp_path, monkeypatch
         return out
 
     monkeypatch.setattr(harness._AdaRun, "step", step_recording_a_wrong_ceiling_on_round_k)
+
+
+def test_run_with_a_violation_writes_its_trace_and_exits_3(tmp_path, monkeypatch, capsys):
+    k = 10  # round 10 of ada on blowup n=2 T=64 neither restarts nor precedes a restart
+    _record_a_wrong_ceiling_on_round(monkeypatch, k)
     out = tmp_path / "trace.json"
     assert main([
         "run", "--learner", "ada", "--market", "blowup",
@@ -189,6 +193,36 @@ def test_sweep_writes_table(tmp_path, capsys):
     doc = json.loads((tmp_path / "rows.json").read_text())
     assert len(doc["rows"]) == 4
     assert "growth_ratios" in doc
+
+
+def test_sweep_with_a_violation_writes_its_tables_and_exits_3(tmp_path, monkeypatch, capsys):
+    _record_a_wrong_ceiling_on_round(monkeypatch, 10)  # in every run: each starts a fresh learner
+    out = tmp_path / "rows.csv"
+    assert main([
+        "sweep", "--learner", "ada", "--market", "blowup", "--n", "2",
+        "--t-values", "64", "--reps", "2", "--out", str(out),
+    ]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "runs with invariant violations: 2" in err
+    assert "T=64 seed=0: violations=1" in err and "T=64 seed=1: violations=1" in err
+    lines = out.read_text().splitlines()
+    column = lines[0].split(",").index("violations")
+    assert [line.split(",")[column] for line in lines[1:]] == ["1", "1"]
+    doc = json.loads((tmp_path / "rows.json").read_text())
+    assert [row["violations"] for row in doc["rows"]] == [1, 1]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--t-horizon", "10"), ("--eps", "0.125"), ("--flip-period", "4"), ("--sigma", "5"),
+])
+def test_market_flags_are_rejected_with_a_csv_market(tmp_path, capsys, flag, value):
+    csv_path = tmp_path / "market.csv"
+    assert main([
+        "gen", "--market", "cover_alternating", "--n", "2", "--t-horizon", "12", "--out", str(csv_path),
+    ]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", "--learner", "eg", "--csv", str(csv_path), "--n", "2", flag, value]) == EXIT_BAD_INPUT
+    assert f"error: {flag} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, horizon", [
