@@ -10,15 +10,19 @@ solver), 128 runs.  A third, wide grid runs ada, barrons and ons on every
 market kind at n=10 and T=64 (12 runs), where the solver's reduced Newton
 system has nine columns and its step sums many terms.  Last come the
 benchmark's two inputs, ada and ons on blowup at n=2 and T=512, so the
-proof covers the runs being timed.  The 254 runs take about 13 s on one
+proof covers the runs being timed.  The 254 runs take about 10 s on one
 core.  The package is imported from the ``src`` directory beside this
 script.
 
-For each run it prints the sha256 of the canonical trace body, the number
-of invariant violations recorded, and the problems ``verify_trace`` finds
-in the body; a run that raises prints its exception instead.  Run it at
-two commits and diff the outputs: equal output means byte-identical trace
-bodies that both verifiers accept alike.
+For each run it prints the sha256 of the body's canonical rendering, the
+number of invariant violations recorded, and the problems ``verify_trace``
+finds in the body; a run that raises prints its exception instead.  The
+canonical rendering holds the records as rows, one object per round, and
+drops the ``schema`` key, so bodies written under different schemas
+(``portfolio-trace/2`` rows, ``/3`` columns) compare equal when they hold
+the same config, records and summary.  Run it at two commits and diff the
+outputs: equal output means identical trace bodies that both verifiers
+accept alike.
 
 A change that may move the leader in its last bits (the leader refit's
 summation order, say) changes every body digest as soon as one ceiling
@@ -27,26 +31,31 @@ moves by an ulp.  Two options prove such a change instead:
     python3 scripts/trace_digests.py --bodies parent_bodies > parent.json   # at the parent
     python3 scripts/trace_digests.py --against parent_bodies > change.json  # at the change
 
-``--bodies DIR`` writes each run's canonical body to DIR.  ``--against
-DIR`` adds to each run an ``against`` entry: whether its body is
-byte-identical to the one in DIR once the fields that depend on the
-leader are blanked (per round ``u`` and ``alpha``; in the summary
-``best_crp``, ``best_crp_loss`` and ``regret``), and the largest relative
-move of each of those fields (``regret`` also as an absolute move).  A
-summary of every run goes to standard error.
+``--bodies DIR`` writes each run's body, as the run serializes it, to DIR.
+``--against DIR`` adds to each run an ``against`` entry: whether its
+canonical rendering is identical to that of the body in DIR, whether it
+is once the fields that depend on the leader are blanked (per round ``u``
+and ``alpha``; in the summary ``best_crp``, ``best_crp_loss`` and
+``regret``), and the largest relative move of each of those fields
+(``regret`` also as an absolute move).  A summary of every run goes to
+standard error.
 
 A change to the checkers is proved on traces that fail them:
 
     python3 scripts/trace_digests.py --tamper > tamper.json
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
-blowup market at n=2 and T=64, applies each of the 62 entries of
-``TAMPERS`` (one field of one record, or the per-round list, the summary
-or the config) to a fresh copy of the learner's body, and prints the full
-list of problems ``verify_trace`` finds in it (or the exception it
-raises).  The entries trigger every message of the checker, of the record
-count and of the summary comparison, and repeat the NaN, floor-tolerance,
-malformed-record and extreme-integer cases of the tests.
+blowup market at n=2 and T=64, applies each of the 65 entries of
+``TAMPERS`` (one field of one record, or the per-round records, the
+summary or the config) to a fresh copy of the learner's body, and prints
+the full list of problems ``verify_trace`` finds in it (or the exception
+it raises).  A record's field is the entry of its column.  The 3 entries
+of ``ON_ROWS`` reshape a record or replace the record list, which only
+rows can express, so they apply to the body's ``portfolio-trace/2``
+rendering, which verify still reads.  The entries trigger every message of
+the checker, of the record count, of the column shape and of the summary
+comparison, and repeat the NaN, floor-tolerance, malformed-record and
+extreme-integer cases of the tests.
 """
 
 from __future__ import annotations
@@ -99,8 +108,26 @@ LEADER_RECORD_FIELDS = ("u", "alpha")
 LEADER_SUMMARY_FIELDS = ("best_crp", "best_crp_loss", "regret")
 
 
+def rows(columns: dict) -> list:
+    """Record columns transposed back to rows, one dict per round."""
+    return [dict(zip(columns, entries)) for entries in zip(*columns.values())]
+
+
+def schema_2(body: dict) -> dict:
+    """A body rendered as ``portfolio-trace/2``: its records as rows."""
+    per_round = body["per_round"]
+    return {**body, "schema": "portfolio-trace/2", "per_round": rows(per_round) if isinstance(per_round, dict) else per_round}
+
+
+def canonical(body: dict) -> str:
+    """The canonical rendering of a parsed body: records as rows, no ``schema`` key."""
+    rendered = schema_2(body)
+    del rendered["schema"]
+    return json.dumps(rendered, sort_keys=True, separators=(",", ":"))
+
+
 def digest(learner: str, kind: str, n: int, t: int, params=None, solver=None):
-    """One run's digest entry, and its canonical body (None when the run raised)."""
+    """One run's digest entry, and its body (None when the run raised)."""
     spec = MarketSpec(kind, ProblemDims(n, t), seed=SEED)
     solver_cfg = None if solver is None else SolverConfig(kkt_tol=solver[0], max_newton_iters=solver[1])
     try:
@@ -109,7 +136,7 @@ def digest(learner: str, kind: str, n: int, t: int, params=None, solver=None):
         return {"error": f"{type(exc).__name__}: {exc}"}, None
     body = result.body_json()
     entry = {
-        "sha256": hashlib.sha256(body.encode()).hexdigest(),
+        "sha256": hashlib.sha256(canonical(json.loads(body)).encode()).hexdigest(),
         "violations": len(result.summary["invariant_violations"]),
         "verify": verify_trace(json.loads(body)),
     }
@@ -122,7 +149,8 @@ def _flat(value) -> list:
 
 
 def _without_leader(body: dict):
-    """The body with every leader field set to None, canonically serialized, and those fields' values."""
+    """The body's canonical rendering with every leader field set to None, and those fields' values."""
+    body = schema_2(body)
     pulled = {field: [] for field in LEADER_RECORD_FIELDS + LEADER_SUMMARY_FIELDS}
     for rec in body["per_round"]:
         for field in LEADER_RECORD_FIELDS:
@@ -133,11 +161,11 @@ def _without_leader(body: dict):
         if field in body["summary"]:
             pulled[field] += _flat(body["summary"][field])
             body["summary"][field] = None
-    return json.dumps(body, sort_keys=True, separators=(",", ":")), pulled
+    return canonical(body), pulled
 
 
 def compare(body: str, old_body: str) -> dict:
-    """How ``body`` differs from ``old_body``: identical, identical but for the leader fields, and by how much."""
+    """How ``body`` differs from ``old_body`` in the canonical rendering: identical, identical but for the leader fields, and by how much."""
     rest, new = _without_leader(json.loads(body))
     old_rest, old = _without_leader(json.loads(old_body))
     same_shape = all(
@@ -151,7 +179,7 @@ def compare(body: str, old_body: str) -> dict:
             moves[field] = max((abs(a - b) / abs(b) if b else abs(a - b) for a, b in pairs), default=0.0)
         moves["regret_abs"] = max((abs(a - b) for a, b in zip(new["regret"], old["regret"]) if a is not None), default=0.0)
     return {
-        "identical": body == old_body,
+        "identical": canonical(json.loads(body)) == canonical(json.loads(old_body)),
         "identical_except_leader": same_shape and rest == old_rest,
         "leader_moves": moves,
     }
@@ -184,6 +212,7 @@ _FLOOR = 1.0 / 128.0  # the clipped-simplex floor 1/(nT) at n=2, T=64
 
 # (learner, name, record index or None for the trace itself, field or None for the whole record,
 #  the new value as a function of the old one).  Round 20 (index 19) closes the ada run's first epoch.
+# A record's field is the entry at the record's index of the field's column.
 TAMPERS = [
     ("ada", "play_sum", 10, "x", lambda x: [x[0] + 1e-6, x[1]]),
     ("ada", "play_floor", 10, "x", lambda x: [-1e-3, 1.0 + 1e-3]),
@@ -209,6 +238,10 @@ TAMPERS = [
     ("ada", "invariant_violations", None, "summary", lambda s: {**s, "invariant_violations": ["x"]}),
     ("ada", "huge_best_crp_loss", None, "summary", lambda s: {**s, "best_crp_loss": 10**400}),
     ("ada", "per_round_not_a_list", None, "per_round", lambda v: 5),
+    # The shape of the columns.
+    ("ada", "columns_not_an_object", None, "per_round", rows),
+    ("ada", "missing_column", None, "per_round", lambda cols: {k: v for k, v in cols.items() if k != "loss"}),
+    ("ada", "short_column", None, "per_round", lambda cols: {**cols, "x": cols["x"][:-1]}),
     ("ada", "horizon_past_records", None, "config", lambda c: {**c, "t": 128}),
     ("ada", "aborted_complete_run", None, "summary", lambda s: {**s, "aborted": "x"}),
     ("ada", "null_best_crp", None, "summary", lambda s: {**s, "best_crp": None}),
@@ -240,19 +273,27 @@ TAMPERS = [
     ("ada", "huge_horizon", None, "config", lambda c: {**c, "t": 10**400}),
 ]
 
+# The entries that reshape a record or replace the record list: they apply to the portfolio-trace/2 rendering.
+ON_ROWS = {("ada", "missing_loss"), ("barrons", "record_not_an_object"), ("ada", "per_round_not_a_list")}
 
-def tampered(body: dict, index, field, change) -> dict:
-    """A copy of the parsed ``body`` with one tamper applied."""
-    body = copy.deepcopy(body)
-    target = body if index is None else body["per_round"][index]
-    if field is None:
-        body["per_round"][index] = change(target)
-        return body
-    value = change(target[field])
-    if value is _DELETE:
-        del target[field]
+
+def tampered(body: dict, index, field, change, on_rows: bool) -> dict:
+    """A copy of the parsed ``body``, or of its ``portfolio-trace/2`` rendering if ``on_rows``, with one tamper applied."""
+    body = copy.deepcopy(schema_2(body) if on_rows else body)
+    if index is None:
+        body[field] = change(body[field])
+    elif on_rows and field is None:
+        body["per_round"][index] = change(body["per_round"][index])
+    elif on_rows:
+        record = body["per_round"][index]
+        value = change(record[field])
+        if value is _DELETE:
+            del record[field]
+        else:
+            record[field] = value
     else:
-        target[field] = value
+        column = body["per_round"][field]
+        column[index] = change(column[index])
     return body
 
 
@@ -265,7 +306,7 @@ def tamper_problems() -> dict:
             result = run_market(learner, MarketSpec("blowup", ProblemDims(2, 64)))
             bodies[learner] = json.loads(result.body_json())
         try:
-            out[f"{learner}/{name}"] = verify_trace(tampered(bodies[learner], index, field, change))
+            out[f"{learner}/{name}"] = verify_trace(tampered(bodies[learner], index, field, change, (learner, name) in ON_ROWS))
         except Exception as exc:  # a verifier that raises is a finding to print, not to stop at
             out[f"{learner}/{name}"] = {"error": f"{type(exc).__name__}: {exc}"}
     return out

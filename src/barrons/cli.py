@@ -43,7 +43,7 @@ def _add_market_args(parser):
 def _add_market_flags(parser):
     """The flags run, sweep and gen share: the asset count, the market seed and the market parameters."""
     parser.add_argument("--n", type=int, required=True, help="number of assets")
-    parser.add_argument("--seed", type=int, default=0, help="market seed")
+    parser.add_argument("--seed", type=int, help="market seed (built-in markets; default 0)")
     parser.add_argument("--eps", type=float, help="small price relative for the blowup market")
     parser.add_argument("--flip-period", type=int, help="rounds between blowup regime flips")
     parser.add_argument("--sigma", type=float, help="log-volatility for the iid market")
@@ -72,13 +72,17 @@ def _market_params(args) -> dict:
     return params
 
 
+def _seed(args) -> int:
+    return 0 if args.seed is None else args.seed
+
+
 def _market_spec(args) -> MarketSpec:
     if args.t_horizon is None:
         raise ValueError("--t-horizon is required with --market")
     return MarketSpec(
         args.market,
         ProblemDims(args.n, args.t_horizon),
-        seed=args.seed,
+        seed=_seed(args),
         params=_market_params(args),
     )
 
@@ -107,7 +111,7 @@ def _cmd_run(args) -> int:
     solver_cfg = _solver_cfg(args)
     params = _learner_params(args)
     if args.csv is not None:
-        for flag, value in (("--t-horizon", args.t_horizon), ("--eps", args.eps),
+        for flag, value in (("--t-horizon", args.t_horizon), ("--seed", args.seed), ("--eps", args.eps),
                             ("--flip-period", args.flip_period), ("--sigma", args.sigma)):
             if value is not None:
                 raise ValueError(f"{flag} applies to a built-in market, not to --csv")
@@ -152,7 +156,7 @@ def _cmd_sweep(args) -> int:
         args.n,
         t_values,
         reps=args.reps,
-        seed=args.seed,
+        seed=_seed(args),
         params=_learner_params(args),
         market_params=_market_params(args),
         solver_cfg=_solver_cfg(args),

@@ -3,29 +3,35 @@
 Traces are JSON documents with two top-level keys: ``meta`` (timestamps and
 wall-clock readings, the only nondeterministic content) and ``trace`` (the
 config echo, per-round records, and summary).  The trace part serializes
-canonically, so identical runs produce byte-identical bodies.
+canonically, so identical runs produce byte-identical bodies.  In memory a
+run's records are rows, one dict per round; the body stores them as
+columns, one list per record field (schema ``portfolio-trace/3``), and
+`_transpose` turns rows into columns for the body, the checker and the
+summary alike.  ``verify`` also reads the row records of schemas
+``portfolio-trace/1`` and ``/2``.
 
 One run loop drives every learner through its ``start``/``step`` interface,
-and one ``TraceChecker`` holds every per-round invariant.  It checks a whole
-list of records at once, as arrays.  The runner builds the records without
-checking them and runs the checker once after the last round (or on the
-partial records of a run a solver failure aborts), so ``meta.per_round_ms``
-times the learner's round alone.  Every run, complete or aborted, ends the
-same way: its violations are recorded in the summary and its trace is
-written.  A record holds only what the run produced: the round, its
-relatives, the play, its loss and the controller's fields.  What the
-checker derives from them (gradient norms, play and leader ratios) is
-never stored, so ``verify`` recomputes it with the same checker over a
-persisted trace and rebuilds the summary with the runner's own function.
-A trace is self-certifying: it carries the played points, the rounds, and
-the leaders needed to recompute every quantity it claims.
+and one ``TraceChecker`` holds every per-round invariant.  It checks the
+columns of a whole run at once, as arrays.  The runner builds the records
+without checking them and runs the checker once after the last round (or
+on the partial records of a run a solver failure aborts), so
+``meta.per_round_ms`` times the learner's round alone.  Every run,
+complete or aborted, ends the same way: its violations are recorded in
+the summary and its trace is written.  A record holds only what the run
+produced: the round, its relatives, the play, its loss and the
+controller's fields.  What the checker derives from them (gradient norms,
+play and leader ratios) is never stored, so ``verify`` recomputes it with
+the same checker over a persisted trace and rebuilds the summary with the
+runner's own function.  A trace is self-certifying: it carries the played
+points, the rounds, and the leaders needed to recompute every quantity it
+claims.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +61,7 @@ from .solver import SolverConfig, SolverFailure
 
 __all__ = [
     "LEARNER_NAMES",
+    "RECORD_FIELDS",
     "TRACE_SCHEMA",
     "CheckedRecords",
     "ExperimentResult",
@@ -68,9 +75,12 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-TRACE_SCHEMA = "portfolio-trace/2"
-# A /1 body is a /2 body whose records also carry the checker's own figures, which verify ignores.
-_READABLE_SCHEMAS = (TRACE_SCHEMA, "portfolio-trace/1")
+TRACE_SCHEMA = "portfolio-trace/3"
+# A /2 body holds the /3 columns as rows, one object per round; a /1 body is a /2 body whose records
+# also carry the checker's own figures, which verify ignores.
+_READABLE_SCHEMAS = (TRACE_SCHEMA, "portfolio-trace/2", "portfolio-trace/1")
+# The fields of a record: a /3 body's per_round holds one list per field.
+RECORD_FIELDS = ("t", "epoch", "beta", "alpha", "u", "restart", "x", "r", "loss", "cum_loss")
 LEARNER_NAMES = ("ada", "barrons", "ons", "eg", "ogd", "softbayes", "up-grid")
 
 # Clipped-simplex learners; the rest live on the full simplex.
@@ -82,6 +92,12 @@ _U_BAND_SLACK = 1e-8
 
 @dataclass
 class ExperimentResult:
+    """A run's config echo, records and summary.
+
+    ``per_round`` holds the records as rows, one dict per round; the body
+    (``trace_dict``, ``body_json``) holds them as columns.
+    """
+
     config: dict
     per_round: list
     summary: dict
@@ -90,7 +106,7 @@ class ExperimentResult:
         return {
             "schema": TRACE_SCHEMA,
             "config": self.config,
-            "per_round": self.per_round,
+            "per_round": _transpose(self.per_round)[0],
             "summary": self.summary,
         }
 
@@ -100,6 +116,30 @@ class ExperimentResult:
 
 def _floats(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
+
+
+def _transpose(records) -> tuple:
+    """Row records as columns: one list per field of ``RECORD_FIELDS``, and the records left over.
+
+    The columns hold the leading records that are objects with every
+    field; the rest, from the first record that is not, are left over.
+    """
+    try:
+        return {key: [rec[key] for rec in records] for key in RECORD_FIELDS}, []
+    except (KeyError, TypeError):
+        fields = set(RECORD_FIELDS)
+        whole = next(i for i, rec in enumerate(records) if not (isinstance(rec, dict) and rec.keys() >= fields))
+        return {key: [rec[key] for rec in records[:whole]] for key in RECORD_FIELDS}, records[whole:]
+
+
+class _Row:
+    """One record read as columns of one entry each; a field the record lacks raises what indexing it raises."""
+
+    def __init__(self, record):
+        self.record = record
+
+    def __getitem__(self, key: str) -> list:
+        return [self.record[key]]
 
 
 # The checks of a record in the order they run: within a round, problems follow this order.
@@ -141,7 +181,7 @@ def _ada_config(params: dict) -> AdaConfig:
 
 @dataclass
 class CheckedRecords:
-    """What `TraceChecker.check_records` found in a list of records.
+    """What `TraceChecker.check_columns` or `TraceChecker.check_records` found in a run's records.
 
     ``issues`` pairs each violation with the position of its record, in
     record order and, within a record, in the order of ``_CHECKS``.
@@ -176,11 +216,12 @@ class TraceChecker:
     round k.  Every test is written so that a NaN fails it.  A violation is
     reported, never raised.
 
-    The records' fields are converted to arrays once, and each check is an
-    array expression over all rounds, or over the rounds of one epoch.  The
-    ceiling costs one O(m n) matrix-vector product per round over the m
-    rounds of its epoch so far, through `epoch_ceiling`, the controller's
-    own formula, so the restart-flag test compares the controller's bits.
+    Each column of the records is converted to an array once, and each
+    check is an array expression over all rounds, or over the rounds of one
+    epoch.  The ceiling costs one O(m n) matrix-vector product per round
+    over the m rounds of its epoch so far, through `epoch_ceiling`, the
+    controller's own formula, so the restart-flag test compares the
+    controller's bits.
     """
 
     def __init__(self, config: dict):
@@ -206,52 +247,78 @@ class TraceChecker:
             self.budget = epoch_budget(dims)
             self.log_t = np.log(dims.t)
 
-    def _vectors(self, records, key: str) -> np.ndarray:
-        arr = np.array([rec[key] for rec in records], dtype=float)
-        if records and arr.shape != (len(records), self.dims.n):
+    def _vectors(self, column: list, key: str) -> np.ndarray:
+        arr = np.array(column, dtype=float)
+        if column and arr.shape != (len(column), self.dims.n):
             raise ValueError(f"{key} does not hold {self.dims.n} numbers")
-        return arr.reshape(len(records), self.dims.n)
+        return arr.reshape(len(column), self.dims.n)
 
     @staticmethod
-    def _numbers(records, key: str):
-        """The field ``key`` of each record, as given and as an array of floats."""
-        values = [rec[key] for rec in records]
+    def _numbers(values: list, key: str):
+        """The column ``key``, as given and as an array of floats."""
         if not all(issubclass(kind, (int, float)) for kind in set(map(type, values))):
             raise TypeError(f"{key} must be a number")
         return values, np.array(values, dtype=float)
 
-    def _columns(self, records) -> dict:
-        """The fields the checks read, one entry per field plus an ada run's beta schedule, in the order a record's checks read them.
+    def _convert(self, columns) -> dict:
+        """The columns the checks read, converted, plus an ada run's beta schedule, in the order a record's checks read them.
 
-        Another run's controller fields are one entry: a tuple per record.
+        ``columns`` maps each of ``RECORD_FIELDS`` to a list with one entry
+        per record.  Another run's controller fields are kept as given.
         """
         cols = {
-            "t": [rec["t"] for rec in records],
-            "x": self._vectors(records, "x"),
-            "r": self._vectors(records, "r"),
-            "loss": self._numbers(records, "loss"),
-            "cum_loss": self._numbers(records, "cum_loss"),
+            "t": columns["t"],
+            "x": self._vectors(columns["x"], "x"),
+            "r": self._vectors(columns["r"], "r"),
+            "loss": self._numbers(columns["loss"], "loss"),
+            "cum_loss": self._numbers(columns["cum_loss"], "cum_loss"),
         }
         if self.learner == "ada":
             for key in ("epoch", "beta", "alpha"):
-                cols[key] = self._numbers(records, key)
+                cols[key] = self._numbers(columns[key], key)
             # beta_init/2^(epoch-1) per record, as the beta check compares it; an extreme epoch overflows it.
             cols["beta_want"] = [self.beta_init * 0.5 ** (e - 1) for e in cols["epoch"][0]]
-            cols["restart"] = [bool(rec["restart"]) for rec in records]
-            cols["u"] = self._vectors(records, "u")
+            cols["restart"] = list(map(bool, columns["restart"]))
+            cols["u"] = self._vectors(columns["u"], "u")
         else:
-            cols["one_epoch"] = list(map(operator.itemgetter(*self.one_epoch), records))
+            for key in self.one_epoch:
+                cols[key] = columns[key]
         return cols
 
+    def _first_malformed(self, columns, rest) -> tuple:
+        """The position of the first record whose fields do not convert on their own, and the exception.
+
+        ``columns`` and ``rest`` are as `check_columns` takes them.
+        """
+        records = ({key: columns[key][p:p + 1] for key in RECORD_FIELDS} for p in range(len(columns["t"])))
+        for position, record in enumerate(itertools.chain(records, map(_Row, rest[:1]))):
+            try:
+                self._convert(record)
+            except _MALFORMED as exc:
+                return position, exc
+        raise AssertionError("the records convert one by one but not together")
+
     def check_records(self, records: list) -> CheckedRecords:
-        """Check every record of the run, in order; see `CheckedRecords` for the result."""
+        """Check every record of the run, given as rows, in order; see `CheckedRecords` for the result."""
+        return self.check_columns(*_transpose(records))
+
+    def check_columns(self, columns: dict, rest: Sequence = ()) -> CheckedRecords:
+        """Check every record of the run, given as columns, in order; see `CheckedRecords` for the result.
+
+        ``columns`` maps each of ``RECORD_FIELDS`` to a list with one entry
+        per record.  ``rest`` holds the records that follow, the first of
+        which `_transpose` could not put in the columns: checking stops at
+        that record.
+        """
         stop = None  # (position, order of the first check that did not run, exception)
         try:
-            cols = self._columns(records)
+            cols = self._convert(columns)
         except _MALFORMED:
-            position, exc = self._first_malformed(records)
+            cols = None
+        if cols is None or rest:
+            position, exc = self._first_malformed(columns, rest)
             stop = (position, 0, exc)
-            cols = self._columns(records[:position])
+            cols = self._convert({key: columns[key][:position] for key in RECORD_FIELDS})
         ts, x, r = cols["t"], cols["x"], cols["r"]
         m = len(ts)
         if m == 0:
@@ -298,26 +365,19 @@ class TraceChecker:
             if self.learner == "ada":
                 ceilings = self._check_controller(fail, cols, x, sums, grad, starts, first)
             else:
-                keys, want = tuple(self.one_epoch), tuple(self.one_epoch.values())
-                # Position -> the first controller field of that record that is not the one-epoch run's.
-                odd = {i: next(k for k, a, b in zip(keys, got, want) if a != b)
-                       for i, got in enumerate(cols["one_epoch"]) if got != want}
-                fail("one_epoch", list(odd),
-                     lambda i: f"{odd[i]} {records[i][odd[i]]!r} is not the one-epoch run's {self.one_epoch[odd[i]]!r}")
+                odd = {}  # position -> the first controller field of that record that is not the one-epoch run's
+                for key, want in self.one_epoch.items():
+                    if cols[key].count(want) != m:
+                        for i, got in enumerate(cols[key]):
+                            if got != want:
+                                odd.setdefault(i, key)
+                fail("one_epoch", sorted(odd),
+                     lambda i: f"{odd[i]} {cols[odd[i]][i]!r} is not the one-epoch run's {self.one_epoch[odd[i]]!r}")
         issues.sort(key=lambda issue: issue[:2])
         if stop is not None:
             issues = [issue for issue in issues if issue[:2] < stop[:2]]
         checked = m if stop is None else stop[0]
         return CheckedRecords([(i, message) for i, _, message in issues], grad_inf[:checked], ceilings, stop and (stop[0], stop[2]))
-
-    def _first_malformed(self, records) -> tuple:
-        """The position of the first record whose fields do not convert on their own, and the exception."""
-        for position, rec in enumerate(records):
-            try:
-                self._columns([rec])
-            except _MALFORMED as exc:
-                return position, exc
-        raise AssertionError("the records convert one by one but not together")
 
     @staticmethod
     def _check_points(fail, name: str, v: np.ndarray, sums: np.ndarray, floor: float):
@@ -531,11 +591,12 @@ def run_experiment(
         crp, crp_loss = best_crp(rounds, dims, solver_cfg)
     except SolverFailure as exc:
         failure = exc
-    checked = checker.check_records(records)
+    columns, _ = _transpose(records)
+    checked = checker.check_columns(columns)
     if checked.stop is not None:
         raise checked.stop[1]
     summary = _summary(
-        records, checked, None if crp is None else _floats(crp), crp_loss,
+        columns, checked, None if crp is None else _floats(crp), crp_loss,
         None if failure is None else str(failure),
     )
     result = ExperimentResult(cfg_echo, records, summary)
@@ -546,21 +607,22 @@ def run_experiment(
     return result
 
 
-def _summary(records, checked: CheckedRecords, crp_weights, crp_loss, aborted) -> dict:
-    """The summary of a run's records, given their `CheckedRecords`, the comparator and the abort message (None if complete).
+def _summary(columns, checked: CheckedRecords, crp_weights, crp_loss, aborted) -> dict:
+    """The summary of a run's records, given as columns, their `CheckedRecords`, the comparator and the abort message (None if complete).
 
     The runner writes it, and `verify_trace` rebuilds it from a persisted
     trace to compare field by field.
     """
-    total = records[-1]["cum_loss"] if records else 0.0
+    cum_loss = columns["cum_loss"]
+    total = cum_loss[-1] if cum_loss else 0.0
     summary = {
         "total_loss": float(total),
         "best_crp": crp_weights,
         "best_crp_loss": None if crp_loss is None else float(crp_loss),
         "regret": None if crp_loss is None else float(total - crp_loss),
-        "rounds_played": len(records),
-        "epoch_count": max((rec["epoch"] for rec in records), default=1),
-        "restarts": sum(1 for rec in records if rec["restart"]),
+        "rounds_played": len(cum_loss),
+        "epoch_count": max(columns["epoch"], default=1),
+        "restarts": sum(map(bool, columns["restart"])),
         "max_grad_inf_norm": max(checked.grad_inf, default=0.0),
         "invariant_violations": checked.problems,
     }
@@ -606,11 +668,11 @@ def save_trace(result: ExperimentResult, path, per_round_ms=None, started=None) 
 
 
 def load_trace(path) -> dict:
-    """The ``trace`` part of a saved trace document.
+    """The ``trace`` part of a saved trace document, as stored.
 
     Raises ValueError when the document or its ``trace`` is not a JSON
-    object, or when the trace is not of schema ``TRACE_SCHEMA`` or
-    ``portfolio-trace/1``.
+    object, or when the trace is not of schema ``TRACE_SCHEMA`` (records
+    as columns) or ``portfolio-trace/2`` or ``/1`` (records as rows).
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -627,28 +689,38 @@ def verify_trace(trace: dict) -> list:
     """Recheck a persisted trace from scratch; returns the list of problems.
 
     A ``TraceChecker`` replays every per-round invariant from the recorded
-    plays, rounds and leaders; any other field of a record (the checker's
-    own figures in a ``portfolio-trace/1`` record) is not read.  There
-    must be ``config.t`` records, or no more when the summary says the run
-    was ``aborted``, and ``aborted`` must be present exactly when
-    ``best_crp`` is null.  Then the summary is rebuilt from the records,
-    the checker's problems and gradient norms, and the summary's own
-    comparator and abort message, with the runner's function, and every
-    field must equal the recorded one.  A record that cannot be checked at
-    all (a field missing, of the wrong type or shape, an integer too large
-    for a float, or a play with no wealth on its round) is reported by its
-    round, and the replay stops there.  An empty list means the trace is
-    internally consistent.
+    plays, rounds and leaders.  A ``TRACE_SCHEMA`` trace holds them as
+    columns: its ``per_round`` must be an object with a list for each of
+    ``RECORD_FIELDS``, all of one length.  Any other trace holds them as
+    rows, one object per round, which `_transpose` turns into columns; any
+    other field of a record (the checker's own figures in a
+    ``portfolio-trace/1`` record) is not read.  There must be ``config.t``
+    records, or no more when the summary says the run was ``aborted``, and
+    ``aborted`` must be present exactly when ``best_crp`` is null.  Then
+    the summary is rebuilt from the records, the checker's problems and
+    gradient norms, and the summary's own comparator and abort message,
+    with the runner's function, and every field must equal the recorded
+    one.  A record that cannot be checked at all (a field missing, of the
+    wrong type or shape, an integer too large for a float, or a play with
+    no wealth on its round) is reported by its round, and the replay stops
+    there.  An empty list means the trace is internally consistent.
     """
-    records = trace.get("per_round", [])
     summary = trace.get("summary", {})
     try:
         checker = TraceChecker(trace.get("config", {}))
     except _MALFORMED as exc:
         return [f"config: unusable ({exc})"]
-    if not isinstance(records, list):
-        return ["per_round: not a list"]
-    checked = checker.check_records(records)
+    if trace.get("schema") == TRACE_SCHEMA:
+        columns, rest = trace.get("per_round"), []
+        problem = _column_problem(columns)
+        if problem is not None:
+            return [f"per_round: {problem}"]
+    else:
+        records = trace.get("per_round", [])
+        if not isinstance(records, list):
+            return ["per_round: not a list"]
+        columns, rest = _transpose(records)
+    checked = checker.check_columns(columns, rest)
     problems = checked.problems
     if checked.stop is not None:
         # The replay stops at a record that cannot be checked at all.  The round is the record's
@@ -661,12 +733,13 @@ def verify_trace(trace: dict) -> list:
         problems.append("summary: not an object")
         return problems
     aborted = "aborted" in summary
-    if not (len(records) == checker.dims.t or (aborted and len(records) < checker.dims.t)):
-        problems.append(f"per_round: {len(records)} records but config.t is {checker.dims.t}")
+    m = len(columns["t"])
+    if not (m == checker.dims.t or (aborted and m < checker.dims.t)):
+        problems.append(f"per_round: {m} records but config.t is {checker.dims.t}")
     if aborted != (summary.get("best_crp") is None):
         problems.append("summary: an aborted run has a best_crp" if aborted else "summary: a complete run has no best_crp")
     try:
-        rebuilt = _summary(records, checked, summary.get("best_crp"), summary.get("best_crp_loss"), summary.get("aborted"))
+        rebuilt = _summary(columns, checked, summary.get("best_crp"), summary.get("best_crp_loss"), summary.get("aborted"))
     except _MALFORMED as exc:
         problems.append(f"summary: cannot be checked against the records ({type(exc).__name__}: {exc})")
         return problems
@@ -676,6 +749,20 @@ def verify_trace(trace: dict) -> list:
         elif summary[key] != value:  # values stay out of the message: a list of violations can be long
             problems.append(f"summary: {key} disagrees with the records")
     return problems
+
+
+def _column_problem(columns) -> Optional[str]:
+    """What keeps a ``TRACE_SCHEMA`` trace's ``per_round`` from being columns of one length, or None."""
+    if not isinstance(columns, dict):
+        return "not an object"
+    for key in RECORD_FIELDS:
+        if key not in columns:
+            return f"no {key} column"
+        if not isinstance(columns[key], list):
+            return f"the {key} column is not a list"
+        if len(columns[key]) != len(columns["t"]):
+            return f"the {key} column holds {len(columns[key])} entries and the t column {len(columns['t'])}"
+    return None
 
 
 def sweep(

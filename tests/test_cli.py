@@ -48,7 +48,7 @@ def test_verify_flags_a_tampered_trace(tmp_path, capsys):
         "--n", "2", "--t-horizon", "16", "--out", str(out),
     ])
     doc = json.loads(out.read_text())
-    doc["trace"]["per_round"][4]["loss"] += 1e-5
+    doc["trace"]["per_round"]["loss"][4] += 1e-5
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == EXIT_VERIFY
     assert "problems" in capsys.readouterr().err
@@ -76,7 +76,7 @@ def saved_trace(tmp_path):
         (lambda doc: [doc], EXIT_BAD_INPUT, "the document is not a JSON object"),
         (lambda doc: {**doc, "trace": [doc["trace"]]}, EXIT_BAD_INPUT, "its trace is not a JSON object"),
         (lambda doc: {**doc, "trace": {**doc["trace"], "summary": [doc["trace"]["summary"]]}}, EXIT_VERIFY, "summary: not an object"),
-        (lambda doc: {**doc, "trace": {**doc["trace"], "per_round": 5}}, EXIT_VERIFY, "per_round: not a list"),
+        (lambda doc: {**doc, "trace": {**doc["trace"], "per_round": 5}}, EXIT_VERIFY, "per_round: not an object"),
     ],
     ids=["document", "trace", "summary", "per_round"],
 )
@@ -213,7 +213,7 @@ def test_sweep_with_a_violation_writes_its_tables_and_exits_3(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--t-horizon", "10"), ("--eps", "0.125"), ("--flip-period", "4"), ("--sigma", "5"),
+    ("--t-horizon", "10"), ("--eps", "0.125"), ("--flip-period", "4"), ("--sigma", "5"), ("--seed", "5"),
 ])
 def test_market_flags_are_rejected_with_a_csv_market(tmp_path, capsys, flag, value):
     csv_path = tmp_path / "market.csv"

@@ -33,6 +33,16 @@ def blowup_result():
     return run_market("ada", MarketSpec("blowup", DIMS))
 
 
+def _rows(columns: dict) -> list:
+    """Record columns transposed back to rows, one dict per round."""
+    return [dict(zip(columns, entries)) for entries in zip(*columns.values())]
+
+
+def _schema_2(trace: dict) -> dict:
+    """A portfolio-trace/3 body rendered as portfolio-trace/2: the same records, one object per round."""
+    return {**trace, "schema": "portfolio-trace/2", "per_round": _rows(trace["per_round"])}
+
+
 def test_run_validation():
     rounds = generate(MarketSpec("constant", DIMS))
     with pytest.raises(ValueError, match="unknown learner"):
@@ -43,13 +53,12 @@ def test_run_validation():
 
 def test_trace_layout_and_summary(blowup_result):
     trace = blowup_result.trace_dict()
-    assert trace["schema"] == "portfolio-trace/2"
+    assert trace["schema"] == "portfolio-trace/3"
     assert trace["config"]["learner"] == "ada"
     assert trace["config"]["n"] == 2 and trace["config"]["t"] == 64
-    assert len(trace["per_round"]) == 64
-    first = trace["per_round"][0]
-    for key in ("t", "epoch", "beta", "x", "r", "loss", "cum_loss", "alpha", "u", "restart"):
-        assert key in first
+    columns = trace["per_round"]
+    assert set(columns) == {"t", "epoch", "beta", "x", "r", "loss", "cum_loss", "alpha", "u", "restart"}
+    assert {len(column) for column in columns.values()} == {64}
     summary = trace["summary"]
     assert summary["rounds_played"] == 64
     assert summary["restarts"] >= 1
@@ -81,32 +90,32 @@ def test_verifier_accepts_every_learner():
 
 def test_verifier_catches_tampered_loss(blowup_result):
     trace = json.loads(blowup_result.body_json())
-    trace["per_round"][5]["loss"] += 1e-6
+    trace["per_round"]["loss"][5] += 1e-6
     problems = verify_trace(trace)
     assert any("loss" in p for p in problems)
 
 
 def test_verifier_catches_tampered_play(blowup_result):
     trace = json.loads(blowup_result.body_json())
-    rec = trace["per_round"][8]
-    rec["x"] = [rec["x"][1], rec["x"][0]]
+    plays = trace["per_round"]["x"]
+    plays[8] = [plays[8][1], plays[8][0]]
     assert verify_trace(trace)
 
 
 def test_verifier_catches_tampered_ceiling(blowup_result):
     trace = json.loads(blowup_result.body_json())
-    trace["per_round"][3]["alpha"] = 0.4999
+    trace["per_round"]["alpha"][3] = 0.4999
     problems = verify_trace(trace)
     assert any("alpha" in p or "ceiling" in p for p in problems)
 
 
 def test_verifier_reports_a_play_under_the_rate_floor(blowup_result):
     trace = json.loads(blowup_result.body_json())
-    rec = trace["per_round"][10]
+    plays = trace["per_round"]["x"]
     low = DIMS.floor * (1.0 - 1e-6)  # the rate exponent log_t(1/(n x)) just over 1
-    rec["x"] = [low, 1.0 - low] if rec["x"][0] < rec["x"][1] else [1.0 - low, low]
+    plays[10] = [low, 1.0 - low] if plays[10][0] < plays[10][1] else [1.0 - low, low]
     problems = verify_trace(trace)
-    assert f"round {rec['t']}: rate schedule left [eta, e*eta]" in problems, problems
+    assert f"round {trace['per_round']['t'][10]}: rate schedule left [eta, e*eta]" in problems, problems
 
 
 @pytest.mark.parametrize("under, flagged", [(1e-13, False), (2.0 * FLOOR_TOL, True)])
@@ -114,10 +123,9 @@ def test_floor_and_rate_band_share_one_tolerance(blowup_result, under, flagged):
     # A coordinate within FLOOR_TOL under the floor is on it for both checks, as clipped_point accepts it
     # from the solver; one further under fails both.
     trace = json.loads(blowup_result.body_json())
-    rec = trace["per_round"][10]
     low = DIMS.floor - under
-    rec["x"] = [low, 1.0 - low]
-    t = rec["t"]
+    trace["per_round"]["x"][10] = [low, 1.0 - low]
+    t = trace["per_round"]["t"][10]
     judged = [p for p in verify_trace(trace) if p.startswith(f"round {t}:") and ("floor" in p or "rate" in p)]
     want = [f"round {t}: play coordinate {low!r} under the floor {DIMS.floor!r}", f"round {t}: rate schedule left [eta, e*eta]"]
     assert judged == (want if flagged else []), judged
@@ -171,16 +179,17 @@ def blowup_results(blowup_result):
 @pytest.mark.parametrize(
     "learner, field, pick, tamper, word",
     [
-        ("ons", "x", lambda recs: 10, lambda v: [c * (1.0 + 1e-11) for c in v], "weight sum"),
+        ("ons", "x", lambda columns: 10, lambda v: [c * (1.0 + 1e-11) for c in v], "weight sum"),
     ],
     ids=["ons-weight_sum"],
 )
 def test_verifier_catches_tampered_checked_field(blowup_results, learner, field, pick, tamper, word):
     trace = json.loads(blowup_results[learner].body_json())
-    rec = trace["per_round"][pick(trace["per_round"])]
-    rec[field] = tamper(rec[field])
+    columns = trace["per_round"]
+    i = pick(columns)
+    columns[field][i] = tamper(columns[field][i])
     problems = verify_trace(trace)
-    assert any(p.startswith(f"round {rec['t']}:") and word in p for p in problems), problems
+    assert any(p.startswith(f"round {columns['t'][i]}:") and word in p for p in problems), problems
 
 
 @pytest.mark.parametrize(
@@ -197,7 +206,7 @@ def test_verifier_catches_tampered_checked_field(blowup_results, learner, field,
 )
 def test_verifier_catches_nan_in_a_record(blowup_results, learner, field, value):
     trace = json.loads(blowup_results[learner].body_json())
-    trace["per_round"][10][field] = value
+    trace["per_round"][field][10] = value
     problems = verify_trace(trace)
     assert any(p.startswith("round 11:") for p in problems), problems
 
@@ -227,13 +236,15 @@ _DELETE = object()
 )
 def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learner, field, value):
     trace = json.loads(blowup_results[learner].body_json())
-    rec = trace["per_round"][10]
+    # A record that is not an object, or lacks a field, can only be written as a row.
     if field is None:
+        trace = _schema_2(trace)
         trace["per_round"][10] = value
     elif value is _DELETE:
-        del rec[field]
+        trace = _schema_2(trace)
+        del trace["per_round"][10][field]
     else:
-        rec[field] = value
+        trace["per_round"][field][10] = value
     problems = verify_trace(trace)
     assert any(p.startswith("round 11:") for p in problems), problems
     if isinstance(value, int):
@@ -270,9 +281,9 @@ def test_verifier_catches_a_summary_field_the_records_contradict(blowup_result, 
 )
 def test_verifier_checks_the_controller_fields_of_a_one_epoch_run(blowup_results, learner, field, value):
     trace = json.loads(blowup_results[learner].body_json())
-    rec = trace["per_round"][10]
-    want = rec[field]
-    rec[field] = value
+    column = trace["per_round"][field]
+    want = column[10]
+    column[10] = value
     problems = verify_trace(trace)
     assert f"round 11: {field} {value!r} is not the one-epoch run's {want!r}" in problems, problems
 
@@ -283,7 +294,7 @@ def test_verifier_checks_the_controller_fields_of_a_one_epoch_run(blowup_results
         ("config", lambda c: {**c, "t": 128}, "per_round: 64 records but config.t is 128"),
         ("summary", lambda s: {**s, "aborted": "x"}, "summary: an aborted run has a best_crp"),
         ("summary", lambda s: {**s, "best_crp": None}, "summary: a complete run has no best_crp"),
-        ("per_round", lambda recs: recs[:4] + [{**recs[4], "t": 50}] + recs[5:], "round 50: recorded at position 5"),
+        ("per_round", lambda cols: {**cols, "t": cols["t"][:4] + [50] + cols["t"][5:]}, "round 50: recorded at position 5"),
     ],
     ids=["horizon_past_records", "aborted_complete_run", "null_best_crp", "record_out_of_order"],
 )
@@ -315,17 +326,17 @@ def test_verifier_catches_missing_or_nan_summary_fields(blowup_result, key, miss
 def test_verifier_recomputes_the_largest_gradient_norm(blowup_result):
     # The summary's gradient norm is rebuilt from the plays, not from a figure the records carry.
     trace = json.loads(blowup_result.body_json())
-    rec = trace["per_round"][10]
-    r = np.array(rec["r"])
+    columns = trace["per_round"]
+    r = np.array(columns["r"][10])
     x = np.full(2, DIMS.floor)
     x[np.argmin(r)] = 1.0 - DIMS.floor  # the play backs the asset that crashed
-    rec["x"] = x.tolist()
+    columns["x"][10] = x.tolist()
     assert np.abs(r / (x @ r)).max() > trace["summary"]["max_grad_inf_norm"]
     assert "summary: max_grad_inf_norm disagrees with the records" in verify_trace(trace)
 
 
 def test_checker_records_a_violation_by_its_round(blowup_result):
-    records = json.loads(blowup_result.body_json())["per_round"]
+    records = _rows(json.loads(blowup_result.body_json())["per_round"])
     # A round whose ceiling no later check reads: neither it nor the next round restarts.
     bad = next(i for i in range(1, len(records) - 1) if not (records[i]["restart"] or records[i + 1]["restart"]))
     records[bad]["alpha"] = 0.4999
@@ -375,13 +386,8 @@ def test_runner_checks_its_records_after_the_last_round(monkeypatch, blowup_resu
 
 def test_verifier_catches_tampered_restart_flag(blowup_result):
     trace = json.loads(blowup_result.body_json())
-    flipped = None
-    for rec in trace["per_round"]:
-        if rec["restart"]:
-            rec["restart"] = False
-            flipped = rec["t"]
-            break
-    assert flipped is not None
+    restarts = trace["per_round"]["restart"]
+    restarts[restarts.index(True)] = False
     assert verify_trace(trace)
 
 
@@ -408,9 +414,41 @@ def test_load_rejects_foreign_json(tmp_path):
         load_trace(path)
 
 
+def test_a_schema_3_body_holds_the_records_as_columns(blowup_results):
+    for learner, result in blowup_results.items():
+        trace = json.loads(result.body_json())
+        assert trace["schema"] == "portfolio-trace/3", learner
+        assert _rows(trace["per_round"]) == result.per_round, learner
+
+
+def test_a_schema_2_trace_loads_and_verifies(tmp_path, blowup_results):
+    # A portfolio-trace/2 body holds the same records as rows, one object per round.
+    for learner, result in blowup_results.items():
+        trace = _schema_2(json.loads(result.body_json()))
+        path = tmp_path / f"{learner}-v2.json"
+        path.write_text(json.dumps({"meta": {}, "trace": trace}))
+        assert load_trace(path) == trace, learner
+        assert verify_trace(trace) == [], learner
+
+
+@pytest.mark.parametrize(
+    "reshape, problem",
+    [
+        (_rows, "per_round: not an object"),
+        (lambda cols: {k: v for k, v in cols.items() if k != "loss"}, "per_round: no loss column"),
+        (lambda cols: {**cols, "x": cols["x"][:-1]}, "per_round: the x column holds 63 entries and the t column 64"),
+    ],
+    ids=["rows", "missing_column", "short_column"],
+)
+def test_verifier_reports_columns_of_the_wrong_shape(blowup_result, reshape, problem):
+    trace = json.loads(blowup_result.body_json())
+    trace["per_round"] = reshape(trace["per_round"])
+    assert verify_trace(trace) == [problem]
+
+
 def test_a_schema_1_trace_loads_and_verifies(tmp_path, blowup_result):
     # A portfolio-trace/1 record also carried five figures the checker derives; verify reads none of them.
-    trace = json.loads(blowup_result.body_json())
+    trace = _schema_2(json.loads(blowup_result.body_json()))
     trace["schema"] = "portfolio-trace/1"
     for rec in trace["per_round"]:
         rec.update(grad_inf=1.5, x_ratio=None, u_ratio=0.25, ratio_max=2.0, ratio_max_prev=1.0)
@@ -449,9 +487,9 @@ def test_partial_trace_persisted_on_solver_failure(tmp_path):
     trace = load_trace(out)
     assert trace["summary"]["aborted"]
     assert trace["summary"]["best_crp_loss"] is None
-    records = trace["per_round"]
+    columns = trace["per_round"]
     derived = {"grad_inf", "x_ratio", "u_ratio", "ratio_max", "ratio_max_prev"}
-    assert records and not any(derived & rec.keys() for rec in records)
+    assert columns["t"] and not derived & columns.keys()
     assert verify_trace(trace) == []
 
 
