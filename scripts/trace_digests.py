@@ -5,12 +5,11 @@
 The main grid is every learner on every market kind at n in {2, 5} and
 T in {64, 256}, all at market seed 3 (112 runs).  A second grid covers non-default settings at T=64 on every
 market kind and n in {2, 5}: each entry of ``NON_DEFAULT`` (learner
-parameters, and one solver configuration for the learners that call the
-solver), 128 runs.  A third, wide grid runs ada, barrons and ons on every
+parameters), 88 runs.  A third, wide grid runs ada, barrons and ons on every
 market kind at n=10 and T=64 (12 runs), where the solver's reduced Newton
 system has nine columns and its step sums many terms.  Last come the
 benchmark's two inputs, ada and ons on blowup at n=2 and T=512, so the
-proof covers the runs being timed.  The 254 runs take about 10 s on one
+proof covers the runs being timed.  The 214 runs take about 10 s on one
 core.  The package is imported from the ``src`` directory beside this
 script.
 
@@ -73,7 +72,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from barrons.domain import FLOOR_TOL, ProblemDims
 from barrons.harness import LEARNER_NAMES, run_market, verify_trace
 from barrons.markets import MARKET_KINDS, MarketSpec
-from barrons.solver import SolverConfig, SolverFailure
+from barrons.solver import SolverFailure
 
 SEED = 3
 N_VALUES = (2, 5)
@@ -82,24 +81,19 @@ WIDE_LEARNERS = ("ada", "barrons", "ons")
 WIDE_N = 10
 BENCHMARK_RUNS = ("ada", "ons")  # perfbench's ada_blowup and ons_blowup: blowup, n=2, T=512
 
-# (learner, params, solver kkt_tol and max_newton_iters or None for the default solver)
+# (learner, params)
 NON_DEFAULT = [
-    ("ons", {"beta": 0.25}, None),
-    ("ons", {"beta": 1.0, "mix": 0.1}, None),
-    ("eg", {"mix": 0.1}, None),
-    ("eg", {"g_est": 5.0}, None),
-    ("ada", {"beta": 0.25}, None),
-    ("ada", {"gamma": 0.02}, None),
-    ("ada", {"eta": 1e-3}, None),
-    ("barrons", {"eta": 1e-3}, None),
-    ("barrons", {"beta": 0.25, "eta": 2e-3}, None),
-    ("ada", {}, (1e-8, 40)),
-    ("barrons", {}, (1e-8, 40)),
-    ("ons", {}, (1e-8, 40)),
-    ("eg", {}, (1e-8, 40)),
-    ("softbayes", {}, (1e-8, 40)),
-    ("ogd", {"eta": 0.05}, None),
-    ("softbayes", {"eta": 0.05}, None),
+    ("ons", {"beta": 0.25}),
+    ("ons", {"beta": 1.0, "mix": 0.1}),
+    ("eg", {"mix": 0.1}),
+    ("eg", {"g_est": 5.0}),
+    ("ada", {"beta": 0.25}),
+    ("ada", {"gamma": 0.02}),
+    ("ada", {"eta": 1e-3}),
+    ("barrons", {"eta": 1e-3}),
+    ("barrons", {"beta": 0.25, "eta": 2e-3}),
+    ("ogd", {"eta": 0.05}),
+    ("softbayes", {"eta": 0.05}),
 ]
 
 
@@ -126,12 +120,11 @@ def canonical(body: dict) -> str:
     return json.dumps(rendered, sort_keys=True, separators=(",", ":"))
 
 
-def digest(learner: str, kind: str, n: int, t: int, params=None, solver=None):
+def digest(learner: str, kind: str, n: int, t: int, params=None):
     """One run's digest entry, and its body (None when the run raised)."""
     spec = MarketSpec(kind, ProblemDims(n, t), seed=SEED)
-    solver_cfg = None if solver is None else SolverConfig(kkt_tol=solver[0], max_newton_iters=solver[1])
     try:
-        result = run_market(learner, spec, params=params, solver_cfg=solver_cfg)
+        result = run_market(learner, spec, params=params)
     except (ValueError, SolverFailure) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, None
     body = result.body_json()
@@ -192,14 +185,11 @@ def grid():
             for n in N_VALUES:
                 for t in T_VALUES:
                     yield f"{learner}/{kind}/n={n}/T={t}", (learner, kind, n, t)
-    for learner, params, solver in NON_DEFAULT:
-        parts = [f"{k}={v}" for k, v in sorted(params.items())]
-        if solver is not None:
-            parts.append(f"solver={solver[0]:g}/{solver[1]}")
-        setting = ",".join(parts)
+    for learner, params in NON_DEFAULT:
+        setting = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
         for kind in MARKET_KINDS:
             for n in N_VALUES:
-                yield f"{learner}[{setting}]/{kind}/n={n}/T=64", (learner, kind, n, 64, params, solver)
+                yield f"{learner}[{setting}]/{kind}/n={n}/T=64", (learner, kind, n, 64, params)
     for learner in WIDE_LEARNERS:
         for kind in MARKET_KINDS:
             yield f"{learner}/{kind}/n={WIDE_N}/T=64", (learner, kind, WIDE_N, 64)

@@ -26,7 +26,7 @@ from .domain import (
     nudge_interior,
     uniform_portfolio,
 )
-from .solver import Objective, SolverConfig, minimize_over_clipped_simplex
+from .solver import Objective, minimize_over_clipped_simplex
 
 __all__ = [
     "AdaConfig",
@@ -245,7 +245,6 @@ def regularized_leader(
     gamma: float,
     warm_start: np.ndarray,
     dims: ProblemDims,
-    solver_cfg: Optional[SolverConfig] = None,
     rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Minimizer of epoch log-loss plus barrier over the clipped simplex, as a read-only array.
@@ -262,7 +261,7 @@ def regularized_leader(
     if r_mat.ndim != 2 or r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must be vectors of {dims.n} price relatives")
     obj = leader_objective(r_mat, gamma, rows)
-    return minimize_over_clipped_simplex(obj, nudge_interior(warm_start, dims), dims, solver_cfg)
+    return minimize_over_clipped_simplex(obj, nudge_interior(warm_start, dims), dims)
 
 
 def alpha(u: np.ndarray, xs: np.ndarray, grads: np.ndarray) -> float:
@@ -278,11 +277,7 @@ def alpha(u: np.ndarray, xs: np.ndarray, grads: np.ndarray) -> float:
     return _cap(float(vals.max(initial=0.0)))
 
 
-def ada_step(
-    state: AdaState,
-    rnd: MarketRound,
-    solver_cfg: Optional[SolverConfig] = None,
-):
+def ada_step(state: AdaState, rnd: MarketRound):
     """One controller round: step the learner, refresh the ceiling, maybe restart.
 
     Returns ``(loss, grad, restarted)``: the round's log-loss, its gradient
@@ -294,12 +289,12 @@ def ada_step(
     itself opened an epoch.
     """
     played = state.inner.x  # barrons_step rebinds state.x and mutates nothing in place
-    loss, grad = barrons_step(state.inner, rnd, solver_cfg)
+    loss, grad = barrons_step(state.inner, rnd)
     history = state.history
     history.append(rnd.r, played, grad)
 
     warm = state.u if state.u is not None else uniform_portfolio(state.dims)
-    state.u = regularized_leader(history.rounds, state.cfg.gamma, warm, state.dims, solver_cfg, rows=history.rows)
+    state.u = regularized_leader(history.rounds, state.cfg.gamma, warm, state.dims, rows=history.rows)
     state.last_u = state.u
 
     ceiling = history.ceiling(state.u)

@@ -26,7 +26,7 @@ from .domain import (
     nudge_interior,
     uniform_portfolio,
 )
-from .solver import SolverConfig, minimize_over_clipped_simplex
+from .solver import minimize_over_clipped_simplex
 
 __all__ = [
     "project_simplex",
@@ -73,11 +73,7 @@ def soft_bayes_step(x: np.ndarray, r: np.ndarray, eta: float) -> np.ndarray:
     return x * (1.0 - eta + eta * r / float(x @ r))
 
 
-def best_crp(
-    rounds,
-    dims: ProblemDims,
-    solver_cfg: Optional[SolverConfig] = None,
-):
+def best_crp(rounds, dims: ProblemDims):
     """Best constant-rebalanced portfolio over the clipped simplex, in hindsight.
 
     Returns ``(weights, total_loss)``: the weights as a read-only array, and
@@ -91,7 +87,7 @@ def best_crp(
     if r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must have {dims.n} assets")
     obj = leader_objective(r_mat, 1e9)
-    best = minimize_over_clipped_simplex(obj, uniform_portfolio(dims), dims, solver_cfg)
+    best = minimize_over_clipped_simplex(obj, uniform_portfolio(dims), dims)
     total_loss = float(-np.log(r_mat @ best).sum())
     return best, total_loss
 
@@ -130,9 +126,8 @@ class OnsLearner:
         self.beta = beta
         self.mix = mix
 
-    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+    def start(self, dims: ProblemDims):
         self.dims = dims
-        self.solver_cfg = solver_cfg
         self.x = uniform_portfolio(dims)
         self.cov = float(dims.n) * np.eye(dims.n)
         return self
@@ -142,7 +137,7 @@ class OnsLearner:
         loss, grad = loss_grad_arrays(played, rnd.r)
         self.cov = self.cov + np.outer(grad, grad)
         obj = omd_step_objective(grad, self.cov, self.x, self.beta)
-        self.x = minimize_over_clipped_simplex(obj, nudge_interior(self.x, self.dims), self.dims, self.solver_cfg)
+        self.x = minimize_over_clipped_simplex(obj, nudge_interior(self.x, self.dims), self.dims)
         return played, loss
 
 
@@ -164,7 +159,7 @@ class EgLearner:
         self.g_est = g_est
         self.mix = mix
 
-    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+    def start(self, dims: ProblemDims):
         self.dims = dims
         if self.eta_fixed is not None:
             self.eta = self.eta_fixed
@@ -191,7 +186,7 @@ class OgdLearner:
     def __init__(self, eta: Optional[float] = None):
         self.eta_fixed = eta
 
-    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+    def start(self, dims: ProblemDims):
         self.dims = dims
         self.eta = self.eta_fixed if self.eta_fixed is not None else 1.0 / np.sqrt(dims.t)
         self.x = uniform_portfolio(dims)
@@ -212,7 +207,7 @@ class SoftBayesLearner:
     def __init__(self, eta: Optional[float] = None):
         self.eta_fixed = eta
 
-    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+    def start(self, dims: ProblemDims):
         self.dims = dims
         if self.eta_fixed is not None:
             self.eta = self.eta_fixed
@@ -236,7 +231,7 @@ class UpGridLearner:
     def __init__(self, resolution: Optional[float] = None):
         self.resolution = resolution
 
-    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+    def start(self, dims: ProblemDims):
         self.dims = dims
         res = self.resolution if self.resolution is not None else (0.01 if dims.n == 2 else 0.02)
         self.grid = _full_simplex_grid(dims.n, res)

@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for bad inputs or configuration, 2 when the
-inner solver fails, 3 when a trace fails verification or a run (or any run
-of a sweep) records an invariant violation.  ``run`` writes its trace
-(``--out``), and ``sweep`` its tables, before it exits, whatever the code.
+Exit codes: 0 on success, 1 for bad inputs or configuration (usage errors
+included, with argparse's message), 2 when the inner solver fails, 3 when
+a trace fails verification or a run (or any run of a sweep) records an
+invariant violation.  ``run`` writes its trace (``--out``), and ``sweep``
+its tables, before it exits, whatever the code.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .harness import (
     write_sweep_json,
 )
 from .markets import MARKET_KINDS, MarketSpec, generate, load_csv, write_csv
-from .solver import SolverConfig, SolverFailure
+from .solver import SolverFailure
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -57,8 +58,6 @@ def _add_learner_args(parser):
     parser.add_argument("--mix", type=float, help="uniform mixing weight")
     parser.add_argument("--g-est", type=float, help="gradient bound estimate for eg")
     parser.add_argument("--resolution", type=float, help="grid pitch for up-grid")
-    parser.add_argument("--solver-tol", type=float, help="solver first-order tolerance")
-    parser.add_argument("--max-newton-iters", type=int, help="per-stage iteration budget")
 
 
 def _market_params(args) -> dict:
@@ -98,17 +97,7 @@ def _learner_params(args) -> dict:
     return params
 
 
-def _solver_cfg(args):
-    kwargs = {}
-    if args.solver_tol is not None:
-        kwargs["kkt_tol"] = args.solver_tol
-    if args.max_newton_iters is not None:
-        kwargs["max_newton_iters"] = args.max_newton_iters
-    return SolverConfig(**kwargs) if kwargs else None
-
-
 def _cmd_run(args) -> int:
-    solver_cfg = _solver_cfg(args)
     params = _learner_params(args)
     if args.csv is not None:
         for flag, value in (("--t-horizon", args.t_horizon), ("--seed", args.seed), ("--eps", args.eps),
@@ -121,7 +110,6 @@ def _cmd_run(args) -> int:
             rounds,
             dims,
             params=params,
-            solver_cfg=solver_cfg,
             market_desc=f"csv:{args.csv.name}",
             seed=None,
             out_path=args.out,
@@ -131,7 +119,6 @@ def _cmd_run(args) -> int:
             args.learner,
             _market_spec(args),
             params=params,
-            solver_cfg=solver_cfg,
             out_path=args.out,
         )
     summary = result.summary
@@ -159,7 +146,6 @@ def _cmd_sweep(args) -> int:
         seed=_seed(args),
         params=_learner_params(args),
         market_params=_market_params(args),
-        solver_cfg=_solver_cfg(args),
     )
     write_sweep_csv(rows, args.out)
     json_path = args.out.with_suffix(".json")
@@ -199,8 +185,16 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with ``EXIT_BAD_INPUT``; argparse's 2 is ``EXIT_SOLVER``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="barrons",
         description="Online portfolio selection with barrier-regularized Newton steps",
     )

@@ -21,7 +21,7 @@ from .domain import (
     nudge_interior,
     uniform_portfolio,
 )
-from .solver import Objective, SolveDiagnostics, SolverConfig, minimize_over_clipped_simplex
+from .solver import Objective, SolveDiagnostics, minimize_over_clipped_simplex
 
 __all__ = [
     "BarronsState",
@@ -121,7 +121,6 @@ def omd_step_objective(
 def barrons_step(
     state: BarronsState,
     rnd: MarketRound,
-    solver_cfg: Optional[SolverConfig] = None,
     diagnostics: Optional[SolveDiagnostics] = None,
 ):
     """Play the stored point against one round and advance the state.
@@ -148,5 +147,5 @@ def barrons_step(
     state.eta = state.eta_base * np.exp(state.log_max)
 
     obj = omd_step_objective(grad, state.cov, x_t, state.beta, state.eta)
-    state.x = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims, solver_cfg, diagnostics)
+    state.x = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims, diagnostics=diagnostics)
     return loss, grad

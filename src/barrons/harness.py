@@ -57,7 +57,8 @@ from .domain import (
     dead_portfolio,
 )
 from .markets import MarketSpec, generate
-from .solver import SolverConfig, SolverFailure
+from . import solver
+from .solver import SolverFailure
 
 __all__ = [
     "LEARNER_NAMES",
@@ -181,7 +182,7 @@ def _ada_config(params: dict) -> AdaConfig:
 
 @dataclass
 class CheckedRecords:
-    """What `TraceChecker.check_columns` or `TraceChecker.check_records` found in a run's records.
+    """What `TraceChecker.check_columns` found in a run's records.
 
     ``issues`` pairs each violation with the position of its record, in
     record order and, within a record, in the order of ``_CHECKS``.
@@ -297,10 +298,6 @@ class TraceChecker:
             except _MALFORMED as exc:
                 return position, exc
         raise AssertionError("the records convert one by one but not together")
-
-    def check_records(self, records: list) -> CheckedRecords:
-        """Check every record of the run, given as rows, in order; see `CheckedRecords` for the result."""
-        return self.check_columns(*_transpose(records))
 
     def check_columns(self, columns: dict, rest: Sequence = ()) -> CheckedRecords:
         """Check every record of the run, given as columns, in order; see `CheckedRecords` for the result.
@@ -474,15 +471,14 @@ class _AdaRun:
     def __init__(self, params: dict):
         self.cfg = _ada_config(params)
 
-    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+    def start(self, dims: ProblemDims):
         self.state = ada_init(dims, self.cfg)
-        self.solver_cfg = solver_cfg
         return self
 
     def step(self, rnd: MarketRound):
         state = self.state
         played, epoch, beta = state.inner.x, state.epoch, state.beta
-        loss, _, restarted = ada_step(state, rnd, self.solver_cfg)
+        loss, _, restarted = ada_step(state, rnd)
         self.fields = {
             "epoch": epoch,
             "beta": beta,
@@ -500,14 +496,13 @@ class _BarronsRun:
         self.cfg = _ada_config(params)
         self.beta = self.cfg.beta_init
 
-    def start(self, dims: ProblemDims, solver_cfg: Optional[SolverConfig] = None):
+    def start(self, dims: ProblemDims):
         self.state = barrons_init(dims, self.beta, self.cfg.base_rate(dims))
-        self.solver_cfg = solver_cfg
         return self
 
     def step(self, rnd: MarketRound):
         played = self.state.x
-        loss, _ = barrons_step(self.state, rnd, self.solver_cfg)
+        loss, _ = barrons_step(self.state, rnd)
         return played, loss
 
 
@@ -532,7 +527,6 @@ def run_experiment(
     rounds: Sequence[MarketRound],
     dims: ProblemDims,
     params: Optional[dict] = None,
-    solver_cfg: Optional[SolverConfig] = None,
     market_desc: str = "",
     seed: Optional[int] = None,
     out_path=None,
@@ -545,7 +539,9 @@ def run_experiment(
     solver failure aborts the run, so it is re-raised after that, with the
     partial trace on disk to inspect the failing round.  A violation is
     recorded, never raised; a record that cannot be checked raises what
-    checking it raised.
+    checking it raised.  The config echo's ``solver`` block records the
+    solver's constants, ``KKT_TOL`` and ``MAX_NEWTON_ITERS``, as the run
+    read them.
     """
     if learner not in LEARNER_NAMES:
         raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
@@ -560,8 +556,8 @@ def run_experiment(
         "market": market_desc,
         "params": {k: params[k] for k in sorted(params)},
         "solver": {
-            "kkt_tol": (solver_cfg or SolverConfig()).kkt_tol,
-            "max_newton_iters": (solver_cfg or SolverConfig()).max_newton_iters,
+            "kkt_tol": solver.KKT_TOL,
+            "max_newton_iters": solver.MAX_NEWTON_ITERS,
         },
     }
 
@@ -569,7 +565,7 @@ def run_experiment(
     per_round_ms: list = []
     started = time.perf_counter()
     # The learner validates its parameters before the checker derives bands from them.
-    run = _BUILDERS[learner](params).start(dims, solver_cfg)
+    run = _BUILDERS[learner](params).start(dims)
     checker = TraceChecker(cfg_echo)
     plain = _one_epoch_fields(run)
     cum = 0.0
@@ -588,7 +584,7 @@ def run_experiment(
                 "cum_loss": float(cum),
             })
             per_round_ms.append(1000.0 * (time.perf_counter() - tick))
-        crp, crp_loss = best_crp(rounds, dims, solver_cfg)
+        crp, crp_loss = best_crp(rounds, dims)
     except SolverFailure as exc:
         failure = exc
     columns, _ = _transpose(records)
@@ -635,7 +631,6 @@ def run_market(
     learner: str,
     spec: MarketSpec,
     params: Optional[dict] = None,
-    solver_cfg: Optional[SolverConfig] = None,
     out_path=None,
 ) -> ExperimentResult:
     """Generate a market from its spec and run a learner over it."""
@@ -646,7 +641,6 @@ def run_market(
         rounds,
         spec.dims,
         params=params,
-        solver_cfg=solver_cfg,
         market_desc=desc,
         seed=spec.seed,
         out_path=out_path,
@@ -774,17 +768,19 @@ def sweep(
     seed: int = 0,
     params: Optional[dict] = None,
     market_params: Optional[dict] = None,
-    solver_cfg: Optional[SolverConfig] = None,
 ):
     """Grid of runs over horizons and repetitions; one row per run.
 
     Rep ``k`` of any horizon uses seed ``seed + k`` so repetitions differ
     but the whole sweep is reproducible.  ``violations`` counts a run's
     invariant violations.  A failing run contributes a row with its error
-    message and the sweep continues.
+    message and the sweep continues.  An empty horizon list or ``reps < 1``
+    raises ``ValueError``: such a sweep would run nothing.
     """
     if not t_values:
         raise ValueError("sweep needs at least one horizon")
+    if reps < 1:
+        raise ValueError(f"sweep needs at least one repetition, got reps={reps}")
     rows = []
     for t in t_values:
         for rep in range(reps):
@@ -805,7 +801,7 @@ def sweep(
             tick = time.perf_counter()
             try:
                 spec = MarketSpec(kind, ProblemDims(int(n), int(t)), seed=run_seed, params=dict(market_params or {}))
-                result = run_market(learner, spec, params=params, solver_cfg=solver_cfg)
+                result = run_market(learner, spec, params=params)
                 row["regret"] = result.summary["regret"]
                 row["epochs"] = result.summary["epoch_count"]
                 row["G"] = result.summary["max_grad_inf_norm"]

@@ -18,6 +18,10 @@ has two phases:
   1e-12, which parks face-active coordinates within ~1e-12 of it).  Only
   this path raises ``SolverFailure``.
 
+Two module constants set every solve: ``KKT_TOL``, the first-order
+tolerance both phases drive to, and ``MAX_NEWTON_ITERS``, the Newton
+iterations the affine phase and each barrier stage may take.
+
 Callers supply the objective as value/gradient/Hessian closures.  The
 Hessian must be positive definite on the interior; every target objective in
 this package (mirror-descent steps, regularized leaders, best-CRP fits) is
@@ -61,14 +65,19 @@ import numpy as np
 from .domain import ProblemDims, SUM_TOL, clipped_point
 
 __all__ = [
+    "KKT_TOL",
+    "MAX_NEWTON_ITERS",
     "Objective",
-    "SolverConfig",
     "SolverFailure",
     "SolveDiagnostics",
     "kkt_certificate",
     "minimize_over_clipped_simplex",
     "grid_search_oracle",
 ]
+
+# Read at call time; the module docstring says what each one sets.
+KKT_TOL = 1e-10
+MAX_NEWTON_ITERS = 100
 
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
@@ -98,21 +107,6 @@ class Objective:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    kkt_tol: float = 1e-10
-    max_newton_iters: int = 100
-
-    def __post_init__(self):
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
-
-
-_DEFAULT_CONFIG = SolverConfig()  # frozen, so every solve without a config can share it
 
 
 class SolverFailure(RuntimeError):
@@ -168,7 +162,7 @@ def _float_pin(h_obj, x, s, barrier_curv=None) -> float:
     """Smallest residual doubles can express at ``x = floor + s``.
 
     Moving any coordinate by one ulp jolts the gradient by curvature * ulp.
-    Objectives with 1/eta ~ 1e5 barrier curvature pin this above kkt_tol,
+    Objectives with 1/eta ~ 1e5 barrier curvature pin this above KKT_TOL,
     and no representable iterate does better.  ``barrier_curv`` is the
     barrier's curvature ``mu / s**2``, None when ``mu == 0``.
 
@@ -317,7 +311,7 @@ def kkt_certificate(obj: Objective, x, dims: ProblemDims, tol: float) -> bool:
     return _kkt_violation(obj.gradient(x), x, dims.floor) <= tol
 
 
-def _affine_phase(obj, s, floor, cfg, basis, diag):
+def _affine_phase(obj, s, floor, basis, diag):
     """Feasible-start Newton on the hyperplane sum(x) == 1, with no barrier.
 
     Returns ``(point, g_start)``.  The point ``floor + slacks`` passes the
@@ -333,12 +327,12 @@ def _affine_phase(obj, s, floor, cfg, basis, diag):
     x = floor + s  # the point of the slacks s, carried out of each line search
     phi = float(obj.evaluate(x))
     g_start = None
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         g = obj.gradient(x)
         if g_start is None:
             g_start = g
         resid = stage["residual"] = _kkt_violation(g, x, floor)
-        if resid <= cfg.kkt_tol:
+        if resid <= KKT_TOL:
             return x, g_start
         h = obj.hessian(x)
         pin = _float_pin(h, x, s)
@@ -350,7 +344,7 @@ def _affine_phase(obj, s, floor, cfg, basis, diag):
             return None, g_start
         accepted = _armijo(obj, s, floor, 0.0, ds, slope, 1.0, phi)
         if accepted is None:
-            done = resid <= max(10.0 * cfg.kkt_tol, 4.0 * pin)
+            done = resid <= max(10.0 * KKT_TOL, 4.0 * pin)
             return (x if done else None), g_start
         s, x, phi = accepted
         stage["iters"] += 1
@@ -360,7 +354,7 @@ def _affine_phase(obj, s, floor, cfg, basis, diag):
     return None, g_start
 
 
-def _center(obj, s, floor, mu, tol, cfg, basis, diag):
+def _center(obj, s, floor, mu, tol, basis, diag):
     """Newton iterations for one barrier stage.  Returns the centered slacks.
 
     Iterates on the slack vector ``s = x - floor`` rather than on x: when a
@@ -374,7 +368,7 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
     pin = 0.0
     phi0 = None  # penalized value at s, carried over from the line search that accepted s
     x = floor + s  # likewise the point of s
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         g, resid_norm = _stage_residual(obj, x, s, mu)
         if resid_norm <= tol:
             break
@@ -402,7 +396,7 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
         accepted = _armijo(obj, s, floor, mu, ds, slope, step, phi0)
         if accepted is None:
             # No measurable progress left at this floating-point scale.
-            if resid_norm <= max(10.0 * cfg.kkt_tol, tol, 4.0 * pin):
+            if resid_norm <= max(10.0 * KKT_TOL, tol, 4.0 * pin):
                 break
             raise SolverFailure("line search stalled", x, resid_norm, mu)
 
@@ -422,7 +416,7 @@ def _center(obj, s, floor, mu, tol, cfg, basis, diag):
     return s
 
 
-def _first_barrier_weight(g, s, dims, cfg) -> float:
+def _first_barrier_weight(g, s, dims) -> float:
     """Complementarity estimate at the warm start, from the gradient ``g`` there.
 
     Scales the first barrier weight to how far the warm start is from
@@ -431,19 +425,19 @@ def _first_barrier_weight(g, s, dims, cfg) -> float:
     final stage (and therefore terminates in a couple of Newton steps).
     """
     lam = g - g.min()
-    lam[lam < 10.0 * cfg.kkt_tol] = 0.0
+    lam[lam < 10.0 * KKT_TOL] = 0.0
     comp = float(lam @ s)
     return min(_MU_INIT, max(comp / dims.n, _MU_MIN))
 
 
-def _barrier_path(obj, s, g, dims, cfg, basis, diag):
+def _barrier_path(obj, s, g, dims, basis, diag):
     """Log-barrier path from the slacks `s`, where the gradient is `g`, down to the last barrier weight."""
     floor = dims.floor
-    mu = _first_barrier_weight(g, s, dims, cfg)
+    mu = _first_barrier_weight(g, s, dims)
     while True:
         final = mu <= _MU_MIN
-        tol = cfg.kkt_tol if final else max(cfg.kkt_tol, 1e-3 * mu)
-        s = _center(obj, s, floor, mu, tol, cfg, basis, diag)
+        tol = KKT_TOL if final else max(KKT_TOL, 1e-3 * mu)
+        s = _center(obj, s, floor, mu, tol, basis, diag)
         if final:
             return s
         mu = max(mu * _MU_SHRINK, _MU_MIN)
@@ -453,7 +447,7 @@ def minimize_over_clipped_simplex(
     obj: Objective,
     warm_start: np.ndarray,
     dims: ProblemDims,
-    cfg: SolverConfig | None = None,
+    *,
     diagnostics: SolveDiagnostics | None = None,
 ) -> np.ndarray:
     """Minimize a strictly convex objective over the clipped simplex.
@@ -468,8 +462,6 @@ def minimize_over_clipped_simplex(
     renormalized to sum to one and returned as a new read-only array that
     ``clipped_point`` has checked.
     """
-    if cfg is None:
-        cfg = _DEFAULT_CONFIG
     floor = dims.floor
     x = np.asarray(warm_start, dtype=float)
     if x.shape != (dims.n,):
@@ -484,11 +476,11 @@ def minimize_over_clipped_simplex(
 
     basis = _null_basis(dims.n)
     start = x - floor
-    x, g_start = _affine_phase(obj, start, floor, cfg, basis, diagnostics)
+    x, g_start = _affine_phase(obj, start, floor, basis, diagnostics)
     if x is None:
         if diagnostics is not None:
             diagnostics.fell_back = True
-        x = floor + _barrier_path(obj, start, g_start, dims, cfg, basis, diagnostics)
+        x = floor + _barrier_path(obj, start, g_start, dims, basis, diagnostics)
     return clipped_point(x / np.add.reduce(x), dims)
 
 

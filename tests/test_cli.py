@@ -96,10 +96,28 @@ def test_bad_configuration_exits_one(tmp_path):
     ]) == EXIT_BAD_INPUT
 
 
-def test_solver_failure_exits_two(tmp_path):
+@pytest.mark.parametrize("flags, message", [
+    (["--market", "constant", "--t-horizon", "8", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--t-horizon", "8"], "one of the arguments --market --csv is required"),
+    (["--market", "constant", "--t-horizon", "8", "--solver-tol", "1e-8"], "unrecognized arguments: --solver-tol 1e-8"),
+], ids=["unknown_flag", "missing_market", "solver_tol"])
+def test_usage_errors_exit_one_with_argparses_message(capsys, flags, message):
+    # argparse's own code for a usage error is 2, which would read as a solver failure.
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--learner", "eg", "--n", "2", *flags])
+    assert info.value.code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("usage: barrons") and f"error: {message}" in err
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == EXIT_OK
+
+
+def test_solver_failure_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setattr("barrons.solver.MAX_NEWTON_ITERS", 1)
     assert main([
         "run", "--learner", "ada", "--market", "blowup", "--n", "2",
-        "--t-horizon", "16", "--max-newton-iters", "1",
+        "--t-horizon", "16",
     ]) == EXIT_SOLVER
 
 

@@ -23,7 +23,7 @@ from barrons.harness import (
     write_sweep_json,
 )
 from barrons.markets import MarketSpec, generate
-from barrons.solver import SolverConfig, SolverFailure
+from barrons.solver import KKT_TOL, MAX_NEWTON_ITERS, SolverFailure
 
 DIMS = ProblemDims(2, 64)
 
@@ -56,6 +56,7 @@ def test_trace_layout_and_summary(blowup_result):
     assert trace["schema"] == "portfolio-trace/3"
     assert trace["config"]["learner"] == "ada"
     assert trace["config"]["n"] == 2 and trace["config"]["t"] == 64
+    assert trace["config"]["solver"] == {"kkt_tol": KKT_TOL, "max_newton_iters": MAX_NEWTON_ITERS}
     columns = trace["per_round"]
     assert set(columns) == {"t", "epoch", "beta", "x", "r", "loss", "cum_loss", "alpha", "u", "restart"}
     assert {len(column) for column in columns.values()} == {64}
@@ -336,13 +337,14 @@ def test_verifier_recomputes_the_largest_gradient_norm(blowup_result):
 
 
 def test_checker_records_a_violation_by_its_round(blowup_result):
-    records = _rows(json.loads(blowup_result.body_json())["per_round"])
+    columns = json.loads(blowup_result.body_json())["per_round"]
+    restart = columns["restart"]
     # A round whose ceiling no later check reads: neither it nor the next round restarts.
-    bad = next(i for i in range(1, len(records) - 1) if not (records[i]["restart"] or records[i + 1]["restart"]))
-    records[bad]["alpha"] = 0.4999
-    t = records[bad]["t"]
+    bad = next(i for i in range(1, len(restart) - 1) if not (restart[i] or restart[i + 1]))
+    columns["alpha"][bad] = 0.4999
+    t = columns["t"][bad]
 
-    checked = TraceChecker(blowup_result.config).check_records(records)
+    checked = TraceChecker(blowup_result.config).check_columns(columns)
     assert len(checked.problems) == 1 and checked.problems[0].startswith(f"round {t}: recorded ceiling")
 
 
@@ -352,7 +354,7 @@ def test_checker_ceiling_is_bitwise_the_controllers(n, t):
     # it; one matrix product per epoch would move some ceilings in their last bits.
     result = run_market("ada", MarketSpec("blowup", ProblemDims(n, t)))
     assert result.summary["restarts"] >= 2
-    ceilings = TraceChecker(result.config).check_records(result.per_round).ceilings
+    ceilings = TraceChecker(result.config).check_columns(result.trace_dict()["per_round"]).ceilings
     history = EpochHistory(t, n)
     for rec, ceiling in zip(result.per_round, ceilings):
         x, r = np.array(rec["x"]), np.array(rec["r"])
@@ -479,11 +481,11 @@ def test_regret_matches_wealth_ratio():
         assert result.summary["regret"] == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
-def test_partial_trace_persisted_on_solver_failure(tmp_path):
+def test_partial_trace_persisted_on_solver_failure(tmp_path, monkeypatch):
     out = tmp_path / "aborted.json"
-    cfg = SolverConfig(max_newton_iters=1)
+    monkeypatch.setattr("barrons.solver.MAX_NEWTON_ITERS", 1)
     with pytest.raises(SolverFailure):
-        run_market("ada", MarketSpec("blowup", ProblemDims(2, 16)), solver_cfg=cfg, out_path=out)
+        run_market("ada", MarketSpec("blowup", ProblemDims(2, 16)), out_path=out)
     trace = load_trace(out)
     assert trace["summary"]["aborted"]
     assert trace["summary"]["best_crp_loss"] is None
@@ -547,6 +549,12 @@ def test_sweep_records_failures_and_continues():
 def test_sweep_needs_horizons():
     with pytest.raises(ValueError, match="at least one horizon"):
         sweep("eg", "constant", 2, [])
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_sweep_needs_a_repetition(reps):
+    with pytest.raises(ValueError, match="at least one repetition"):
+        sweep("eg", "constant", 2, [8], reps=reps)
 
 
 def test_growth_ratios_pair_consecutive_horizons():

@@ -11,9 +11,9 @@ from barrons.adaptive import default_eta, leader_objective
 from barrons.core import omd_step_objective
 from barrons.domain import ProblemDims, nudge_interior, uniform_portfolio
 from barrons.solver import (
+    KKT_TOL,
     Objective,
     SolveDiagnostics,
-    SolverConfig,
     SolverFailure,
     _barrier_path,
     _boundary_step,
@@ -104,13 +104,6 @@ def test_warm_start_rejects_non_finite_weights(warm):
         minimize_over_clipped_simplex(obj, np.array(warm), DIMS2)
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError, match="kkt_tol"):
-        SolverConfig(kkt_tol=0.0)
-    with pytest.raises(ValueError, match="at least 1"):
-        SolverConfig(max_newton_iters=0)
-
-
 def test_oracle_exact_on_anchored_lattice_two_assets():
     # The two-asset sweep is anchored at the floor, so a minimizer placed on
     # a lattice point is recovered without discretization error.
@@ -183,7 +176,6 @@ def reconstructed_kkt_gap(obj, x: np.ndarray, dims: ProblemDims):
 
 def test_first_order_conditions_at_the_answer():
     rng = np.random.default_rng(9)
-    cfg = SolverConfig()
     cases = []
     for _ in range(5):
         obj, x_prev = random_omd_objective(rng, DIMS2)
@@ -191,10 +183,10 @@ def test_first_order_conditions_at_the_answer():
         cases.append((random_leader_objective(rng, DIMS3), uniform_portfolio(DIMS3), DIMS3))
     cases.append((quadratic_objective([1.2, -0.2]), uniform_portfolio(DIMS2), DIMS2))
     for obj, warm, dims in cases:
-        out = minimize_over_clipped_simplex(obj, warm, dims, cfg)
+        out = minimize_over_clipped_simplex(obj, warm, dims)
         stationarity, lam_min = reconstructed_kkt_gap(obj, out, dims)
-        assert stationarity <= 10.0 * cfg.kkt_tol
-        assert lam_min >= -10.0 * cfg.kkt_tol
+        assert stationarity <= 10.0 * KKT_TOL
+        assert lam_min >= -10.0 * KKT_TOL
 
 
 def test_resolve_from_answer_takes_few_steps():
@@ -213,11 +205,11 @@ def test_resolve_from_answer_takes_few_steps():
         assert np.abs(again - first).max() <= 1e-8
 
 
-def test_budget_exhaustion_raises_with_context():
-    cfg = SolverConfig(max_newton_iters=1)
+def test_budget_exhaustion_raises_with_context(monkeypatch):
+    monkeypatch.setattr("barrons.solver.MAX_NEWTON_ITERS", 1)
     obj = quadratic_objective([1.2, -0.2])
     with pytest.raises(SolverFailure) as info:
-        minimize_over_clipped_simplex(obj, uniform_portfolio(DIMS2), DIMS2, cfg)
+        minimize_over_clipped_simplex(obj, uniform_portfolio(DIMS2), DIMS2)
     failure = info.value
     assert failure.last_iterate.shape == (2,)
     assert failure.residual > 0.0
@@ -338,7 +330,7 @@ def _leader_case(rng, dims, floor_active):
 def _certificate_tol(obj, x):
     # Ten times the residual doubles can resolve at x (the solver's float pin).
     pin = float(np.max(np.abs(np.diagonal(obj.hessian(x))) * np.spacing(x)))
-    return 10.0 * max(SolverConfig().kkt_tol, pin)
+    return 10.0 * max(KKT_TOL, pin)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -352,11 +344,10 @@ def test_affine_first_agrees_with_barrier_path(family, n, floor_active, seed):
     dims = ProblemDims(n, 64)
     obj, x_prev, x_star = family(np.random.default_rng(seed), dims, floor_active)
     warm = nudge_interior(x_prev, dims)
-    cfg = SolverConfig()
     diag = SolveDiagnostics()
-    got = minimize_over_clipped_simplex(obj, warm, dims, cfg, diag)
+    got = minimize_over_clipped_simplex(obj, warm, dims, diagnostics=diag)
     start = warm - dims.floor
-    s = _barrier_path(obj, start, obj.gradient(dims.floor + start), dims, cfg, _null_basis(n), None)
+    s = _barrier_path(obj, start, obj.gradient(dims.floor + start), dims, _null_basis(n), None)
     barrier = (dims.floor + s) / (dims.floor + s).sum()
 
     assert np.abs(got - barrier).max() <= 1e-9
