@@ -17,11 +17,10 @@ For each run it prints the sha256 of the body's canonical rendering, the
 number of invariant violations recorded, and the problems ``verify_trace``
 finds in the body; a run that raises prints its exception instead.  The
 canonical rendering holds the records as rows, one object per round, and
-drops the ``schema`` key, so bodies written under different schemas
-(``portfolio-trace/2`` rows, ``/3`` columns) compare equal when they hold
-the same config, records and summary.  Run it at two commits and diff the
-outputs: equal output means identical trace bodies that both verifiers
-accept alike.
+drops the ``schema`` key, so bodies whose schemas store the same records
+in other layouts compare equal when they hold the same config, records
+and summary.  Run it at two commits and diff the outputs: equal output
+means identical trace bodies that both verifiers accept alike.
 
 A change that may move the leader in its last bits (the leader refit's
 summation order, say) changes every body digest as soon as one ceiling
@@ -44,17 +43,14 @@ A change to the checkers is proved on traces that fail them:
     python3 scripts/trace_digests.py --tamper > tamper.json
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
-blowup market at n=2 and T=64, applies each of the 65 entries of
-``TAMPERS`` (one field of one record, or the per-round records, the
+blowup market at n=2 and T=64, applies each of the 62 entries of
+``TAMPERS`` (one field of one record, or the per-round columns, the
 summary or the config) to a fresh copy of the learner's body, and prints
 the full list of problems ``verify_trace`` finds in it (or the exception
-it raises).  A record's field is the entry of its column.  The 3 entries
-of ``ON_ROWS`` reshape a record or replace the record list, which only
-rows can express, so they apply to the body's ``portfolio-trace/2``
-rendering, which verify still reads.  The entries trigger every message of
-the checker, of the record count, of the column shape and of the summary
-comparison, and repeat the NaN, floor-tolerance, malformed-record and
-extreme-integer cases of the tests.
+it raises).  A record's field is the entry of its column.  The entries
+trigger every message of the checker, of the record count, of the column
+shape and of the summary comparison, and repeat the NaN, floor-tolerance,
+malformed-record and extreme-integer cases of the tests.
 """
 
 from __future__ import annotations
@@ -107,17 +103,16 @@ def rows(columns: dict) -> list:
     return [dict(zip(columns, entries)) for entries in zip(*columns.values())]
 
 
-def schema_2(body: dict) -> dict:
-    """A body rendered as ``portfolio-trace/2``: its records as rows."""
-    per_round = body["per_round"]
-    return {**body, "schema": "portfolio-trace/2", "per_round": rows(per_round) if isinstance(per_round, dict) else per_round}
+def as_rows(body: dict) -> dict:
+    """A parsed body with its records as rows and no ``schema`` key."""
+    rendered = {**body, "per_round": rows(body["per_round"])}
+    del rendered["schema"]
+    return rendered
 
 
 def canonical(body: dict) -> str:
     """The canonical rendering of a parsed body: records as rows, no ``schema`` key."""
-    rendered = schema_2(body)
-    del rendered["schema"]
-    return json.dumps(rendered, sort_keys=True, separators=(",", ":"))
+    return json.dumps(as_rows(body), sort_keys=True, separators=(",", ":"))
 
 
 def digest(learner: str, kind: str, n: int, t: int, params=None):
@@ -143,7 +138,7 @@ def _flat(value) -> list:
 
 def _without_leader(body: dict):
     """The body's canonical rendering with every leader field set to None, and those fields' values."""
-    body = schema_2(body)
+    body = as_rows(body)
     pulled = {field: [] for field in LEADER_RECORD_FIELDS + LEADER_SUMMARY_FIELDS}
     for rec in body["per_round"]:
         for field in LEADER_RECORD_FIELDS:
@@ -154,7 +149,7 @@ def _without_leader(body: dict):
         if field in body["summary"]:
             pulled[field] += _flat(body["summary"][field])
             body["summary"][field] = None
-    return canonical(body), pulled
+    return json.dumps(body, sort_keys=True, separators=(",", ":")), pulled
 
 
 def compare(body: str, old_body: str) -> dict:
@@ -197,12 +192,11 @@ def grid():
         yield f"{learner}/blowup/n=2/T=512", (learner, "blowup", 2, 512)
 
 
-_DELETE = object()  # a tamper's value that deletes the field
 _FLOOR = 1.0 / 128.0  # the clipped-simplex floor 1/(nT) at n=2, T=64
 
-# (learner, name, record index or None for the trace itself, field or None for the whole record,
-#  the new value as a function of the old one).  Round 20 (index 19) closes the ada run's first epoch.
-# A record's field is the entry at the record's index of the field's column.
+# (learner, name, record index or None for the trace itself, field, the new value as a function of the old one).
+# Round 20 (index 19) closes the ada run's first epoch.  A record's field is the entry at the record's index of
+# the field's column.
 TAMPERS = [
     ("ada", "play_sum", 10, "x", lambda x: [x[0] + 1e-6, x[1]]),
     ("ada", "play_floor", 10, "x", lambda x: [-1e-3, 1.0 + 1e-3]),
@@ -227,7 +221,6 @@ TAMPERS = [
     ("ada", "rounds_played", None, "summary", lambda s: {**s, "rounds_played": 10}),
     ("ada", "invariant_violations", None, "summary", lambda s: {**s, "invariant_violations": ["x"]}),
     ("ada", "huge_best_crp_loss", None, "summary", lambda s: {**s, "best_crp_loss": 10**400}),
-    ("ada", "per_round_not_a_list", None, "per_round", lambda v: 5),
     # The shape of the columns.
     ("ada", "columns_not_an_object", None, "per_round", rows),
     ("ada", "missing_column", None, "per_round", lambda cols: {k: v for k, v in cols.items() if k != "loss"}),
@@ -249,12 +242,10 @@ TAMPERS = [
     *[(learner, "nan_relative", 10, "r", lambda r: [1.0, math.nan]) for learner in ("ada", "ons")],
     # The malformed-record cases of tests/test_harness.py.
     ("ons", "dead_play", 10, "x", lambda x: [-1.0, 2.0]),
-    ("ada", "missing_loss", 10, "loss", lambda v: _DELETE),
     ("ons", "one_coordinate", 10, "x", lambda x: [1.0]),
     ("eg", "string_play", 10, "x", lambda x: "abc"),
     ("ada", "null_leader", 10, "u", lambda u: None),
     ("ada", "string_epoch", 10, "epoch", lambda v: "2"),
-    ("barrons", "record_not_an_object", 10, None, lambda rec: [1.0, 2.0]),
     # Extreme integers, which overflow a float.
     ("ada", "epoch_overflows_beta", 10, "epoch", lambda v: -2000),
     ("ada", "huge_epoch", 10, "epoch", lambda v: 10**400),
@@ -263,24 +254,11 @@ TAMPERS = [
     ("ada", "huge_horizon", None, "config", lambda c: {**c, "t": 10**400}),
 ]
 
-# The entries that reshape a record or replace the record list: they apply to the portfolio-trace/2 rendering.
-ON_ROWS = {("ada", "missing_loss"), ("barrons", "record_not_an_object"), ("ada", "per_round_not_a_list")}
-
-
-def tampered(body: dict, index, field, change, on_rows: bool) -> dict:
-    """A copy of the parsed ``body``, or of its ``portfolio-trace/2`` rendering if ``on_rows``, with one tamper applied."""
-    body = copy.deepcopy(schema_2(body) if on_rows else body)
+def tampered(body: dict, index, field, change) -> dict:
+    """A copy of the parsed ``body`` with one tamper applied."""
+    body = copy.deepcopy(body)
     if index is None:
         body[field] = change(body[field])
-    elif on_rows and field is None:
-        body["per_round"][index] = change(body["per_round"][index])
-    elif on_rows:
-        record = body["per_round"][index]
-        value = change(record[field])
-        if value is _DELETE:
-            del record[field]
-        else:
-            record[field] = value
     else:
         column = body["per_round"][field]
         column[index] = change(column[index])
@@ -296,7 +274,7 @@ def tamper_problems() -> dict:
             result = run_market(learner, MarketSpec("blowup", ProblemDims(2, 64)))
             bodies[learner] = json.loads(result.body_json())
         try:
-            out[f"{learner}/{name}"] = verify_trace(tampered(bodies[learner], index, field, change, (learner, name) in ON_ROWS))
+            out[f"{learner}/{name}"] = verify_trace(tampered(bodies[learner], index, field, change))
         except Exception as exc:  # a verifier that raises is a finding to print, not to stop at
             out[f"{learner}/{name}"] = {"error": f"{type(exc).__name__}: {exc}"}
     return out

@@ -3,12 +3,11 @@
 Traces are JSON documents with two top-level keys: ``meta`` (timestamps and
 wall-clock readings, the only nondeterministic content) and ``trace`` (the
 config echo, per-round records, and summary).  The trace part serializes
-canonically, so identical runs produce byte-identical bodies.  In memory a
-run's records are rows, one dict per round; the body stores them as
-columns, one list per record field (schema ``portfolio-trace/3``), and
-`_transpose` turns rows into columns for the body, the checker and the
-summary alike.  ``verify`` also reads the row records of schemas
-``portfolio-trace/1`` and ``/2``.
+canonically, so identical runs produce byte-identical bodies.  A run's
+records are columns, one list per record field, from the run loop to the
+body (schema ``TRACE_SCHEMA``): the runner appends each round's fields to
+them, and the checker, the summary and ``verify`` read them as they are.
+``verify`` reads that schema only.
 
 One run loop drives every learner through its ``start``/``step`` interface,
 and one ``TraceChecker`` holds every per-round invariant.  It checks the
@@ -29,7 +28,6 @@ claims.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -77,10 +75,7 @@ __all__ = [
 ]
 
 TRACE_SCHEMA = "portfolio-trace/3"
-# A /2 body holds the /3 columns as rows, one object per round; a /1 body is a /2 body whose records
-# also carry the checker's own figures, which verify ignores.
-_READABLE_SCHEMAS = (TRACE_SCHEMA, "portfolio-trace/2", "portfolio-trace/1")
-# The fields of a record: a /3 body's per_round holds one list per field.
+# The fields of a record: the records hold one list per field.
 RECORD_FIELDS = ("t", "epoch", "beta", "alpha", "u", "restart", "x", "r", "loss", "cum_loss")
 LEARNER_NAMES = ("ada", "barrons", "ons", "eg", "ogd", "softbayes", "up-grid")
 
@@ -95,8 +90,8 @@ _U_BAND_SLACK = 1e-8
 class ExperimentResult:
     """A run's config echo, records and summary.
 
-    ``per_round`` holds the records as rows, one dict per round; the body
-    (``trace_dict``, ``body_json``) holds them as columns.
+    ``per_round`` holds the records as the body (``trace_dict``,
+    ``body_json``) holds them: one list per field of ``RECORD_FIELDS``.
     """
 
     config: dict
@@ -107,7 +102,7 @@ class ExperimentResult:
         return {
             "schema": TRACE_SCHEMA,
             "config": self.config,
-            "per_round": _transpose(self.per_round)[0],
+            "per_round": self.per_round,
             "summary": self.summary,
         }
 
@@ -117,30 +112,6 @@ class ExperimentResult:
 
 def _floats(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
-
-
-def _transpose(records) -> tuple:
-    """Row records as columns: one list per field of ``RECORD_FIELDS``, and the records left over.
-
-    The columns hold the leading records that are objects with every
-    field; the rest, from the first record that is not, are left over.
-    """
-    try:
-        return {key: [rec[key] for rec in records] for key in RECORD_FIELDS}, []
-    except (KeyError, TypeError):
-        fields = set(RECORD_FIELDS)
-        whole = next(i for i, rec in enumerate(records) if not (isinstance(rec, dict) and rec.keys() >= fields))
-        return {key: [rec[key] for rec in records[:whole]] for key in RECORD_FIELDS}, records[whole:]
-
-
-class _Row:
-    """One record read as columns of one entry each; a field the record lacks raises what indexing it raises."""
-
-    def __init__(self, record):
-        self.record = record
-
-    def __getitem__(self, key: str) -> list:
-        return [self.record[key]]
 
 
 # The checks of a record in the order they run: within a round, problems follow this order.
@@ -166,6 +137,8 @@ def _one_epoch_fields(run) -> dict:
     """The controller's fields of every record of a one-epoch run with no leader: the fixed-rate learner's and the baselines'.
 
     ``run`` is the learner; its ``beta``, if it has one, is the rate it keeps.
+    The keys run in the order of ``RECORD_FIELDS``, as the runner appends
+    the values.
     """
     return {"epoch": 1, "beta": getattr(run, "beta", None), "alpha": None, "u": None, "restart": False}
 
@@ -286,34 +259,26 @@ class TraceChecker:
                 cols[key] = columns[key]
         return cols
 
-    def _first_malformed(self, columns, rest) -> tuple:
-        """The position of the first record whose fields do not convert on their own, and the exception.
-
-        ``columns`` and ``rest`` are as `check_columns` takes them.
-        """
-        records = ({key: columns[key][p:p + 1] for key in RECORD_FIELDS} for p in range(len(columns["t"])))
-        for position, record in enumerate(itertools.chain(records, map(_Row, rest[:1]))):
+    def _first_malformed(self, columns) -> tuple:
+        """The position of the first record whose fields do not convert on their own, and the exception."""
+        for position in range(len(columns["t"])):
             try:
-                self._convert(record)
+                self._convert({key: columns[key][position:position + 1] for key in RECORD_FIELDS})
             except _MALFORMED as exc:
                 return position, exc
         raise AssertionError("the records convert one by one but not together")
 
-    def check_columns(self, columns: dict, rest: Sequence = ()) -> CheckedRecords:
+    def check_columns(self, columns: dict) -> CheckedRecords:
         """Check every record of the run, given as columns, in order; see `CheckedRecords` for the result.
 
         ``columns`` maps each of ``RECORD_FIELDS`` to a list with one entry
-        per record.  ``rest`` holds the records that follow, the first of
-        which `_transpose` could not put in the columns: checking stops at
-        that record.
+        per record.
         """
         stop = None  # (position, order of the first check that did not run, exception)
         try:
             cols = self._convert(columns)
         except _MALFORMED:
-            cols = None
-        if cols is None or rest:
-            position, exc = self._first_malformed(columns, rest)
+            position, exc = self._first_malformed(columns)
             stop = (position, 0, exc)
             cols = self._convert({key: columns[key][:position] for key in RECORD_FIELDS})
         ts, x, r = cols["t"], cols["x"], cols["r"]
@@ -465,7 +430,8 @@ class _AdaRun:
     """The restart controller behind the ``start``/``step`` learner interface.
 
     After each step ``fields`` holds the round's epoch and beta, the ceiling
-    and leader after it, and whether it restarted.
+    and leader after it, and whether it restarted, keyed in the order of
+    ``RECORD_FIELDS``, as the runner appends the values.
     """
 
     def __init__(self, params: dict):
@@ -561,7 +527,8 @@ def run_experiment(
         },
     }
 
-    records: list = []
+    columns = {key: [] for key in RECORD_FIELDS}
+    appends = [columns[key].append for key in RECORD_FIELDS]
     per_round_ms: list = []
     started = time.perf_counter()
     # The learner validates its parameters before the checker derives bands from them.
@@ -575,19 +542,13 @@ def run_experiment(
             tick = time.perf_counter()
             played, loss = run.step(rnd)
             cum += loss
-            records.append({
-                "t": t,
-                **getattr(run, "fields", plain),
-                "x": _floats(played),
-                "r": _floats(rnd.r),
-                "loss": float(loss),
-                "cum_loss": float(cum),
-            })
+            record = (t, *getattr(run, "fields", plain).values(), _floats(played), _floats(rnd.r), float(loss), float(cum))
+            for append, value in zip(appends, record):
+                append(value)
             per_round_ms.append(1000.0 * (time.perf_counter() - tick))
         crp, crp_loss = best_crp(rounds, dims)
     except SolverFailure as exc:
         failure = exc
-    columns, _ = _transpose(records)
     checked = checker.check_columns(columns)
     if checked.stop is not None:
         raise checked.stop[1]
@@ -595,7 +556,7 @@ def run_experiment(
         columns, checked, None if crp is None else _floats(crp), crp_loss,
         None if failure is None else str(failure),
     )
-    result = ExperimentResult(cfg_echo, records, summary)
+    result = ExperimentResult(cfg_echo, columns, summary)
     if out_path is not None:
         save_trace(result, out_path, per_round_ms, started)
     if failure is not None:
@@ -665,8 +626,8 @@ def load_trace(path) -> dict:
     """The ``trace`` part of a saved trace document, as stored.
 
     Raises ValueError when the document or its ``trace`` is not a JSON
-    object, or when the trace is not of schema ``TRACE_SCHEMA`` (records
-    as columns) or ``portfolio-trace/2`` or ``/1`` (records as rows).
+    object, or when the trace is not of schema ``TRACE_SCHEMA``; the
+    message names the schema it found.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -674,8 +635,9 @@ def load_trace(path) -> dict:
     trace = doc.get("trace")
     if trace is not None and not isinstance(trace, dict):
         raise ValueError(f"{path}: its trace is not a JSON object")
-    if trace is None or trace.get("schema") not in _READABLE_SCHEMAS:
-        raise ValueError(f"{path}: not a {TRACE_SCHEMA} trace")
+    schema = None if trace is None else trace.get("schema")
+    if schema != TRACE_SCHEMA:
+        raise ValueError(f"{path}: not a {TRACE_SCHEMA} trace (its schema is {schema!r})")
     return trace
 
 
@@ -683,38 +645,28 @@ def verify_trace(trace: dict) -> list:
     """Recheck a persisted trace from scratch; returns the list of problems.
 
     A ``TraceChecker`` replays every per-round invariant from the recorded
-    plays, rounds and leaders.  A ``TRACE_SCHEMA`` trace holds them as
-    columns: its ``per_round`` must be an object with a list for each of
-    ``RECORD_FIELDS``, all of one length.  Any other trace holds them as
-    rows, one object per round, which `_transpose` turns into columns; any
-    other field of a record (the checker's own figures in a
-    ``portfolio-trace/1`` record) is not read.  There must be ``config.t``
+    plays, rounds and leaders, which the trace holds as columns: its
+    ``per_round`` must be an object with a list for each of
+    ``RECORD_FIELDS``, all of one length.  There must be ``config.t``
     records, or no more when the summary says the run was ``aborted``, and
     ``aborted`` must be present exactly when ``best_crp`` is null.  Then
     the summary is rebuilt from the records, the checker's problems and
     gradient norms, and the summary's own comparator and abort message,
     with the runner's function, and every field must equal the recorded
-    one.  A record that cannot be checked at all (a field missing, of the
-    wrong type or shape, an integer too large for a float, or a play with
-    no wealth on its round) is reported by its round, and the replay stops
-    there.  An empty list means the trace is internally consistent.
+    one.  A record that cannot be checked at all (a field of the wrong type
+    or shape, an integer too large for a float, or a play with no wealth on
+    its round) is reported by its round, and the replay stops there.  An empty list means the trace is internally consistent.
     """
     summary = trace.get("summary", {})
     try:
         checker = TraceChecker(trace.get("config", {}))
     except _MALFORMED as exc:
         return [f"config: unusable ({exc})"]
-    if trace.get("schema") == TRACE_SCHEMA:
-        columns, rest = trace.get("per_round"), []
-        problem = _column_problem(columns)
-        if problem is not None:
-            return [f"per_round: {problem}"]
-    else:
-        records = trace.get("per_round", [])
-        if not isinstance(records, list):
-            return ["per_round: not a list"]
-        columns, rest = _transpose(records)
-    checked = checker.check_columns(columns, rest)
+    columns = trace.get("per_round")
+    problem = _column_problem(columns)
+    if problem is not None:
+        return [f"per_round: {problem}"]
+    checked = checker.check_columns(columns)
     problems = checked.problems
     if checked.stop is not None:
         # The replay stops at a record that cannot be checked at all.  The round is the record's
@@ -746,7 +698,7 @@ def verify_trace(trace: dict) -> list:
 
 
 def _column_problem(columns) -> Optional[str]:
-    """What keeps a ``TRACE_SCHEMA`` trace's ``per_round`` from being columns of one length, or None."""
+    """What keeps a trace's ``per_round`` from being columns of one length, or None."""
     if not isinstance(columns, dict):
         return "not an object"
     for key in RECORD_FIELDS:

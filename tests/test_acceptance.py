@@ -108,12 +108,12 @@ def test_iterate_stability_band(acceptance, stability_runs):
     ok = True
     for (kind, n, t), result in stability_runs.items():
         band = math.sqrt(3.0 * default_eta(ProblemDims(n, t))) / 2.0 + 1e-8
-        records = result.per_round
-        for prev, cur in zip(records, records[1:]):
-            if prev["epoch"] != cur["epoch"]:
+        epochs, plays = result.per_round["epoch"], result.per_round["x"]
+        for k in range(1, len(epochs)):
+            if epochs[k - 1] != epochs[k]:
                 continue
             dev = float(
-                np.abs(np.array(cur["x"]) / np.array(prev["x"]) - 1.0).max()
+                np.abs(np.array(plays[k]) / np.array(plays[k - 1]) - 1.0).max()
             )
             worst = max(worst, dev / band)
             checked += 1
@@ -128,11 +128,11 @@ def test_leader_stability_band(acceptance, stability_runs):
     checked = 0
     ok = True
     for result in stability_runs.values():
-        records = result.per_round
-        for prev, cur in zip(records, records[1:]):
-            if prev["epoch"] != cur["epoch"]:
+        epochs, leaders = result.per_round["epoch"], result.per_round["u"]
+        for k in range(1, len(epochs)):
+            if epochs[k - 1] != epochs[k]:
                 continue
-            dev = float(np.abs(np.array(cur["u"]) / np.array(prev["u"]) - 1.0).max())
+            dev = float(np.abs(np.array(leaders[k]) / np.array(leaders[k - 1]) - 1.0).max())
             worst = max(worst, dev / band)
             checked += 1
             ok = ok and dev <= band
@@ -146,22 +146,23 @@ def test_ratio_max_halves_at_restarts(acceptance, stability_runs):
     restarts = 0
     ok = True
     for result in stability_runs.values():
+        columns = result.per_round
         epoch_xs: list = []
-        prev = None
-        for rec in result.per_round:
-            epoch_xs.append(np.array(rec["x"]))
-            if rec["restart"] and prev is not None and len(epoch_xs) >= 2:
-                a_t = float((np.array(rec["u"]) / np.stack(epoch_xs)).max())
+        prev = None  # the previous round's leader within the epoch
+        for x, u, restart in zip(columns["x"], columns["u"], columns["restart"]):
+            epoch_xs.append(np.array(x))
+            if restart and prev is not None and len(epoch_xs) >= 2:
+                a_t = float((np.array(u) / np.stack(epoch_xs)).max())
                 a_prev = float(
-                    (np.array(prev["u"]) / np.stack(epoch_xs[:-1])).max()
+                    (np.array(prev) / np.stack(epoch_xs[:-1])).max()
                 )
                 ok = ok and a_prev >= 0.5 * a_t * (1.0 - 1e-12)
                 restarts += 1
-            if rec["restart"]:
+            if restart:
                 epoch_xs = []
                 prev = None
             else:
-                prev = rec
+                prev = u
     acceptance(ok and restarts >= 1, f"{restarts} restarts checked")
 
 
@@ -184,8 +185,7 @@ def test_restart_ceiling_range(acceptance, stability_runs):
     lo_seen = 1.0
     for (kind, n, t), result in stability_runs.items():
         lo = 1.0 / (16.0 * n * t)
-        for rec in result.per_round:
-            a = rec["alpha"]
+        for a in result.per_round["alpha"]:
             ok = ok and (lo - 1e-15 <= a <= 0.5)
             lo_seen = min(lo_seen, a / lo)
     acceptance(ok, f"smallest ceiling at {lo_seen:.2f}x its floor")
@@ -265,7 +265,7 @@ def test_constant_market_identities(acceptance):
         result = run_market(learner, spec)
         reg = abs(result.summary["regret"])
         dev = max(
-            float(np.abs(np.array(rec["x"]) - 0.5).max()) for rec in result.per_round
+            float(np.abs(np.array(x) - 0.5).max()) for x in result.per_round["x"]
         )
         worst_reg = max(worst_reg, reg)
         worst_dev = max(worst_dev, dev)

@@ -87,6 +87,15 @@ def test_verify_reports_a_part_that_is_not_an_object(saved_trace, capsys, reshap
     assert message in capsys.readouterr().err
 
 
+def test_verify_rejects_an_older_schema(saved_trace, capsys):
+    doc = json.loads(saved_trace.read_text())
+    doc["trace"]["schema"] = "portfolio-trace/2"
+    saved_trace.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(saved_trace)]) == EXIT_BAD_INPUT
+    assert "its schema is 'portfolio-trace/2'" in capsys.readouterr().err
+
+
 def test_bad_configuration_exits_one(tmp_path):
     assert main([
         "run", "--learner", "eg", "--market", "constant", "--n", "1", "--t-horizon", "8",
@@ -184,17 +193,26 @@ def test_run_with_a_violation_writes_its_trace_and_exits_3(tmp_path, monkeypatch
 
 
 def test_trace_body_does_not_depend_on_python_optimize(tmp_path):
+    # Under -O the run writes the same body, and verify still accepts it and still catches a moved loss.
     env = {**os.environ, "PYTHONPATH": str(Path(barrons.__file__).resolve().parent.parent)}
+
+    def barrons_cli(flags, *args):
+        return subprocess.run([sys.executable, *flags, "-m", "barrons.cli", *args], env=env, capture_output=True, text=True)
+
     bodies = []
     for flags in ([], ["-O"]):
         out = tmp_path / f"trace{len(flags)}.json"
-        subprocess.run(
-            [sys.executable, *flags, "-m", "barrons.cli", "run", "--learner", "ada",
-             "--market", "blowup", "--n", "2", "--t-horizon", "64", "--out", str(out)],
-            env=env, check=True, capture_output=True,
-        )
+        ran = barrons_cli(flags, "run", "--learner", "ada", "--market", "blowup", "--n", "2", "--t-horizon", "64", "--out", str(out))
+        assert ran.returncode == EXIT_OK, ran.stderr
         bodies.append(json.dumps(load_trace(out), sort_keys=True, separators=(",", ":")))
     assert bodies[0] == bodies[1]
+    assert barrons_cli(["-O"], "verify", str(out)).returncode == EXIT_OK
+    doc = json.loads(out.read_text())
+    doc["trace"]["per_round"]["loss"][4] += 1e-5
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    verified = barrons_cli(["-O"], "verify", str(tampered))
+    assert verified.returncode == EXIT_VERIFY and "round 5: recorded loss" in verified.stderr, verified.stderr
 
 
 def test_sweep_writes_table(tmp_path, capsys):

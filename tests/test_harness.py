@@ -38,11 +38,6 @@ def _rows(columns: dict) -> list:
     return [dict(zip(columns, entries)) for entries in zip(*columns.values())]
 
 
-def _schema_2(trace: dict) -> dict:
-    """A portfolio-trace/3 body rendered as portfolio-trace/2: the same records, one object per round."""
-    return {**trace, "schema": "portfolio-trace/2", "per_round": _rows(trace["per_round"])}
-
-
 def test_run_validation():
     rounds = generate(MarketSpec("constant", DIMS))
     with pytest.raises(ValueError, match="unknown learner"):
@@ -71,10 +66,9 @@ def test_trace_layout_and_summary(blowup_result):
 
 
 def test_losses_match_recorded_plays(blowup_result):
-    for rec in blowup_result.per_round:
-        x = np.array(rec["x"])
-        r = np.array(rec["r"])
-        assert rec["loss"] == pytest.approx(-math.log(float(x @ r)), rel=1e-12)
+    columns = blowup_result.per_round
+    for x, r, loss in zip(columns["x"], columns["r"], columns["loss"]):
+        assert loss == pytest.approx(-math.log(float(np.array(x) @ np.array(r))), rel=1e-12)
 
 
 def test_verifier_accepts_unmodified_trace(blowup_result):
@@ -212,40 +206,27 @@ def test_verifier_catches_nan_in_a_record(blowup_results, learner, field, value)
     assert any(p.startswith("round 11:") for p in problems), problems
 
 
-_DELETE = object()
-
-
 @pytest.mark.parametrize(
     "learner, field, value",
     [
         ("ons", "x", [-1.0, 2.0]),
-        ("ada", "loss", _DELETE),
         ("ons", "x", [1.0]),
         ("eg", "x", "abc"),
         ("ada", "u", None),
         ("ada", "epoch", "2"),
-        ("barrons", None, [1.0, 2.0]),
         # Extreme integers, which overflow a float.
         ("ada", "epoch", -2000),
         ("ada", "epoch", 10**400),
         ("ada", "loss", 10**400),
         ("eg", "loss", 10**400),
     ],
-    ids=["ons-dead_play", "ada-missing_loss", "ons-one_coordinate", "eg-string_play",
-         "ada-null_leader", "ada-string_epoch", "barrons-record_not_an_object",
+    ids=["ons-dead_play", "ons-one_coordinate", "eg-string_play",
+         "ada-null_leader", "ada-string_epoch",
          "ada-epoch_overflows_beta", "ada-huge_epoch", "ada-huge_loss", "eg-huge_loss"],
 )
 def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learner, field, value):
     trace = json.loads(blowup_results[learner].body_json())
-    # A record that is not an object, or lacks a field, can only be written as a row.
-    if field is None:
-        trace = _schema_2(trace)
-        trace["per_round"][10] = value
-    elif value is _DELETE:
-        trace = _schema_2(trace)
-        del trace["per_round"][10][field]
-    else:
-        trace["per_round"][field][10] = value
+    trace["per_round"][field][10] = value
     problems = verify_trace(trace)
     assert any(p.startswith("round 11:") for p in problems), problems
     if isinstance(value, int):
@@ -356,20 +337,22 @@ def test_checker_ceiling_is_bitwise_the_controllers(n, t):
     assert result.summary["restarts"] >= 2
     ceilings = TraceChecker(result.config).check_columns(result.trace_dict()["per_round"]).ceilings
     history = EpochHistory(t, n)
-    for rec, ceiling in zip(result.per_round, ceilings):
-        x, r = np.array(rec["x"]), np.array(rec["r"])
+    columns = result.per_round
+    for k, ceiling in enumerate(ceilings):
+        x, r = np.array(columns["x"][k]), np.array(columns["r"][k])
         history.append(r, x, loss_grad_arrays(x, r)[1])
-        want = history.ceiling(np.array(rec["u"]))
-        assert np.float64(ceiling).tobytes() == np.float64(want).tobytes() == np.float64(rec["alpha"]).tobytes(), rec["t"]
-        if rec["restart"]:
+        want = history.ceiling(np.array(columns["u"][k]))
+        assert np.float64(ceiling).tobytes() == np.float64(want).tobytes() == np.float64(columns["alpha"][k]).tobytes(), columns["t"][k]
+        if columns["restart"][k]:
             history.clear()
 
 
 def test_runner_checks_its_records_after_the_last_round(monkeypatch, blowup_result):
-    records = blowup_result.per_round
+    columns = blowup_result.per_round
+    restart = columns["restart"]
     # A round whose ceiling no later check reads: neither it nor the next round restarts.
-    bad = next(i for i in range(1, len(records) - 1) if not (records[i]["restart"] or records[i + 1]["restart"]))
-    k = records[bad]["t"]
+    bad = next(i for i in range(1, len(restart) - 1) if not (restart[i] or restart[i + 1]))
+    k = columns["t"][bad]
     step = harness._AdaRun.step
 
     def step_recording_a_wrong_ceiling_on_round_k(self, rnd):
@@ -382,7 +365,7 @@ def test_runner_checks_its_records_after_the_last_round(monkeypatch, blowup_resu
     monkeypatch.setattr(harness._AdaRun, "step", step_recording_a_wrong_ceiling_on_round_k)
     result = run_market("ada", MarketSpec("blowup", DIMS))
     assert result.summary["invariant_violations"] == [
-        f"round {k}: recorded ceiling 0.4999 != recomputed {records[bad]['alpha']!r}"
+        f"round {k}: recorded ceiling 0.4999 != recomputed {columns['alpha'][bad]!r}"
     ]
 
 
@@ -420,17 +403,7 @@ def test_a_schema_3_body_holds_the_records_as_columns(blowup_results):
     for learner, result in blowup_results.items():
         trace = json.loads(result.body_json())
         assert trace["schema"] == "portfolio-trace/3", learner
-        assert _rows(trace["per_round"]) == result.per_round, learner
-
-
-def test_a_schema_2_trace_loads_and_verifies(tmp_path, blowup_results):
-    # A portfolio-trace/2 body holds the same records as rows, one object per round.
-    for learner, result in blowup_results.items():
-        trace = _schema_2(json.loads(result.body_json()))
-        path = tmp_path / f"{learner}-v2.json"
-        path.write_text(json.dumps({"meta": {}, "trace": trace}))
-        assert load_trace(path) == trace, learner
-        assert verify_trace(trace) == [], learner
+        assert trace["per_round"] == result.per_round, learner
 
 
 @pytest.mark.parametrize(
@@ -448,18 +421,6 @@ def test_verifier_reports_columns_of_the_wrong_shape(blowup_result, reshape, pro
     assert verify_trace(trace) == [problem]
 
 
-def test_a_schema_1_trace_loads_and_verifies(tmp_path, blowup_result):
-    # A portfolio-trace/1 record also carried five figures the checker derives; verify reads none of them.
-    trace = _schema_2(json.loads(blowup_result.body_json()))
-    trace["schema"] = "portfolio-trace/1"
-    for rec in trace["per_round"]:
-        rec.update(grad_inf=1.5, x_ratio=None, u_ratio=0.25, ratio_max=2.0, ratio_max_prev=1.0)
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps({"meta": {}, "trace": trace}))
-    assert load_trace(path) == trace
-    assert verify_trace(trace) == []
-
-
 def test_trace_bodies_are_deterministic():
     spec = MarketSpec("iid_lognormal", ProblemDims(2, 32), seed=9)
     a = run_market("ada", spec).body_json()
@@ -474,8 +435,8 @@ def test_regret_matches_wealth_ratio():
     for learner in ("ada", "eg"):
         result = run_market(learner, MarketSpec("iid_lognormal", dims, seed=4))
         wealth = 1.0
-        for rec in result.per_round:
-            wealth *= float(np.array(rec["x"]) @ np.array(rec["r"]))
+        for x, r in zip(result.per_round["x"], result.per_round["r"]):
+            wealth *= float(np.array(x) @ np.array(r))
         crp_wealth = math.exp(-result.summary["best_crp_loss"])
         want = math.log(crp_wealth / wealth)
         assert result.summary["regret"] == pytest.approx(want, rel=1e-6, abs=1e-9)
