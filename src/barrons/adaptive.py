@@ -233,11 +233,7 @@ def leader_objective(rounds: np.ndarray, gamma: float, rows: Optional[np.ndarray
         h.ravel()[:: u.size + 1] += inv_gamma / (u * u)
         return h
 
-    def value_many(pts):
-        p = pts @ r_mat.T
-        return -np.log(p).sum(axis=1) - inv_gamma * np.log(pts).sum(axis=1)
-
-    return Objective(value, gradient, hessian, value_many)
+    return Objective(value, gradient, hessian)
 
 
 def regularized_leader(

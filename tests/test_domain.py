@@ -12,7 +12,6 @@ from barrons.domain import (
     loss_grad_arrays,
     normalize_round,
     nudge_interior,
-    smooth_comparator,
     uniform_portfolio,
 )
 
@@ -88,11 +87,12 @@ def test_loss_grad_arrays_rejects_dead_portfolio():
 def test_loss_and_gradient_bounds_on_clipped_simplex():
     # Wealth of a clipped-simplex point is at least floor * max(r) = floor,
     # so losses sit below log(n t) and gradients below n t in sup norm.
+    # The points are simplex draws u pulled in by (1 - 1/t) u + floor.
     rng = np.random.default_rng(7)
     dims = ProblemDims(3, 40)
     for _ in range(200):
         u = rng.dirichlet(np.ones(dims.n))
-        x = smooth_comparator(u, dims)
+        x = clipped_point((1.0 - 1.0 / dims.t) * u + dims.floor, dims)
         raw = rng.uniform(0.0, 1.0, dims.n)
         raw[rng.integers(dims.n)] = 1.0
         loss, grad = loss_grad_arrays(x, MarketRound(raw).r)
@@ -156,44 +156,16 @@ def test_uniform_portfolio_is_a_fresh_writable_array():
     np.testing.assert_array_equal(uniform_portfolio(dims), np.full(3, 1.0 / 3.0))
 
 
-def test_smooth_comparator_vertex_two_assets():
-    dims = ProblemDims(2, 10)
-    out = smooth_comparator(np.array([1.0, 0.0]), dims)
-    np.testing.assert_allclose(out, [0.95, 0.05], atol=1e-15)
-
-
-def test_smooth_comparator_vertex_three_assets():
-    dims = ProblemDims(3, 100)
-    out = smooth_comparator(np.array([1.0, 0.0, 0.0]), dims)
-    np.testing.assert_allclose(out, [0.99 + 1.0 / 300.0, 1.0 / 300.0, 1.0 / 300.0], atol=1e-15)
-
-
-def test_smooth_comparator_fixes_uniform():
-    dims = ProblemDims(4, 25)
-    u = uniform_portfolio(dims)
-    np.testing.assert_allclose(smooth_comparator(u, dims), u, atol=1e-15)
-
-
-def test_smooth_comparator_validation():
-    dims = ProblemDims(2, 10)
-    with pytest.raises(ValueError, match="coordinates"):
-        smooth_comparator(np.array([1.0, 0.0, 0.0]), dims)
-    with pytest.raises(ValueError, match="nonnegative"):
-        smooth_comparator(np.array([1.1, -0.1]), dims)
-    with pytest.raises(ValueError, match="sums to"):
-        smooth_comparator(np.array([0.7, 0.2]), dims)
-
-
 def test_smoothing_costs_at_most_two_nats():
-    # Total loss of the smoothed comparator exceeds the original's by at
-    # most 2 over a whole horizon, for any positive market.
+    # Total loss of the smoothed comparator (1 - 1/t) u' + floor exceeds the
+    # original's by at most 2 over a whole horizon, for any positive market.
     rng = np.random.default_rng(11)
     dims = ProblemDims(3, 30)
     for _ in range(50):
         r_mat = np.exp(0.4 * rng.standard_normal((dims.t, dims.n)))
         r_mat /= r_mat.max(axis=1, keepdims=True)
         u_prime = rng.dirichlet(np.full(dims.n, 0.4))
-        u_s = smooth_comparator(u_prime, dims)
+        u_s = clipped_point((1.0 - 1.0 / dims.t) * u_prime + dims.floor, dims)
         inflation = float(np.log(r_mat @ u_prime).sum() - np.log(r_mat @ u_s).sum())
         assert inflation <= 2.0 + 1e-9
 

@@ -9,22 +9,31 @@ g = grad f(x), every point v of C has f(v) >= f(x) + <g, v - x>, so
 which is zero exactly at a minimizer (Jaggi, ICML 2013).  Each family's
 gradient is written here in closed form from the data the test builds, so
 the check trusts neither the solver nor the objectives it solves.
+
+The step with rates has barrier curvature 1/(eta_i x_i^2), about 7e14 on
+the floor at n=100.  Moving x_i by one ulp moves the gradient by the
+curvature times ulp(x_i), and the largest such move over the coordinates is
+the float pin: the finest residual doubles resolve at x.  The solver stops
+at a residual of 4 pins, and renormalising adds about one more, so that
+family's bound is the larger of GAP_BOUND and PIN_FACTOR pins.
 """
 
 import numpy as np
 import pytest
 
-from barrons.adaptive import regularized_leader
+from barrons.adaptive import default_eta, regularized_leader
 from barrons.baselines import best_crp
 from barrons.core import omd_step_objective
 from barrons.domain import ProblemDims, nudge_interior, uniform_portfolio
 from barrons.solver import SolverFailure, minimize_over_clipped_simplex
 
 GAP_BOUND = 1e-6
+PIN_FACTOR = 32.0
 SEEDS = range(10)
 ROWS = 200
 MARKETS = ("interior", "floor_active", "bankrupt")
 ONS_BETA = 0.5
+STEP_BETA = 0.5
 LEADER_GAMMA = 1.0 / 25.0
 
 
@@ -53,8 +62,8 @@ def _market(seed: int, n: int, kind: str) -> np.ndarray:
     return r_mat
 
 
-def _ons(r_mat, dims, seed, kind):
-    """An online Newton step after the market's rounds: its answer and, in closed form, its gradient there.
+def _step_data(r_mat, dims, seed, kind):
+    """The last round's gradient, the covariance after the market's rounds, and the previous play.
 
     The previous play is a random point of the clipped simplex; on the
     markets that scale assets down it holds those assets at 1.5 times the
@@ -70,10 +79,31 @@ def _ons(r_mat, dims, seed, kind):
         x_prev[:3] += (1.0 - x_prev.sum()) / min(3, n)
     grads = -r_mat / (r_mat @ x_prev)[:, None]
     cov = n * np.eye(n) + grads.T @ grads
-    grad = grads[-1]
+    return grads[-1], cov, x_prev
+
+
+def _ons(r_mat, dims, seed, kind):
+    """An online Newton step after the market's rounds: its answer, its gradient there in closed form, and no pin."""
+    grad, cov, x_prev = _step_data(r_mat, dims, seed, kind)
     obj = omd_step_objective(grad, cov, x_prev, ONS_BETA)
     x = minimize_over_clipped_simplex(obj, nudge_interior(x_prev, dims), dims)
-    return x, grad + ONS_BETA * (cov @ (x - x_prev))
+    return x, grad + ONS_BETA * (cov @ (x - x_prev)), 0.0
+
+
+def _step(r_mat, dims, seed, kind):
+    """The mirror-descent step with rates from the previous play: answer, closed-form gradient, float pin.
+
+    The rates are the ones ``barrons_step`` sets after playing ``x_prev``
+    from a fresh schedule: ``default_eta * exp(max(0, log_t(1 / (n x_prev))))``.
+    """
+    grad, cov, x_prev = _step_data(r_mat, dims, seed, kind)
+    eta = default_eta(dims) * np.exp(np.maximum(0.0, np.log(1.0 / (dims.n * x_prev)) / np.log(dims.t)))
+    obj = omd_step_objective(grad, cov, x_prev, STEP_BETA, eta)
+    x = minimize_over_clipped_simplex(obj, nudge_interior(x_prev, dims), dims)
+    d = x - x_prev
+    g = grad + STEP_BETA * (cov @ d) + d / (eta * x * x_prev)
+    pin = float(np.max((STEP_BETA * np.diagonal(cov) + 1.0 / (eta * x * x)) * np.spacing(x)))
+    return x, g, pin
 
 
 def _leader_gradient(r_mat, gamma, u):
@@ -82,16 +112,16 @@ def _leader_gradient(r_mat, gamma, u):
 
 def _leader(r_mat, dims, seed, kind):
     u = regularized_leader(r_mat, LEADER_GAMMA, uniform_portfolio(dims), dims)
-    return u, _leader_gradient(r_mat, LEADER_GAMMA, u)
+    return u, _leader_gradient(r_mat, LEADER_GAMMA, u), 0.0
 
 
 def _best_crp(r_mat, dims, seed, kind):
     # best_crp solves the leader objective with gamma = 1e9, a vanishing barrier.
     u, _ = best_crp(list(r_mat), dims)
-    return u, _leader_gradient(r_mat, 1e9, u)
+    return u, _leader_gradient(r_mat, 1e9, u), 0.0
 
 
-FAMILIES = {"ons": _ons, "leader": _leader, "best_crp": _best_crp}
+FAMILIES = {"ons": _ons, "step": _step, "leader": _leader, "best_crp": _best_crp}
 
 # The cells where a solve raises SolverFailure: the barrier path stalls (line search at mu=1e-11).
 _STALLS = {("best_crp", 50, "bankrupt")}
@@ -112,13 +142,13 @@ def test_frank_wolfe_gap_certifies_every_solve(family, n, kind):
     for seed in SEEDS:
         r_mat = _market(seed, n, kind)
         try:
-            x, g = FAMILIES[family](r_mat, dims, seed, kind)
+            x, g, pin = FAMILIES[family](r_mat, dims, seed, kind)
         except SolverFailure as exc:
             failure = failure or exc  # the other seeds are still certified
             continue
         assert abs(x.sum() - 1.0) <= 1e-12 and x.min() >= dims.floor - 1e-12, seed
-        gaps[seed] = frank_wolfe_gap(g, x, dims.floor)
-    assert all(gap <= GAP_BOUND for gap in gaps.values()), gaps
+        gaps[seed] = (frank_wolfe_gap(g, x, dims.floor), max(GAP_BOUND, PIN_FACTOR * pin))
+    assert all(gap <= bound for gap, bound in gaps.values()), gaps
     if failure is not None:
         raise failure
 

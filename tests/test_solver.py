@@ -1,4 +1,4 @@
-"""Newton solver over the clipped simplex and its grid-search oracle."""
+"""Newton solver over the clipped simplex, checked against the grid-search oracle."""
 
 import warnings
 
@@ -24,10 +24,9 @@ from barrons.solver import (
     _null_basis,
     _reduced_system,
     _stage_residual,
-    grid_search_oracle,
-    kkt_certificate,
     minimize_over_clipped_simplex,
 )
+from grid_oracle import grid_search_oracle, leader_values, step_values
 
 DIMS2 = ProblemDims(2, 16)
 DIMS3 = ProblemDims(3, 16)
@@ -45,13 +44,17 @@ def quadratic_objective(target: np.ndarray) -> Objective:
     def hessian(x):
         return np.eye(target.size)
 
-    def value_many(pts):
-        return 0.5 * ((pts - target) ** 2).sum(axis=1)
-
-    return Objective(value, gradient, hessian, value_many)
+    return Objective(value, gradient, hessian)
 
 
-def random_omd_objective(rng, dims: ProblemDims):
+def quadratic_values(target):
+    """Values of ``quadratic_objective(target)`` at (m, n) points, for the grid oracle."""
+    target = np.asarray(target, dtype=float)
+    return lambda pts: 0.5 * ((pts - target) ** 2).sum(axis=1)
+
+
+def random_omd_data(rng, dims: ProblemDims):
+    """``(grad, cov, x_prev, eta)`` of a random one-step objective with beta 1/2."""
     # Mixing weight keeps every coordinate at least 3*floor, well clear of
     # the wall, matching what the learner actually feeds the solver.
     w = 3.0 * dims.n * dims.floor
@@ -62,14 +65,28 @@ def random_omd_objective(rng, dims: ProblemDims):
     grad = -r / float(x_prev @ r)
     cov = float(dims.n) * np.eye(dims.n) + np.outer(grad, grad)
     eta = default_eta(dims) * np.exp(rng.uniform(0.0, 1.0, dims.n))
+    return grad, cov, x_prev, eta
+
+
+def random_omd_objective(rng, dims: ProblemDims):
+    grad, cov, x_prev, eta = random_omd_data(rng, dims)
     return omd_step_objective(grad, cov, x_prev, 0.5, eta), x_prev
 
 
-def random_leader_objective(rng, dims: ProblemDims):
+def random_rounds(rng, dims: ProblemDims):
     m = rng.integers(2, 9)
     r_mat = rng.uniform(0.05, 1.0, (m, dims.n))
     r_mat[np.arange(m), rng.integers(0, dims.n, m)] = 1.0
-    return leader_objective(r_mat, 1.0 / 25.0)
+    return r_mat
+
+
+def random_leader_objective(rng, dims: ProblemDims):
+    return leader_objective(random_rounds(rng, dims), 1.0 / 25.0)
+
+
+def kkt_certified(obj, x, dims: ProblemDims, tol: float) -> bool:
+    """Whether `x` meets the solver's first-order conditions for `obj` to within `tol`."""
+    return _kkt_violation(obj.gradient(x), x, dims.floor) <= tol
 
 
 def test_euclidean_projection_hits_the_floor():
@@ -108,37 +125,38 @@ def test_oracle_exact_on_anchored_lattice_two_assets():
     # The two-asset sweep is anchored at the floor, so a minimizer placed on
     # a lattice point is recovered without discretization error.
     target = np.array([DIMS2.floor + 0.368, 1.0 - DIMS2.floor - 0.368])
-    out = grid_search_oracle(quadratic_objective(target), DIMS2, 1e-3)
+    out = grid_search_oracle(quadratic_values(target), DIMS2, 1e-3)
     np.testing.assert_allclose(out, target, atol=1e-12)
 
 
 def test_oracle_input_validation():
-    obj = quadratic_objective([0.5, 0.5])
+    values = quadratic_values([0.5, 0.5])
     with pytest.raises(ValueError, match="positive"):
-        grid_search_oracle(obj, DIMS2, 0.0)
+        grid_search_oracle(values, DIMS2, 0.0)
     with pytest.raises(ValueError, match="2 or 3 assets"):
-        grid_search_oracle(quadratic_objective([0.25] * 4), ProblemDims(4, 16), 1e-3)
+        grid_search_oracle(quadratic_values([0.25] * 4), ProblemDims(4, 16), 1e-3)
 
 
 def test_oracle_refinement_three_assets():
     target = np.array([0.2, 0.3, 0.5])
-    out = grid_search_oracle(quadratic_objective(target), DIMS3, 1e-5)
+    out = grid_search_oracle(quadratic_values(target), DIMS3, 1e-5)
     assert np.abs(out - target).max() <= 2e-5
 
 
 def test_solver_matches_oracle_single_omd_instance():
     rng = np.random.default_rng(0)
-    obj, x_prev = random_omd_objective(rng, DIMS2)
+    grad, cov, x_prev, eta = random_omd_data(rng, DIMS2)
+    obj = omd_step_objective(grad, cov, x_prev, 0.5, eta)
     got = minimize_over_clipped_simplex(obj, nudge_interior(x_prev, DIMS2), DIMS2)
-    want = grid_search_oracle(obj, DIMS2, 1e-5)
+    want = grid_search_oracle(step_values(grad, cov, x_prev, 0.5, eta), DIMS2, 1e-5)
     assert np.abs(got - want).max() <= 1e-4
 
 
 def test_solver_matches_oracle_single_leader_instance():
     rng = np.random.default_rng(1)
-    obj = random_leader_objective(rng, DIMS3)
-    got = minimize_over_clipped_simplex(obj, uniform_portfolio(DIMS3), DIMS3)
-    want = grid_search_oracle(obj, DIMS3, 1e-5)
+    r_mat = random_rounds(rng, DIMS3)
+    got = minimize_over_clipped_simplex(leader_objective(r_mat, 1.0 / 25.0), uniform_portfolio(DIMS3), DIMS3)
+    want = grid_search_oracle(leader_values(r_mat, 1.0 / 25.0), DIMS3, 1e-5)
     assert np.abs(got - want).max() <= 1e-4
 
 
@@ -260,14 +278,14 @@ def test_floor_active_quadratic_falls_back_to_the_barrier_path():
 
 def test_kkt_certificate_accepts_optima_and_rejects_other_points():
     interior = quadratic_objective([0.3, 0.7])
-    assert kkt_certificate(interior, np.array([0.3, 0.7]), DIMS2, 1e-12)
-    assert not kkt_certificate(interior, np.array([0.5, 0.5]), DIMS2, 1e-3)
+    assert kkt_certified(interior, np.array([0.3, 0.7]), DIMS2, 1e-12)
+    assert not kkt_certified(interior, np.array([0.5, 0.5]), DIMS2, 1e-3)
     # On the floor the multiplier must push into the wall, not away from it.
     pushed = quadratic_objective([1.2, -0.2])
     at_floor = np.array([1.0 - DIMS2.floor, DIMS2.floor])
-    assert kkt_certificate(pushed, at_floor, DIMS2, 1e-12)
+    assert kkt_certified(pushed, at_floor, DIMS2, 1e-12)
     pulled = quadratic_objective([0.9, 0.1])
-    assert not kkt_certificate(pulled, at_floor, DIMS2, 1e-3)
+    assert not kkt_certified(pulled, at_floor, DIMS2, 1e-3)
 
 
 # Property tests over any n: the affine-first solve and the barrier path
@@ -352,7 +370,7 @@ def test_affine_first_agrees_with_barrier_path(family, n, floor_active, seed):
 
     assert np.abs(got - barrier).max() <= 1e-9
     for x in (got, barrier):
-        assert kkt_certificate(obj, x, dims, _certificate_tol(obj, x))
+        assert kkt_certified(obj, x, dims, _certificate_tol(obj, x))
         if x_star is not None:
             assert np.abs(x - x_star).max() <= 1e-9
     assert diag.fell_back == (x_star is not None and floor_active)
