@@ -95,17 +95,33 @@ def _cap(largest: float) -> float:
     return 0.5 if largest <= 0.25 else 1.0 / (8.0 * largest)
 
 
-def epoch_ceiling(grads: np.ndarray, xg: np.ndarray, u: np.ndarray) -> float:
-    """``alpha`` from the epoch's (m, n) gradients, their ``<x_s, g_s>`` and the leader ``u``.
+def epoch_ceiling(grads: np.ndarray, xg: np.ndarray, leaders: np.ndarray) -> list:
+    """``alpha`` after each of an epoch's last ``len(leaders)`` rounds, as a list of floats.
 
-    1/2 capped by max_s |<u, g_s> - <x_s, g_s>|, with the m inner products as
-    one matrix-vector product.  The controller and the trace checker both
-    compute the ceiling here, so the recorded and the recomputed values
-    share their bits.
+    ``grads`` holds the epoch's (m, n) gradients and ``xg`` their
+    ``<x_s, g_s>``; ``leaders`` (b, n) holds the leaders after rounds
+    m - b + 1 to m.  Each ceiling is 1/2 capped by
+    max_s |<u, g_s> - <x_s, g_s>| over the rounds its leader saw.
+
+    The controller passes its latest leader alone and the trace checker a
+    block of an epoch's leaders, so the recorded and the recomputed
+    ceilings share their bits.  For that, each leader's inner products are
+    one matrix-vector product over exactly the rows it saw, as the
+    controller takes it: a product over more rows may round a row
+    differently.  The block shares one subtraction, one absolute value and
+    one max masked to the rows each leader saw, in a (b, m) buffer: b
+    matrix-vector products and O(b m) other work.
     """
-    gaps = np.abs(grads @ u - xg)
+    b, m = len(leaders), len(grads)
+    first = m - b + 1  # rows the first leader saw
+    gaps = np.zeros((b, m))
+    for k in range(b):
+        np.dot(grads[: first + k], leaders[k], out=gaps[k, : first + k])
+    np.subtract(gaps, xg, out=gaps)
+    np.abs(gaps, out=gaps)
+    seen = np.tri(b, m, first - 1, dtype=bool) if b > 1 else True  # row k saw first + k rows; a lone leader, all
     # The ufunc's own reduce, as ndarray.max calls it, without the method's overhead.
-    return _cap(float(np.maximum.reduce(gaps, initial=0.0)))
+    return list(map(_cap, np.maximum.reduce(gaps, axis=1, initial=0.0, where=seen).tolist()))
 
 
 class EpochHistory:
@@ -117,7 +133,8 @@ class EpochHistory:
     are kept round-major, in a (capacity, n) buffer.  Appending a round and
     clearing the epoch cost O(n) however long the epoch is; only the leader
     refit (O(m n^2) per Newton iteration over m rounds) and the ceiling
-    (one O(m n) matrix-vector product, `epoch_ceiling`) read all rounds.  A
+    (`epoch_ceiling` with the latest leader alone: one O(m n)
+    matrix-vector product and a (1, m) buffer of gaps) read all rounds.  A
     history that outgrows its capacity doubles it.
     """
 
@@ -157,7 +174,7 @@ class EpochHistory:
     def ceiling(self, u: np.ndarray) -> float:
         """``alpha(u, xs, grads)`` from the cached rows: 1/2 capped by max_s |<u, g_s> - <x_s, g_s>|."""
         m = self.size
-        return epoch_ceiling(self._g[:m], self._xg[:m], u)
+        return epoch_ceiling(self._g[:m], self._xg[:m], u[None])[0]
 
 
 class AdaState:

@@ -124,6 +124,8 @@ _ORDER = {name: i for i, name in enumerate(_CHECKS)}
 
 # What a record that cannot be converted, or checked, raises; an extreme integer overflows a float.
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+# Most gaps one `epoch_ceiling` call of the checker holds (512 KB), so no buffer grows as an epoch squared.
+_CEILING_BLOCK = 1 << 16
 
 
 def _ratio_steps(v: np.ndarray) -> np.ndarray:
@@ -192,10 +194,12 @@ class TraceChecker:
 
     Each column of the records is converted to an array once, and each
     check is an array expression over all rounds, or over the rounds of one
-    epoch.  The ceiling costs one O(m n) matrix-vector product per round
-    over the m rounds of its epoch so far, through `epoch_ceiling`, the
-    controller's own formula, so the restart-flag test compares the
-    controller's bits.
+    epoch.  The ceilings come from `epoch_ceiling`, the controller's own
+    formula, so the restart-flag test compares the controller's bits: one
+    O(m n) matrix-vector product per round over the m rounds of its epoch
+    so far, as the controller takes it, and one subtraction, absolute value
+    and masked max per block of an epoch's rounds, in a buffer of at most
+    ``_CEILING_BLOCK`` gaps.
     """
 
     def __init__(self, config: dict):
@@ -401,9 +405,10 @@ class TraceChecker:
         rate_left = np.empty(m, dtype=bool)
         ratios = {}
         for s, e in zip(starts, starts[1:] + [m]):
-            g_epoch, xg_epoch = grad[s:e], xg[s:e]
-            for k in range(e - s):
-                ceilings[s + k] = epoch_ceiling(g_epoch[: k + 1], xg_epoch[: k + 1], u[s + k])
+            block = max(1, _CEILING_BLOCK // (e - s))  # leaders per call of at most _CEILING_BLOCK gaps
+            for lo in range(s, e, block):
+                hi = min(lo + block, e)
+                ceilings[lo:hi] = epoch_ceiling(grad[s:hi], xg[s:hi], u[lo:hi])
             rate_left[s:e] = self._rate_left(x[s:e], sums[s:e])
             i = e - 1
             if restarts[i] and i > s:

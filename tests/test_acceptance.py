@@ -2,9 +2,10 @@
 
 Every test here checks an end-to-end property of the system at its working
 scale: solver-versus-oracle equivalence, the stability bands the adaptive
-restart scheme relies on, restart bookkeeping, regret growth, comparator
-smoothing, degenerate-market identities, and trace determinism.  Tolerances
-are pinned next to each assertion.
+restart scheme relies on, restart bookkeeping, regret growth, the
+separation in gradient scale, comparator smoothing, degenerate-market
+identities, and trace determinism.  Tolerances are pinned next to each
+assertion.
 """
 
 import json
@@ -232,6 +233,25 @@ def test_gradient_blowup_separation(acceptance, tmp_path_factory):
         f"ada regret {ada_reg:+.4f}, ons regret {ons_reg:+.4f}, "
         f"traces at {ada_path} and {ons_path}",
     )
+
+
+def test_gradient_scale_separation(acceptance):
+    # The paper's separation: ONS regret grows with the inverse of the smallest price relative,
+    # and the adaptive scheme's does not.  On blowup (n=2, T=1024, a flip every 64 rounds) with
+    # epsilon from 1/32 to 1/2048, ada stays within 0.01 nats of the best CRP at every epsilon
+    # (far inside the 4 n^2 (ln T)^4 band, about 3.7e4) and moves by at most 0.01 nats between
+    # the ends, while ONS (beta 0.5, no mixing) loses at least 50 times more at the smallest
+    # epsilon than at the largest.  The thresholds were fixed before the first run.
+    dims = ProblemDims(2, 1024)
+    epsilons = (1.0 / 32.0, 1.0 / 256.0, 1.0 / 2048.0)
+    ada, ons = [], []
+    for eps in epsilons:
+        spec = MarketSpec("blowup", dims, params={"epsilon": eps, "flip_period": 64})
+        ada.append(run_market("ada", spec).summary["regret"])
+        ons.append(run_market("ons", spec, params={"beta": 0.5, "mix": 0.0}).summary["regret"])
+    ok = max(ada) <= 0.01 and ada[-1] - ada[0] <= 0.01 and ons[0] > 0.0 and ons[-1] >= 50.0 * ons[0]
+    table = ", ".join(f"1/{round(1.0 / eps)}: ada {a:+.4f} ons {o:+.2f}" for eps, a, o in zip(epsilons, ada, ons))
+    acceptance(ok, f"{table}; ons grew {ons[-1] / ons[0]:.0f}x")
 
 
 def test_smoothing_inflation_bound(acceptance):

@@ -14,6 +14,7 @@ from barrons.adaptive import (
     alpha,
     default_eta,
     epoch_budget,
+    epoch_ceiling,
     leader_objective,
     regularized_leader,
 )
@@ -234,6 +235,39 @@ def test_epoch_history_ceiling_matches_alpha():
     assert len(history.rounds) == 13
     history.clear()
     assert history.rounds.shape == (0, n) and history.ceiling(u) == 0.5
+
+
+@pytest.mark.parametrize("n", (2, 5, 20, 50, 100))
+@pytest.mark.parametrize("length", (1, 63, 64, 65, 200))
+def test_epoch_ceiling_blocks_are_bitwise_the_per_round_ceilings(n, length):
+    # An epoch cut into calls of at most 64 leaders, as the trace checker cuts a long epoch into
+    # blocks: a lone leader, one call short by one, exactly one call, one call and one more, and
+    # several.  The reference takes each round alone: a gemv over the rows its leader saw, the max,
+    # then the cap.  NaN, infinite and 1e300 entries sit in the leaders and in the epoch's last
+    # gradients, as the tampers put them; a bad gradient poisons only the ceilings from its round on.
+    block = 64
+    rng = np.random.default_rng(100 * n + length)
+    grads = -rng.uniform(0.01, 1.0, (length, n)) * np.linspace(0.2, 20.0, length)[:, None]  # gaps grow
+    xs = rng.dirichlet(np.ones(n), size=length)
+    leaders = rng.dirichlet(np.ones(n), size=length)
+    for k, value in zip((length // 5, length // 4, length // 3, length // 2), (1e300, -np.inf, np.nan, np.inf)):
+        leaders[k, rng.integers(n)] = value
+    for k, value in zip((length - 3, length - 2, length - 1), (-1e300, np.inf, np.nan)):
+        if k > length // 2:
+            grads[k, rng.integers(n)] = value
+    with np.errstate(all="ignore"):
+        xg = np.add.reduce(xs * grads, axis=1)
+        got = []
+        for lo in range(0, length, block):
+            hi = min(lo + block, length)
+            got += epoch_ceiling(grads[:hi], xg[:hi], leaders[lo:hi])
+        want = []
+        for k in range(length):
+            largest = float(np.maximum.reduce(np.abs(grads[: k + 1] @ leaders[k] - xg[: k + 1]), initial=0.0))
+            want.append(0.5 if largest <= 0.25 else 1.0 / (8.0 * largest))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if length > 1:  # both branches of the cap, and the poisoned ceilings
+        assert 0.5 in want and min(want) < 0.5 and np.isnan(want).any()
 
 
 def test_epoch_history_rows_are_the_appended_rounds():

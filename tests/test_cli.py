@@ -1,5 +1,6 @@
 """Command line entry points and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -192,13 +193,14 @@ def test_run_with_a_violation_writes_its_trace_and_exits_3(tmp_path, monkeypatch
     assert f"round {k}: recorded ceiling 0.4999" in capsys.readouterr().err
 
 
+def barrons_cli(flags, *args, **env):
+    """``python [flags] -m barrons.cli args`` in a fresh interpreter of this package, with ``env`` added."""
+    env = {**os.environ, "PYTHONPATH": str(Path(barrons.__file__).resolve().parent.parent), **env}
+    return subprocess.run([sys.executable, *flags, "-m", "barrons.cli", *args], env=env, capture_output=True, text=True)
+
+
 def test_trace_body_does_not_depend_on_python_optimize(tmp_path):
     # Under -O the run writes the same body, and verify still accepts it and still catches a moved loss.
-    env = {**os.environ, "PYTHONPATH": str(Path(barrons.__file__).resolve().parent.parent)}
-
-    def barrons_cli(flags, *args):
-        return subprocess.run([sys.executable, *flags, "-m", "barrons.cli", *args], env=env, capture_output=True, text=True)
-
     bodies = []
     for flags in ([], ["-O"]):
         out = tmp_path / f"trace{len(flags)}.json"
@@ -213,6 +215,21 @@ def test_trace_body_does_not_depend_on_python_optimize(tmp_path):
     tampered.write_text(json.dumps(doc))
     verified = barrons_cli(["-O"], "verify", str(tampered))
     assert verified.returncode == EXIT_VERIFY and "round 5: recorded loss" in verified.stderr, verified.stderr
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: at n=100 the leader Hessian's gemm rounds differently on 1 and 2 BLAS threads")
+def test_trace_body_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # ada on iid_lognormal at n=100, T=512, seed 0: the body with one OpenBLAS thread and with two.
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"trace{threads}.json"
+        ran = barrons_cli([], "run", "--learner", "ada", "--market", "iid_lognormal", "--n", "100", "--t-horizon", "512",
+                          "--seed", "0", "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+        assert ran.returncode == EXIT_OK, ran.stderr
+        body = json.dumps(load_trace(out), sort_keys=True, separators=(",", ":"))
+        digests.append(hashlib.sha256(body.encode()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_sweep_writes_table(tmp_path, capsys):

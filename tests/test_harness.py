@@ -329,10 +329,11 @@ def test_checker_records_a_violation_by_its_round(blowup_result):
     assert len(checked.problems) == 1 and checked.problems[0].startswith(f"round {t}: recorded ceiling")
 
 
-@pytest.mark.parametrize("n, t", [(2, 512), (5, 256), (20, 256)])
+@pytest.mark.parametrize("n, t", [(2, 512), (5, 256), (20, 256), (50, 256)])
 def test_checker_ceiling_is_bitwise_the_controllers(n, t):
     # Each round's ceiling is one matrix-vector product over its epoch so far, as the controller takes
-    # it; one matrix product per epoch would move some ceilings in their last bits.
+    # it; one matrix product per epoch would move some ceilings in their last bits.  The 432-round
+    # epoch at (2, 512) spans three of the checker's blocks.
     result = run_market("ada", MarketSpec("blowup", ProblemDims(n, t)))
     assert result.summary["restarts"] >= 2
     ceilings = TraceChecker(result.config).check_columns(result.trace_dict()["per_round"]).ceilings
