@@ -5,13 +5,15 @@
 The main grid is every learner on every market kind at n in {2, 5} and
 T in {64, 256}, all at market seed 3 (112 runs).  A second grid covers non-default settings at T=64 on every
 market kind and n in {2, 5}: each entry of ``NON_DEFAULT`` (learner
-parameters), 88 runs.  A third, wide grid runs ada, barrons and ons on every
-market kind at n=10 and T=64 (12 runs), where the solver's reduced Newton
-system has nine columns and its step sums many terms.  Last come the
-benchmark's two inputs, ada and ons on blowup at n=2 and T=512, so the
-proof covers the runs being timed.  The 214 runs take about 10 s on one
-core.  The package is imported from the ``src`` directory beside this
-script.
+parameters), 88 runs.  A third, wide grid runs at T=64 on every market
+kind: ada, barrons and ons at n=10 (12 runs), where the solver's reduced
+Newton system has nine columns and its step sums many terms, and ada and
+barrons at n=50 (8 runs), where the leader's Hessian is a 50-column gemm.
+ONS is left out at n=50, where its solves fall back to the slow barrier
+path.  Last come the benchmark's two inputs, ada and ons on blowup at n=2
+and T=512, so the proof covers the runs being timed.  The 222 runs take
+about 6 s on one core.  The package is imported from the ``src``
+directory beside this script.
 
 For each run it prints the sha256 of the body's canonical rendering, the
 number of invariant violations recorded, and the problems ``verify_trace``
@@ -73,8 +75,7 @@ from barrons.solver import SolverFailure
 SEED = 3
 N_VALUES = (2, 5)
 T_VALUES = (64, 256)
-WIDE_LEARNERS = ("ada", "barrons", "ons")
-WIDE_N = 10
+WIDE_GRID = ((("ada", "barrons", "ons"), 10), (("ada", "barrons"), 50))  # (learners, n), at T=64
 BENCHMARK_RUNS = ("ada", "ons")  # perfbench's ada_blowup and ons_blowup: blowup, n=2, T=512
 
 # (learner, params)
@@ -185,9 +186,10 @@ def grid():
         for kind in MARKET_KINDS:
             for n in N_VALUES:
                 yield f"{learner}[{setting}]/{kind}/n={n}/T=64", (learner, kind, n, 64, params)
-    for learner in WIDE_LEARNERS:
-        for kind in MARKET_KINDS:
-            yield f"{learner}/{kind}/n={WIDE_N}/T=64", (learner, kind, WIDE_N, 64)
+    for learners, n in WIDE_GRID:
+        for learner in learners:
+            for kind in MARKET_KINDS:
+                yield f"{learner}/{kind}/n={n}/T=64", (learner, kind, n, 64)
     for learner in BENCHMARK_RUNS:
         yield f"{learner}/blowup/n=2/T=512", (learner, "blowup", 2, 512)
 

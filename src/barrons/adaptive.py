@@ -117,7 +117,7 @@ def epoch_ceiling(grads: np.ndarray, xg: np.ndarray, leaders: np.ndarray) -> lis
     gaps = np.zeros((b, m))
     for k in range(b):
         np.dot(grads[: first + k], leaders[k], out=gaps[k, : first + k])
-    np.subtract(gaps, xg, out=gaps)
+    np.subtract(gaps, xg[None], out=gaps)  # a (1, m) xg skips the costlier broadcast of a 1-D one
     np.abs(gaps, out=gaps)
     seen = np.tri(b, m, first - 1, dtype=bool) if b > 1 else True  # row k saw first + k rows; a lone leader, all
     # The ufunc's own reduce, as ndarray.max calls it, without the method's overhead.
@@ -223,10 +223,11 @@ def leader_objective(rounds: np.ndarray, gamma: float, rows: Optional[np.ndarray
     inv_gamma = 1.0 / gamma
     last = [None, None, None]  # bytes of the last point, its wealths, its scaled rows (or None)
 
+    # np.dot and np.add.reduce give the bits of @ and .sum() with less call overhead.
     def wealth(u):
         key = u.tobytes()
         if key != last[0]:
-            last[:] = key, r_mat @ u, None
+            last[:] = key, np.dot(r_mat, u), None
         return last[1]
 
     def scaled_rows(u):
@@ -237,16 +238,16 @@ def leader_objective(rounds: np.ndarray, gamma: float, rows: Optional[np.ndarray
 
     def value(u):
         u = np.asarray(u, dtype=float)
-        return float(-np.log(wealth(u)).sum() - inv_gamma * np.log(u).sum())
+        return float(-np.add.reduce(np.log(wealth(u))) - inv_gamma * np.add.reduce(np.log(u)))
 
     def gradient(u):
         u = np.asarray(u, dtype=float)
-        return -scaled_rows(u).sum(axis=1) - inv_gamma / u
+        return -np.add.reduce(scaled_rows(u), axis=1) - inv_gamma / u
 
     def hessian(u):
         u = np.asarray(u, dtype=float)
         scaled = scaled_rows(u)
-        h = scaled @ scaled.T
+        h = np.dot(scaled, scaled.T)
         h.ravel()[:: u.size + 1] += inv_gamma / (u * u)
         return h
 
