@@ -45,14 +45,14 @@ A change to the checkers is proved on traces that fail them:
     python3 scripts/trace_digests.py --tamper > tamper.json
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
-blowup market at n=2 and T=64, applies each of the 62 entries of
+blowup market at n=2 and T=64, applies each of the 64 entries of
 ``TAMPERS`` (one field of one record, or the per-round columns, the
 summary or the config) to a fresh copy of the learner's body, and prints
 the full list of problems ``verify_trace`` finds in it (or the exception
 it raises).  A record's field is the entry of its column.  The entries
 trigger every message of the checker, of the record count, of the column
 shape and of the summary comparison, and repeat the NaN, floor-tolerance,
-malformed-record and extreme-integer cases of the tests.
+malformed-record, extreme-integer and setting-not-taken cases of the tests.
 """
 
 from __future__ import annotations
@@ -254,6 +254,9 @@ TAMPERS = [
     ("ada", "huge_loss", 10, "loss", lambda v: 10**400),
     ("eg", "huge_loss", 10, "loss", lambda v: 10**400),
     ("ada", "huge_horizon", None, "config", lambda c: {**c, "t": 10**400}),
+    # A setting the learner does not take.
+    ("ada", "setting_not_taken", None, "config", lambda c: {**c, "params": {**c["params"], "mix": 0.1}}),
+    ("eg", "setting_not_taken", None, "config", lambda c: {**c, "params": {**c["params"], "gamma": 0.02}}),
 ]
 
 def tampered(body: dict, index, field, change) -> dict:

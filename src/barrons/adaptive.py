@@ -69,25 +69,25 @@ class EpochBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdaConfig:
-    """Controller parameters; `eta_base=None` means the dimension default."""
+    """Controller settings: starting curvature weight, base rate (None: the dimension default), leader barrier."""
 
-    beta_init: float = 0.5
-    eta_base: Optional[float] = None
+    beta: float = 0.5
+    eta: Optional[float] = None
     gamma: float = GAMMA_MAX
 
     def base_rate(self, dims: ProblemDims) -> float:
-        """`eta_base`, or the dimension default when it is None."""
-        return self.eta_base if self.eta_base is not None else default_eta(dims)
+        """`eta`, or the dimension default when it is None."""
+        return self.eta if self.eta is not None else default_eta(dims)
 
     def resolve(self, dims: ProblemDims) -> "AdaConfig":
         eta = self.base_rate(dims)
-        if not (0.0 < self.beta_init <= 0.5):
-            raise ValueError(f"beta_init must lie in (0, 1/2], got {self.beta_init!r}")
+        if not (0.0 < self.beta <= 0.5):
+            raise ValueError(f"beta must lie in (0, 1/2], got {self.beta!r}")
         if not (0.0 < self.gamma <= GAMMA_MAX):
             raise ValueError(f"gamma must lie in (0, 1/25], got {self.gamma!r}")
         if not (0.0 < eta <= min(ETA_MAX, 1.0)):
-            raise ValueError(f"eta_base must lie in (0, 1/300], got {eta!r}")
-        return AdaConfig(self.beta_init, eta, self.gamma)
+            raise ValueError(f"eta must lie in (0, 1/300], got {eta!r}")
+        return AdaConfig(self.beta, eta, self.gamma)
 
 
 def _cap(largest: float) -> float:
@@ -180,7 +180,7 @@ class EpochHistory:
 class AdaState:
     """Mutable controller state.  Single-owner: one run, one instance.
 
-    ``cfg`` is resolved, and gamma and eta_base are read from it.
+    ``cfg`` is resolved, and gamma and eta are read from it.
     ``last_alpha``/``last_u`` describe the most recently completed round and
     survive a restart.
     """
@@ -188,9 +188,9 @@ class AdaState:
     def __init__(self, dims: ProblemDims, cfg: AdaConfig):
         self.dims = dims
         self.cfg = cfg
-        self.beta = cfg.beta_init
+        self.beta = cfg.beta
         self.epoch = 1
-        self.inner: BarronsState = barrons_init(dims, self.beta, cfg.eta_base)
+        self.inner: BarronsState = barrons_init(dims, self.beta, cfg.eta)
         self.history = EpochHistory(dims.t, dims.n)  # rows of the current epoch
         self.u: Optional[np.ndarray] = None  # current epoch leader (warm start)
         self.last_alpha: Optional[float] = None
@@ -322,7 +322,7 @@ def ada_step(state: AdaState, rnd: MarketRound):
             )
         state.beta *= 0.5
         state.epoch += 1
-        state.inner = barrons_init(state.dims, state.beta, state.cfg.eta_base)
+        state.inner = barrons_init(state.dims, state.beta, state.cfg.eta)
         state.history.clear()
         state.u = None
     return loss, grad, restarted

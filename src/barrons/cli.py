@@ -1,10 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for bad inputs or configuration (usage errors
-included, with argparse's message), 2 when the inner solver fails, 3 when
-a trace fails verification or a run (or any run of a sweep) records an
-invariant violation.  ``run`` writes its trace (``--out``), and ``sweep``
-its tables, before it exits, whatever the code.
+included, with argparse's message, and a sweep none of whose runs ran), 2
+when the inner solver fails, 3 when a trace fails verification or a run
+(or any run of a sweep) records an invariant violation.  ``run`` writes its
+trace (``--out``), and ``sweep`` its tables, before it exits, whatever the
+code.
 """
 
 from __future__ import annotations
@@ -32,6 +33,22 @@ EXIT_BAD_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
+# Each learner flag: the setting it gives the learner, and its help.
+_LEARNER_FLAGS = {
+    "--beta": ("beta", "inverse curvature weight"),
+    "--eta": ("eta", "base learning rate"),
+    "--gamma": ("gamma", "leader barrier weight"),
+    "--mix": ("mix", "uniform mixing weight"),
+    "--g-est": ("g_est", "gradient bound estimate for eg"),
+    "--resolution": ("resolution", "grid pitch for up-grid"),
+}
+# Each flag of a built-in market's params: the param it sets, its type and its help.
+_MARKET_FLAGS = {
+    "--eps": ("epsilon", float, "small price relative for the blowup market"),
+    "--flip-period": ("flip_period", int, "rounds between blowup regime flips"),
+    "--sigma": ("sigma", float, "log-volatility for the iid market"),
+}
+
 
 def _add_market_args(parser):
     group = parser.add_mutually_exclusive_group(required=True)
@@ -45,30 +62,19 @@ def _add_market_flags(parser):
     """The flags run, sweep and gen share: the asset count, the market seed and the market parameters."""
     parser.add_argument("--n", type=int, required=True, help="number of assets")
     parser.add_argument("--seed", type=int, help="market seed (built-in markets; default 0)")
-    parser.add_argument("--eps", type=float, help="small price relative for the blowup market")
-    parser.add_argument("--flip-period", type=int, help="rounds between blowup regime flips")
-    parser.add_argument("--sigma", type=float, help="log-volatility for the iid market")
+    for flag, (param, kind, text) in _MARKET_FLAGS.items():
+        parser.add_argument(flag, dest=param, type=kind, help=text)
 
 
 def _add_learner_args(parser):
     parser.add_argument("--learner", choices=LEARNER_NAMES, required=True)
-    parser.add_argument("--beta", type=float, help="inverse curvature weight")
-    parser.add_argument("--eta", type=float, help="base learning rate")
-    parser.add_argument("--gamma", type=float, help="leader barrier weight")
-    parser.add_argument("--mix", type=float, help="uniform mixing weight")
-    parser.add_argument("--g-est", type=float, help="gradient bound estimate for eg")
-    parser.add_argument("--resolution", type=float, help="grid pitch for up-grid")
+    for flag, (setting, text) in _LEARNER_FLAGS.items():
+        parser.add_argument(flag, dest=setting, type=float, help=text)
 
 
-def _market_params(args) -> dict:
-    params = {}
-    if args.eps is not None:
-        params["epsilon"] = args.eps
-    if args.flip_period is not None:
-        params["flip_period"] = args.flip_period
-    if args.sigma is not None:
-        params["sigma"] = args.sigma
-    return params
+def _flag_values(args, flags: dict) -> dict:
+    """The flags of ``flags`` that were given, by the name each one sets, with their values."""
+    return {name: getattr(args, name) for name, *_ in flags.values() if getattr(args, name) is not None}
 
 
 def _seed(args) -> int:
@@ -82,26 +88,16 @@ def _market_spec(args) -> MarketSpec:
         args.market,
         ProblemDims(args.n, args.t_horizon),
         seed=_seed(args),
-        params=_market_params(args),
+        params=_flag_values(args, _MARKET_FLAGS),
     )
 
 
-def _learner_params(args) -> dict:
-    params = {}
-    for name in ("beta", "eta", "gamma", "mix", "resolution"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.g_est is not None:
-        params["g_est"] = args.g_est
-    return params
-
-
 def _cmd_run(args) -> int:
-    params = _learner_params(args)
+    params = _flag_values(args, _LEARNER_FLAGS)
     if args.csv is not None:
-        for flag, value in (("--t-horizon", args.t_horizon), ("--seed", args.seed), ("--eps", args.eps),
-                            ("--flip-period", args.flip_period), ("--sigma", args.sigma)):
+        built_in = {"--t-horizon": args.t_horizon, "--seed": args.seed}
+        built_in.update((flag, getattr(args, param)) for flag, (param, *_) in _MARKET_FLAGS.items())
+        for flag, value in built_in.items():
             if value is not None:
                 raise ValueError(f"{flag} applies to a built-in market, not to --csv")
         rounds, dims = load_csv(args.csv, args.n)
@@ -144,8 +140,8 @@ def _cmd_sweep(args) -> int:
         t_values,
         reps=args.reps,
         seed=_seed(args),
-        params=_learner_params(args),
-        market_params=_market_params(args),
+        params=_flag_values(args, _LEARNER_FLAGS),
+        market_params=_flag_values(args, _MARKET_FLAGS),
     )
     write_sweep_csv(rows, args.out)
     json_path = args.out.with_suffix(".json")
@@ -162,6 +158,8 @@ def _cmd_sweep(args) -> int:
         print(f"runs with invariant violations: {len(violated)}", file=sys.stderr)
         for row in violated[:10]:
             print(f"  T={row['T']} seed={row['seed']}: violations={row['violations']}", file=sys.stderr)
+    if len(failures) == len(rows):
+        return EXIT_BAD_INPUT  # no run ran
     return EXIT_VERIFY if violated else EXIT_OK
 
 

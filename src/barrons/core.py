@@ -59,7 +59,7 @@ def barrons_init(dims: ProblemDims, beta: float, eta_base: float) -> BarronsStat
     if not (0.0 < beta <= 0.5):
         raise ValueError(f"beta must lie in (0, 1/2], got {beta!r}")
     if not (0.0 < eta_base <= 1.0):
-        raise ValueError(f"eta_base must lie in (0, 1], got {eta_base!r}")
+        raise ValueError(f"eta must lie in (0, 1], got {eta_base!r}")
     return BarronsState(dims, beta, eta_base)
 
 

@@ -28,6 +28,7 @@ claims.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -61,6 +62,7 @@ from .solver import SolverFailure
 __all__ = [
     "LEARNER_NAMES",
     "RECORD_FIELDS",
+    "SWEEP_COLUMNS",
     "TRACE_SCHEMA",
     "CheckedRecords",
     "ExperimentResult",
@@ -77,7 +79,8 @@ __all__ = [
 TRACE_SCHEMA = "portfolio-trace/3"
 # The fields of a record: the records hold one list per field.
 RECORD_FIELDS = ("t", "epoch", "beta", "alpha", "u", "restart", "x", "r", "loss", "cum_loss")
-LEARNER_NAMES = ("ada", "barrons", "ons", "eg", "ogd", "softbayes", "up-grid")
+# The columns of a sweep's rows and of its CSV table.
+SWEEP_COLUMNS = ("learner", "market", "N", "T", "seed", "regret", "epochs", "G", "violations", "runtime_ms", "error")
 
 # Clipped-simplex learners; the rest live on the full simplex.
 _CLIPPED = {"ada", "barrons", "ons"}
@@ -145,16 +148,6 @@ def _one_epoch_fields(run) -> dict:
     return {"epoch": 1, "beta": getattr(run, "beta", None), "alpha": None, "u": None, "restart": False}
 
 
-def _ada_config(params: dict) -> AdaConfig:
-    """The settings an ``ada`` or ``barrons`` run was given, with `AdaConfig`'s defaults for the rest.
-
-    A ``barrons`` run is one epoch at ``beta_init`` and ``base_rate``; it
-    skips ``resolve``, which caps the base rate at the controller's 1/300.
-    """
-    keywords = {"beta": "beta_init", "eta": "eta_base", "gamma": "gamma"}
-    return AdaConfig(**{kw: params[key] for key, kw in keywords.items() if key in params})
-
-
 @dataclass
 class CheckedRecords:
     """What `TraceChecker.check_columns` found in a run's records.
@@ -205,10 +198,8 @@ class TraceChecker:
     def __init__(self, config: dict):
         self.dims = dims = ProblemDims(int(config["n"]), int(config["t"]))
         self.learner = config.get("learner")
-        if self.learner not in _BUILDERS:
-            raise ValueError(f"unknown learner {self.learner!r}")
+        learner = _build(self.learner, config.get("params", {}))
         self.floor = dims.floor if self.learner in _CLIPPED else 0.0
-        learner = _BUILDERS[self.learner](config.get("params", {}))
         if self.learner != "ada":
             self.one_epoch = _one_epoch_fields(learner)
         if self.learner not in ("ada", "barrons"):
@@ -216,7 +207,7 @@ class TraceChecker:
         cfg = learner.cfg
         if self.learner == "ada":
             cfg = cfg.resolve(dims)
-        self.beta_init, self.eta_base = cfg.beta_init, cfg.base_rate(dims)
+        self.beta_init, self.eta_base = cfg.beta, cfg.base_rate(dims)
         # The play band is proved for base rates up to 1/300 only.
         self.x_band = math.sqrt(3.0 * self.eta_base) / 2.0 + _X_BAND_SLACK if self.eta_base <= ETA_MAX else math.inf
         if self.learner == "ada":
@@ -432,15 +423,17 @@ class TraceChecker:
 
 
 class _AdaRun:
-    """The restart controller behind the ``start``/``step`` learner interface.
+    """The restart controller behind the ``start``/``step`` learner interface; it takes `AdaConfig`'s settings.
 
     After each step ``fields`` holds the round's epoch and beta, the ceiling
     and leader after it, and whether it restarted, keyed in the order of
     ``RECORD_FIELDS``, as the runner appends the values.
     """
 
-    def __init__(self, params: dict):
-        self.cfg = _ada_config(params)
+    __signature__ = inspect.signature(AdaConfig)  # the settings `_build` accepts
+
+    def __init__(self, **settings):
+        self.cfg = AdaConfig(**settings)
 
     def start(self, dims: ProblemDims):
         self.state = ada_init(dims, self.cfg)
@@ -461,11 +454,15 @@ class _AdaRun:
 
 
 class _BarronsRun:
-    """The fixed-rate learner behind the ``start``/``step`` learner interface: one epoch, fixed beta."""
+    """The fixed-rate learner behind the ``start``/``step`` learner interface: one epoch, fixed beta.
 
-    def __init__(self, params: dict):
-        self.cfg = _ada_config(params)
-        self.beta = self.cfg.beta_init
+    It runs at `AdaConfig.base_rate` without ``resolve``, which caps the
+    base rate at the controller's 1/300.
+    """
+
+    def __init__(self, beta: float = AdaConfig.beta, eta: Optional[float] = None):
+        self.cfg = AdaConfig(beta, eta)
+        self.beta = beta
 
     def start(self, dims: ProblemDims):
         self.state = barrons_init(dims, self.beta, self.cfg.base_rate(dims))
@@ -477,20 +474,28 @@ class _BarronsRun:
         return played, loss
 
 
-def _given(params: dict, *names: str) -> dict:
-    return {name: params[name] for name in names if name in params}
-
-
-# Learner name -> constructor from the params the run was given; keys match LEARNER_NAMES.
-_BUILDERS = {
+# Learner name -> its class, which takes the learner's settings by keyword.
+_LEARNERS = {
     "ada": _AdaRun,
     "barrons": _BarronsRun,
-    "ons": lambda p: OnsLearner(**_given(p, "beta", "mix")),
-    "eg": lambda p: EgLearner(**_given(p, "eta", "g_est", "mix")),
-    "ogd": lambda p: OgdLearner(**_given(p, "eta")),
-    "softbayes": lambda p: SoftBayesLearner(**_given(p, "eta")),
-    "up-grid": lambda p: UpGridLearner(**_given(p, "resolution")),
+    "ons": OnsLearner,
+    "eg": EgLearner,
+    "ogd": OgdLearner,
+    "softbayes": SoftBayesLearner,
+    "up-grid": UpGridLearner,
 }
+LEARNER_NAMES = tuple(_LEARNERS)
+
+
+def _build(learner: str, params: dict):
+    """The learner ``learner`` with the settings ``params``; a setting it does not take raises ValueError."""
+    if learner not in _LEARNERS:
+        raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
+    takes = inspect.signature(_LEARNERS[learner]).parameters
+    for name in sorted(params):
+        if name not in takes:
+            raise ValueError(f"{learner} takes no setting {name!r}; it takes {', '.join(takes)}")
+    return _LEARNERS[learner](**params)
 
 
 def run_experiment(
@@ -502,7 +507,7 @@ def run_experiment(
     seed: Optional[int] = None,
     out_path=None,
 ) -> ExperimentResult:
-    """Run one learner over one market and return its full trace.
+    """Run one learner over one market and return its full trace; see `_build` for ``params``.
 
     Complete and aborted runs end alike: the records are checked once, the
     summary lists any violation and takes the largest gradient norm from
@@ -514,8 +519,6 @@ def run_experiment(
     solver's constants, ``KKT_TOL`` and ``MAX_NEWTON_ITERS``, as the run
     read them.
     """
-    if learner not in LEARNER_NAMES:
-        raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
     if len(rounds) != dims.t:
         raise ValueError(f"market has {len(rounds)} rounds but dims.t = {dims.t}")
     params = dict(params or {})
@@ -537,7 +540,7 @@ def run_experiment(
     per_round_ms: list = []
     started = time.perf_counter()
     # The learner validates its parameters before the checker derives bands from them.
-    run = _BUILDERS[learner](params).start(dims)
+    run = _build(learner, params).start(dims)
     checker = TraceChecker(cfg_echo)
     plain = _one_epoch_fields(run)
     cum = 0.0
@@ -742,19 +745,8 @@ def sweep(
     for t in t_values:
         for rep in range(reps):
             run_seed = seed + rep
-            row = {
-                "learner": learner,
-                "market": kind,
-                "N": int(n),
-                "T": int(t),
-                "seed": int(run_seed),
-                "regret": None,
-                "epochs": None,
-                "G": None,
-                "violations": None,
-                "runtime_ms": None,
-                "error": "",
-            }
+            row = dict.fromkeys(SWEEP_COLUMNS)
+            row.update(learner=learner, market=kind, N=int(n), T=int(t), seed=int(run_seed), error="")
             tick = time.perf_counter()
             try:
                 spec = MarketSpec(kind, ProblemDims(int(n), int(t)), seed=run_seed, params=dict(market_params or {}))
@@ -775,12 +767,11 @@ def write_sweep_csv(rows, path) -> Path:
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fields = ["learner", "market", "N", "T", "seed", "regret", "epochs", "G", "violations", "runtime_ms", "error"]
     with path.open("w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=fields)
+        writer = _csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: row.get(k) for k in fields})
+            writer.writerow({k: row.get(k) for k in SWEEP_COLUMNS})
     return path
 
 

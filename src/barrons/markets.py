@@ -18,16 +18,10 @@ from .domain import MarketRound, ProblemDims, normalize_round
 
 __all__ = ["MARKET_KINDS", "MarketSpec", "generate", "load_csv", "write_csv"]
 
-MARKET_KINDS = ("constant", "cover_alternating", "blowup", "iid_lognormal")
-
 
 @dataclass(frozen=True)
 class MarketSpec:
-    """What to generate: kind, dimensions, seed, and kind-specific scalars.
-
-    Recognized params: ``epsilon`` and ``flip_period`` for blowup (defaults
-    1/32 and t/2), ``sigma`` for iid_lognormal (default 0.3).
-    """
+    """What to generate: kind, dimensions, seed, and the kind's params (see `_KINDS`)."""
 
     kind: str
     dims: ProblemDims
@@ -35,20 +29,18 @@ class MarketSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MARKET_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown market kind {self.kind!r}; choose from {MARKET_KINDS}")
-        known = {
-            "constant": set(),
-            "cover_alternating": set(),
-            "blowup": {"epsilon", "flip_period"},
-            "iid_lognormal": {"sigma"},
-        }[self.kind]
-        extra = set(self.params) - known
+        extra = set(self.params) - set(_KINDS[self.kind][1])
         if extra:
             raise ValueError(f"params {sorted(extra)} not understood by {self.kind!r}")
 
 
-def _cover_alternating(dims: ProblemDims):
+def _constant(dims: ProblemDims, seed: int):
+    return [MarketRound(np.ones(dims.n))] * dims.t
+
+
+def _cover_alternating(dims: ProblemDims, seed: int):
     # Odd rounds favor the first asset, even rounds the rest; at n = 2 this
     # is the classic (1, 1/2), (1/2, 1) alternation whose best CRP is even
     # money with per-pair wealth 9/8.
@@ -60,7 +52,8 @@ def _cover_alternating(dims: ProblemDims):
     return [odd if t % 2 == 1 else even for t in range(1, dims.t + 1)]
 
 
-def _blowup(dims: ProblemDims, epsilon: float, flip_period: int):
+def _blowup(dims: ProblemDims, seed: int, epsilon, flip_period):
+    epsilon, flip_period = float(epsilon), int(dims.t // 2 if flip_period is None else flip_period)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if flip_period < 1:
@@ -73,7 +66,8 @@ def _blowup(dims: ProblemDims, epsilon: float, flip_period: int):
     return [regimes[(t // flip_period) % 2] for t in range(dims.t)]
 
 
-def _iid_lognormal(dims: ProblemDims, seed: int, sigma: float):
+def _iid_lognormal(dims: ProblemDims, seed: int, sigma):
+    sigma = float(sigma)
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     rng = np.random.default_rng(seed)
@@ -81,20 +75,21 @@ def _iid_lognormal(dims: ProblemDims, seed: int, sigma: float):
     return [normalize_round(row) for row in raw]
 
 
+# Each market kind: its generator, called with the dims, the seed and the params, and the params it takes
+# with their defaults.  A flip_period of None is half the horizon.
+_KINDS = {
+    "constant": (_constant, {}),
+    "cover_alternating": (_cover_alternating, {}),
+    "blowup": (_blowup, {"epsilon": 1.0 / 32.0, "flip_period": None}),
+    "iid_lognormal": (_iid_lognormal, {"sigma": 0.3}),
+}
+MARKET_KINDS = tuple(_KINDS)
+
+
 def generate(spec: MarketSpec):
     """Materialize a spec into its list of normalized rounds."""
-    dims = spec.dims
-    if spec.kind == "constant":
-        return [MarketRound(np.ones(dims.n))] * dims.t
-    if spec.kind == "cover_alternating":
-        return _cover_alternating(dims)
-    if spec.kind == "blowup":
-        eps = float(spec.params.get("epsilon", 1.0 / 32.0))
-        period = int(spec.params.get("flip_period", dims.t // 2))
-        return _blowup(dims, eps, period)
-    if spec.kind == "iid_lognormal":
-        return _iid_lognormal(dims, spec.seed, float(spec.params.get("sigma", 0.3)))
-    raise ValueError(f"unknown market kind {spec.kind!r}")
+    make, defaults = _KINDS[spec.kind]
+    return make(spec.dims, spec.seed, **{**defaults, **spec.params})
 
 
 def load_csv(path, n: int):

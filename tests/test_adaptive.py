@@ -40,15 +40,15 @@ def test_epoch_budget_values():
 
 def test_config_resolve_defaults_and_validation():
     cfg = AdaConfig().resolve(DIMS)
-    assert cfg.beta_init == 0.5
+    assert cfg.beta == 0.5
     assert cfg.gamma == 1.0 / 25.0
-    assert cfg.eta_base == default_eta(DIMS)
-    with pytest.raises(ValueError, match="beta_init"):
-        AdaConfig(beta_init=0.75).resolve(DIMS)
-    with pytest.raises(ValueError, match="gamma"):
+    assert cfg.eta == default_eta(DIMS)
+    with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1/2\]"):
+        AdaConfig(beta=0.75).resolve(DIMS)
+    with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1/25\]"):
         AdaConfig(gamma=0.2).resolve(DIMS)
-    with pytest.raises(ValueError, match="eta_base"):
-        AdaConfig(eta_base=0.01).resolve(DIMS)
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1/300\]"):
+        AdaConfig(eta=0.01).resolve(DIMS)
 
 
 def test_alpha_known_values():

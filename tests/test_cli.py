@@ -265,6 +265,41 @@ def test_sweep_with_a_violation_writes_its_tables_and_exits_3(tmp_path, monkeypa
     assert [row["violations"] for row in doc["rows"]] == [1, 1]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--learner", "ada", "--market", "iid_lognormal", "--eps", "0.1"], "params ['epsilon'] not understood by 'iid_lognormal'"),
+    (["--learner", "ada", "--market", "blowup", "--beta", "0.9"], "beta must lie in (0, 1/2], got 0.9"),
+], ids=["market_param", "learner_setting"])
+def test_sweep_in_which_no_run_ran_writes_its_tables_and_exits_1(tmp_path, capsys, flags, message):
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", *flags, "--n", "2", "--t-values", "16,32", "--out", str(out)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert "2 runs, 2 failed" in captured.out
+    assert f"T=16 seed=0: {message}" in captured.err and f"T=32 seed=0: {message}" in captured.err
+    assert len(out.read_text().splitlines()) == 3
+    assert len(json.loads((tmp_path / "rows.json").read_text())["rows"]) == 2
+
+
+def test_sweep_in_which_some_runs_ran_exits_0(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main([
+        "sweep", "--learner", "ada", "--market", "blowup", "--n", "2", "--t-values", "2,16", "--out", str(out),
+    ]) == EXIT_OK
+    assert "2 runs, 1 failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("learner, flag", [
+    ("eg", "--gamma"), ("barrons", "--gamma"), ("ada", "--mix"), ("ons", "--eta"), ("up-grid", "--beta"),
+])
+def test_a_learner_flag_the_learner_does_not_take_exits_1(tmp_path, capsys, learner, flag):
+    out = tmp_path / "trace.json"
+    assert main([
+        "run", "--learner", learner, flag, "0.02", "--market", "blowup", "--n", "2", "--t-horizon", "16",
+        "--out", str(out),
+    ]) == EXIT_BAD_INPUT
+    assert f"error: {learner} takes no setting {flag[2:]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--t-horizon", "10"), ("--eps", "0.125"), ("--flip-period", "4"), ("--sigma", "5"), ("--seed", "5"),
 ])

@@ -57,7 +57,7 @@ def test_init_validation():
         barrons_init(DIMS, 0.0, 1e-4)
     with pytest.raises(ValueError, match="beta"):
         barrons_init(DIMS, 0.6, 1e-4)
-    with pytest.raises(ValueError, match="eta_base"):
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]"):
         barrons_init(DIMS, 0.5, 0.0)
 
 

@@ -457,6 +457,14 @@ def test_partial_trace_persisted_on_solver_failure(tmp_path, monkeypatch):
     assert verify_trace(trace) == []
 
 
+@pytest.mark.parametrize("learner, setting", [("ada", "mix"), ("eg", "gamma"), ("barrons", "gamma"), ("ons", "eta")])
+def test_verify_reports_a_setting_the_learner_does_not_take(learner, setting):
+    trace = json.loads(run_market(learner, MarketSpec("blowup", DIMS)).body_json())
+    trace["config"]["params"][setting] = 0.02
+    (problem,) = verify_trace(trace)
+    assert problem.startswith(f"config: unusable ({learner} takes no setting {setting!r}; it takes ")
+
+
 def test_bad_learner_params_propagate():
     with pytest.raises(ValueError, match="beta"):
         run_market("ada", MarketSpec("constant", ProblemDims(2, 8)), params={"beta": 0.7})
@@ -467,10 +475,9 @@ def test_checker_bands_come_from_the_resolved_config(params):
     dims = ProblemDims(3, 32)
     config = run_market("ada", MarketSpec("constant", dims), params=params).config
     checker = TraceChecker(config)
-    keywords = {"beta": "beta_init", "eta": "eta_base", "gamma": "gamma"}
-    cfg = AdaConfig(**{keywords[k]: v for k, v in params.items()}).resolve(dims)
-    assert checker.beta_init == cfg.beta_init
-    assert checker.eta_base == cfg.eta_base
+    cfg = AdaConfig(**params).resolve(dims)
+    assert checker.beta_init == cfg.beta
+    assert checker.eta_base == cfg.eta
     assert checker.u_band == math.sqrt(cfg.gamma) / 2.0 + harness._U_BAND_SLACK
 
 
@@ -478,9 +485,9 @@ def test_checker_bands_come_from_the_resolved_config(params):
 def test_checker_base_rate_is_the_fixed_rate_learners(params):
     dims = ProblemDims(3, 32)
     config = run_market("barrons", MarketSpec("constant", dims), params=params).config
-    learner = harness._BUILDERS["barrons"](params).start(dims)
+    learner = harness._build("barrons", params).start(dims)
     assert TraceChecker(config).eta_base == learner.state.eta_base
-    assert learner.state.beta == params.get("beta", AdaConfig().beta_init)
+    assert learner.state.beta == params.get("beta", AdaConfig().beta)
 
 
 def test_sweep_rows_and_csv(tmp_path):
