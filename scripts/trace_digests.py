@@ -18,9 +18,12 @@ directory beside this script.
 For each run it prints the sha256 of the body's canonical rendering, the
 number of invariant violations recorded, and the problems ``verify_trace``
 finds in the body; a run that raises prints its exception instead.  The
-canonical rendering holds the records as rows, one object per round, and
-drops the ``schema`` key, so bodies whose schemas store the same records
-in other layouts compare equal when they hold the same config, records
+canonical rendering holds the records as rows, one object per round,
+keeps only the columns that a ``portfolio-trace/4`` body of the run's
+learner holds, and drops the ``schema`` key.  So bodies whose schemas
+store the same records in other layouts, or store beside them what the
+harness derives or fixes (schema 3's round, cumulative loss and one-epoch
+controller fields), compare equal when they hold the same config, records
 and summary.  Run it at two commits and diff the outputs: equal output
 means identical trace bodies that both verifiers accept alike.
 
@@ -45,14 +48,15 @@ A change to the checkers is proved on traces that fail them:
     python3 scripts/trace_digests.py --tamper > tamper.json
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
-blowup market at n=2 and T=64, applies each of the 64 entries of
+blowup market at n=2 and T=64, applies each of the 56 entries of
 ``TAMPERS`` (one field of one record, or the per-round columns, the
 summary or the config) to a fresh copy of the learner's body, and prints
 the full list of problems ``verify_trace`` finds in it (or the exception
 it raises).  A record's field is the entry of its column.  The entries
 trigger every message of the checker, of the record count, of the column
 shape and of the summary comparison, and repeat the NaN, floor-tolerance,
-malformed-record, extreme-integer and setting-not-taken cases of the tests.
+malformed-record, boolean, extreme-integer, unexpected-column and
+setting-not-taken cases of the tests.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from barrons.domain import FLOOR_TOL, ProblemDims
-from barrons.harness import LEARNER_NAMES, run_market, verify_trace
+from barrons.harness import LEARNER_NAMES, TraceChecker, run_market, verify_trace
 from barrons.markets import MARKET_KINDS, MarketSpec
 from barrons.solver import SolverFailure
 
@@ -105,14 +109,15 @@ def rows(columns: dict) -> list:
 
 
 def as_rows(body: dict) -> dict:
-    """A parsed body with its records as rows and no ``schema`` key."""
-    rendered = {**body, "per_round": rows(body["per_round"])}
+    """A parsed body with no ``schema`` key and its records as rows of the fields a schema-4 body of its learner holds."""
+    fields = TraceChecker(body["config"]).fields
+    rendered = {**body, "per_round": rows({key: body["per_round"][key] for key in fields})}
     del rendered["schema"]
     return rendered
 
 
 def canonical(body: dict) -> str:
-    """The canonical rendering of a parsed body: records as rows, no ``schema`` key."""
+    """The canonical rendering of a parsed body: records as rows of its learner's schema-4 fields, no ``schema`` key."""
     return json.dumps(as_rows(body), sort_keys=True, separators=(",", ":"))
 
 
@@ -205,7 +210,6 @@ TAMPERS = [
     ("ada", "leader_sum", 10, "u", lambda u: [u[0] + 1e-6, u[1]]),
     ("ada", "leader_floor", 10, "u", lambda u: [1e-3, 1.0 - 1e-3]),
     ("ada", "loss", 10, "loss", lambda v: v + 1e-6),
-    ("ada", "cum_loss", 10, "cum_loss", lambda v: v + 1e-6),
     ("ada", "beta", 10, "beta", lambda v: v / 2.0),
     ("ada", "epoch_budget", 63, "epoch", lambda v: 99),
     ("ada", "epoch_sequence", 10, "epoch", lambda v: v + 1),
@@ -227,17 +231,14 @@ TAMPERS = [
     ("ada", "columns_not_an_object", None, "per_round", rows),
     ("ada", "missing_column", None, "per_round", lambda cols: {k: v for k, v in cols.items() if k != "loss"}),
     ("ada", "short_column", None, "per_round", lambda cols: {**cols, "x": cols["x"][:-1]}),
+    ("ada", "unexpected_column", None, "per_round", lambda cols: {**cols, "t": list(range(1, 65))}),
+    ("ons", "unexpected_column", None, "per_round", lambda cols: {**cols, "epoch": [1] * 64}),
     ("ada", "horizon_past_records", None, "config", lambda c: {**c, "t": 128}),
     ("ada", "aborted_complete_run", None, "summary", lambda s: {**s, "aborted": "x"}),
     ("ada", "null_best_crp", None, "summary", lambda s: {**s, "best_crp": None}),
-    ("ada", "record_out_of_order", 4, "t", lambda v: 50),
     ("barrons", "play_band", 10, "x", lambda x: [0.6, 0.4]),
     ("ons", "weight_sum", 10, "x", lambda x: [c * (1.0 + 1e-11) for c in x]),
     ("eg", "weight_sum", 10, "x", lambda x: [c * (1.0 + 1e-11) for c in x]),
-    # The controller fields of a one-epoch run.
-    *[(learner, f"one_epoch_{field}", 10, field, lambda v, new=new: new)
-      for learner in ("barrons", "ons", "eg")
-      for field, new in (("beta", 0.123), ("epoch", 0), ("alpha", 0.3), ("u", [0.5, 0.5]))],
     # The NaN cases of tests/test_harness.py.
     *[(learner, "nan_play", 10, "x", lambda x: [math.nan, math.nan]) for learner in ("ada", "barrons", "ons", "eg")],
     *[(learner, "nan_loss", 10, "loss", lambda v: math.nan) for learner in ("ada", "eg")],
@@ -248,6 +249,11 @@ TAMPERS = [
     ("eg", "string_play", 10, "x", lambda x: "abc"),
     ("ada", "null_leader", 10, "u", lambda u: None),
     ("ada", "string_epoch", 10, "epoch", lambda v: "2"),
+    # Booleans where a number belongs, and a restart flag that is not a boolean.
+    ("eg", "true_loss", 10, "loss", lambda v: True),
+    ("ada", "true_epoch", 10, "epoch", lambda v: True),
+    ("ada", "null_restart", 10, "restart", lambda v: None),
+    ("ada", "integer_restart", 10, "restart", lambda v: 1),
     # Extreme integers, which overflow a float.
     ("ada", "epoch_overflows_beta", 10, "epoch", lambda v: -2000),
     ("ada", "huge_epoch", 10, "epoch", lambda v: 10**400),

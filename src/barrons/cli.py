@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 for bad inputs or configuration (usage errors
 included, with argparse's message, and a sweep none of whose runs ran), 2
-when the inner solver fails, 3 when a trace fails verification or a run
-(or any run of a sweep) records an invariant violation.  ``run`` writes its
+when the inner solver fails (also in every run of a sweep none of whose
+runs ran), 3 when a trace fails verification or a run (or any run of a
+sweep) records an invariant violation.  ``run`` writes its
 trace (``--out``), and ``sweep`` its tables, before it exits, whatever the
 code.
 """
@@ -133,6 +134,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     t_values = [int(v) for v in args.t_values.split(",") if v.strip()]
+    errors: list = []
     rows = sweep(
         args.learner,
         args.market,
@@ -142,6 +144,7 @@ def _cmd_sweep(args) -> int:
         seed=_seed(args),
         params=_flag_values(args, _LEARNER_FLAGS),
         market_params=_flag_values(args, _MARKET_FLAGS),
+        errors=errors,
     )
     write_sweep_csv(rows, args.out)
     json_path = args.out.with_suffix(".json")
@@ -158,8 +161,8 @@ def _cmd_sweep(args) -> int:
         print(f"runs with invariant violations: {len(violated)}", file=sys.stderr)
         for row in violated[:10]:
             print(f"  T={row['T']} seed={row['seed']}: violations={row['violations']}", file=sys.stderr)
-    if len(failures) == len(rows):
-        return EXIT_BAD_INPUT  # no run ran
+    if len(failures) == len(rows):  # no run ran
+        return EXIT_SOLVER if all(isinstance(exc, SolverFailure) for exc in errors) else EXIT_BAD_INPUT
     return EXIT_VERIFY if violated else EXIT_OK
 
 

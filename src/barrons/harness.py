@@ -17,9 +17,12 @@ on the partial records of a run a solver failure aborts), so
 ``meta.per_round_ms`` times the learner's round alone.  Every run,
 complete or aborted, ends the same way: its violations are recorded in
 the summary and its trace is written.  A record holds only what the run
-produced: the round, its relatives, the play, its loss and the
-controller's fields.  What the checker derives from them (gradient norms,
-play and leader ratios) is never stored, so ``verify`` recomputes it with
+chose or was given: the round's relatives, the play and its loss, and in
+an ada run the controller's epoch, beta, ceiling, leader and restart flag.
+What the harness derives or fixes is never stored: a record's round is its
+position, the total loss is the running sum of the losses, and every other
+learner runs one epoch with no leader.  Nor is what the checker derives
+(gradient norms, play and leader ratios), so ``verify`` recomputes it with
 the same checker over a persisted trace and rebuilds the summary with the
 runner's own function.  A trace is self-certifying: it carries the played
 points, the rounds, and the leaders needed to recompute every quantity it
@@ -60,6 +63,7 @@ from . import solver
 from .solver import SolverFailure
 
 __all__ = [
+    "CONTROLLER_FIELDS",
     "LEARNER_NAMES",
     "RECORD_FIELDS",
     "SWEEP_COLUMNS",
@@ -76,9 +80,11 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-TRACE_SCHEMA = "portfolio-trace/3"
-# The fields of a record: the records hold one list per field.
-RECORD_FIELDS = ("t", "epoch", "beta", "alpha", "u", "restart", "x", "r", "loss", "cum_loss")
+TRACE_SCHEMA = "portfolio-trace/4"
+# The fields of every record: the records hold one list per field.
+RECORD_FIELDS = ("x", "r", "loss")
+# The fields an ada record adds: the restart controller's.
+CONTROLLER_FIELDS = ("epoch", "beta", "alpha", "u", "restart")
 # The columns of a sweep's rows and of its CSV table.
 SWEEP_COLUMNS = ("learner", "market", "N", "T", "seed", "regret", "epochs", "G", "violations", "runtime_ms", "error")
 
@@ -94,7 +100,8 @@ class ExperimentResult:
     """A run's config echo, records and summary.
 
     ``per_round`` holds the records as the body (``trace_dict``,
-    ``body_json``) holds them: one list per field of ``RECORD_FIELDS``.
+    ``body_json``) holds them: one list per field of ``RECORD_FIELDS``,
+    and in an ada run of ``CONTROLLER_FIELDS`` too.
     """
 
     config: dict
@@ -119,9 +126,8 @@ def _floats(arr) -> list:
 
 # The checks of a record in the order they run: within a round, problems follow this order.
 _CHECKS = (
-    "order", "play_sum", "play_floor", "loss", "cum_loss", "play_step",
-    "one_epoch", "beta", "budget", "sequence", "leader_sum", "leader_floor",
-    "ceiling", "ceiling_range", "restart", "rate", "leader_band", "ratio_max", "earlier",
+    "play_sum", "play_floor", "loss", "play_step", "beta", "budget", "sequence", "leader_sum",
+    "leader_floor", "ceiling", "ceiling_range", "restart", "rate", "leader_band", "ratio_max", "earlier",
 )
 _ORDER = {name: i for i, name in enumerate(_CHECKS)}
 
@@ -136,16 +142,6 @@ def _ratio_steps(v: np.ndarray) -> np.ndarray:
     out = np.full(len(v), np.nan)
     out[1:] = np.abs(v[1:] / v[:-1] - 1.0).max(axis=1)
     return out
-
-
-def _one_epoch_fields(run) -> dict:
-    """The controller's fields of every record of a one-epoch run with no leader: the fixed-rate learner's and the baselines'.
-
-    ``run`` is the learner; its ``beta``, if it has one, is the rate it keeps.
-    The keys run in the order of ``RECORD_FIELDS``, as the runner appends
-    the values.
-    """
-    return {"epoch": 1, "beta": getattr(run, "beta", None), "alpha": None, "u": None, "restart": False}
 
 
 @dataclass
@@ -179,11 +175,9 @@ class TraceChecker:
     in their stability band (fixed-rate and adaptive) or keep their weight
     sum (baselines).  Adaptive records are also checked against the
     controller's rules: beta per epoch, epoch budget and sequence, leader
-    and its band, ceiling and restart flag, rate schedule, ratio-max; the
-    records of every other learner must carry the one-epoch controller
-    fields of the learner the config's params build.  Record k must be
-    round k.  Every test is written so that a NaN fails it.  A violation is
-    reported, never raised.
+    and its band, ceiling and restart flag, rate schedule, ratio-max.  The
+    record at position k is round k + 1.  Every test is written so that a
+    NaN fails it.  A violation is reported, never raised.
 
     Each column of the records is converted to an array once, and each
     check is an array expression over all rounds, or over the rounds of one
@@ -200,8 +194,8 @@ class TraceChecker:
         self.learner = config.get("learner")
         learner = _build(self.learner, config.get("params", {}))
         self.floor = dims.floor if self.learner in _CLIPPED else 0.0
-        if self.learner != "ada":
-            self.one_epoch = _one_epoch_fields(learner)
+        # The columns of the run's records.
+        self.fields = RECORD_FIELDS + CONTROLLER_FIELDS if self.learner == "ada" else RECORD_FIELDS
         if self.learner not in ("ada", "barrons"):
             return
         cfg = learner.cfg
@@ -224,41 +218,38 @@ class TraceChecker:
 
     @staticmethod
     def _numbers(values: list, key: str):
-        """The column ``key``, as given and as an array of floats."""
-        if not all(issubclass(kind, (int, float)) for kind in set(map(type, values))):
+        """The column ``key``, as given and as an array of floats; a boolean is not a number."""
+        if not all(issubclass(kind, (int, float)) and kind is not bool for kind in set(map(type, values))):
             raise TypeError(f"{key} must be a number")
         return values, np.array(values, dtype=float)
 
     def _convert(self, columns) -> dict:
         """The columns the checks read, converted, plus an ada run's beta schedule, in the order a record's checks read them.
 
-        ``columns`` maps each of ``RECORD_FIELDS`` to a list with one entry
-        per record.  Another run's controller fields are kept as given.
+        ``columns`` maps each of ``fields`` to a list with one entry per
+        record.
         """
         cols = {
-            "t": columns["t"],
             "x": self._vectors(columns["x"], "x"),
             "r": self._vectors(columns["r"], "r"),
             "loss": self._numbers(columns["loss"], "loss"),
-            "cum_loss": self._numbers(columns["cum_loss"], "cum_loss"),
         }
         if self.learner == "ada":
             for key in ("epoch", "beta", "alpha"):
                 cols[key] = self._numbers(columns[key], key)
             # beta_init/2^(epoch-1) per record, as the beta check compares it; an extreme epoch overflows it.
             cols["beta_want"] = [self.beta_init * 0.5 ** (e - 1) for e in cols["epoch"][0]]
-            cols["restart"] = list(map(bool, columns["restart"]))
+            if not set(map(type, columns["restart"])) <= {bool}:
+                raise TypeError("restart must be true or false")
+            cols["restart"] = columns["restart"]
             cols["u"] = self._vectors(columns["u"], "u")
-        else:
-            for key in self.one_epoch:
-                cols[key] = columns[key]
         return cols
 
     def _first_malformed(self, columns) -> tuple:
         """The position of the first record whose fields do not convert on their own, and the exception."""
-        for position in range(len(columns["t"])):
+        for position in range(len(columns["x"])):
             try:
-                self._convert({key: columns[key][position:position + 1] for key in RECORD_FIELDS})
+                self._convert({key: columns[key][position:position + 1] for key in self.fields})
             except _MALFORMED as exc:
                 return position, exc
         raise AssertionError("the records convert one by one but not together")
@@ -266,8 +257,8 @@ class TraceChecker:
     def check_columns(self, columns: dict) -> CheckedRecords:
         """Check every record of the run, given as columns, in order; see `CheckedRecords` for the result.
 
-        ``columns`` maps each of ``RECORD_FIELDS`` to a list with one entry
-        per record.
+        ``columns`` maps each of ``fields`` to a list with one entry per
+        record.
         """
         stop = None  # (position, order of the first check that did not run, exception)
         try:
@@ -275,17 +266,16 @@ class TraceChecker:
         except _MALFORMED:
             position, exc = self._first_malformed(columns)
             stop = (position, 0, exc)
-            cols = self._convert({key: columns[key][:position] for key in RECORD_FIELDS})
-        ts, x, r = cols["t"], cols["x"], cols["r"]
-        m = len(ts)
+            cols = self._convert({key: columns[key][:position] for key in self.fields})
+        x, r = cols["x"], cols["r"]
+        m = len(x)
         if m == 0:
             return CheckedRecords([], [], np.empty(0) if self.learner == "ada" else None, stop and (stop[0], stop[2]))
         issues = []  # (position, order, message)
 
         def fail(check: str, rows, message):
-            issues.extend((int(i), _ORDER[check], f"round {ts[i]}: {message(i)}") for i in rows)
+            issues.extend((int(i), _ORDER[check], f"round {i + 1}: {message(i)}") for i in rows)
 
-        fail("order", [i for i, t in enumerate(ts) if t != i + 1], lambda i: f"recorded at position {i + 1}")
         with np.errstate(all="ignore"):
             sums = np.add.reduce(x, axis=1)  # each row summed as np.add.reduce sums it alone
             self._check_points(fail, "play", x, sums, self.floor)
@@ -299,9 +289,6 @@ class TraceChecker:
             recorded, rec_loss = cols["loss"]
             fail("loss", np.flatnonzero(~(np.abs(loss - rec_loss) <= 1e-12 * np.maximum(1.0, np.abs(loss)))),
                  lambda i: f"recorded loss {recorded[i]!r} != recomputed {loss[i].item()!r}")
-            cum = np.cumsum(rec_loss)  # the running sum, one addition per round
-            fail("cum_loss", np.flatnonzero(~(np.abs(cum - cols["cum_loss"][1]) <= 1e-9)),
-                 lambda i: "cumulative loss drifts from the per-round sum")
             grad_inf = np.abs(grad).max(axis=1).tolist()
             for i in np.flatnonzero(np.isnan(grad_inf)):
                 grad_inf[i] = max(map(abs, grad[i].tolist()))  # max() keeps a NaN only in first place
@@ -318,18 +305,7 @@ class TraceChecker:
                 moves = np.abs(sums[1:] - sums[:-1])
                 fail("play_step", np.flatnonzero(~(moves <= 1e-12)) + 1,
                      lambda i: f"step changed the weight sum by {moves[i - 1].item()!r}")
-            ceilings = None
-            if self.learner == "ada":
-                ceilings = self._check_controller(fail, cols, x, sums, grad, starts, first)
-            else:
-                odd = {}  # position -> the first controller field of that record that is not the one-epoch run's
-                for key, want in self.one_epoch.items():
-                    if cols[key].count(want) != m:
-                        for i, got in enumerate(cols[key]):
-                            if got != want:
-                                odd.setdefault(i, key)
-                fail("one_epoch", sorted(odd),
-                     lambda i: f"{odd[i]} {cols[odd[i]][i]!r} is not the one-epoch run's {self.one_epoch[odd[i]]!r}")
+            ceilings = self._check_controller(fail, cols, x, sums, grad, starts, first) if self.learner == "ada" else None
         issues.sort(key=lambda issue: issue[:2])
         if stop is not None:
             issues = [issue for issue in issues if issue[:2] < stop[:2]]
@@ -427,7 +403,7 @@ class _AdaRun:
 
     After each step ``fields`` holds the round's epoch and beta, the ceiling
     and leader after it, and whether it restarted, keyed in the order of
-    ``RECORD_FIELDS``, as the runner appends the values.
+    ``CONTROLLER_FIELDS``, as the runner appends the values.
     """
 
     __signature__ = inspect.signature(AdaConfig)  # the settings `_build` accepts
@@ -462,10 +438,9 @@ class _BarronsRun:
 
     def __init__(self, beta: float = AdaConfig.beta, eta: Optional[float] = None):
         self.cfg = AdaConfig(beta, eta)
-        self.beta = beta
 
     def start(self, dims: ProblemDims):
-        self.state = barrons_init(dims, self.beta, self.cfg.base_rate(dims))
+        self.state = barrons_init(dims, self.cfg.beta, self.cfg.base_rate(dims))
         return self
 
     def step(self, rnd: MarketRound):
@@ -535,22 +510,19 @@ def run_experiment(
         },
     }
 
-    columns = {key: [] for key in RECORD_FIELDS}
-    appends = [columns[key].append for key in RECORD_FIELDS]
     per_round_ms: list = []
     started = time.perf_counter()
     # The learner validates its parameters before the checker derives bands from them.
     run = _build(learner, params).start(dims)
     checker = TraceChecker(cfg_echo)
-    plain = _one_epoch_fields(run)
-    cum = 0.0
+    columns = {key: [] for key in checker.fields}
+    appends = [columns[key].append for key in checker.fields]
     crp = crp_loss = failure = None
     try:
-        for t, rnd in enumerate(rounds, start=1):
+        for rnd in rounds:
             tick = time.perf_counter()
             played, loss = run.step(rnd)
-            cum += loss
-            record = (t, *getattr(run, "fields", plain).values(), _floats(played), _floats(rnd.r), float(loss), float(cum))
+            record = (_floats(played), _floats(rnd.r), float(loss), *getattr(run, "fields", {}).values())
             for append, value in zip(appends, record):
                 append(value)
             per_round_ms.append(1000.0 * (time.perf_counter() - tick))
@@ -576,18 +548,22 @@ def _summary(columns, checked: CheckedRecords, crp_weights, crp_loss, aborted) -
     """The summary of a run's records, given as columns, their `CheckedRecords`, the comparator and the abort message (None if complete).
 
     The runner writes it, and `verify_trace` rebuilds it from a persisted
-    trace to compare field by field.
+    trace to compare field by field.  The total loss adds the losses one at
+    a time from the first round on; ``sum`` compensates from Python 3.12,
+    so it would not keep these bits.  A run with no controller columns has
+    one epoch and no restart.
     """
-    cum_loss = columns["cum_loss"]
-    total = cum_loss[-1] if cum_loss else 0.0
+    total = 0.0
+    for loss in columns["loss"]:
+        total += loss
     summary = {
         "total_loss": float(total),
         "best_crp": crp_weights,
         "best_crp_loss": None if crp_loss is None else float(crp_loss),
         "regret": None if crp_loss is None else float(total - crp_loss),
-        "rounds_played": len(cum_loss),
-        "epoch_count": max(columns["epoch"], default=1),
-        "restarts": sum(map(bool, columns["restart"])),
+        "rounds_played": len(columns["loss"]),
+        "epoch_count": max(columns.get("epoch", ()), default=1),
+        "restarts": sum(columns.get("restart", ())),
         "max_grad_inf_norm": max(checked.grad_inf, default=0.0),
         "invariant_violations": checked.problems,
     }
@@ -655,15 +631,18 @@ def verify_trace(trace: dict) -> list:
     A ``TraceChecker`` replays every per-round invariant from the recorded
     plays, rounds and leaders, which the trace holds as columns: its
     ``per_round`` must be an object with a list for each of
-    ``RECORD_FIELDS``, all of one length.  There must be ``config.t``
+    ``RECORD_FIELDS``, and in an ada run of ``CONTROLLER_FIELDS``, all of
+    one length, and no other key.  There must be ``config.t``
     records, or no more when the summary says the run was ``aborted``, and
     ``aborted`` must be present exactly when ``best_crp`` is null.  Then
     the summary is rebuilt from the records, the checker's problems and
     gradient norms, and the summary's own comparator and abort message,
     with the runner's function, and every field must equal the recorded
     one.  A record that cannot be checked at all (a field of the wrong type
-    or shape, an integer too large for a float, or a play with no wealth on
-    its round) is reported by its round, and the replay stops there.  An empty list means the trace is internally consistent.
+    or shape, a boolean where a number belongs, an integer too large for a
+    float, or a play with no wealth on its round) is reported by its round,
+    its position plus one, and the replay stops there.  An empty list means
+    the trace is internally consistent.
     """
     summary = trace.get("summary", {})
     try:
@@ -671,14 +650,13 @@ def verify_trace(trace: dict) -> list:
     except _MALFORMED as exc:
         return [f"config: unusable ({exc})"]
     columns = trace.get("per_round")
-    problem = _column_problem(columns)
+    problem = _column_problem(columns, checker.fields)
     if problem is not None:
         return [f"per_round: {problem}"]
     checked = checker.check_columns(columns)
     problems = checked.problems
     if checked.stop is not None:
-        # The replay stops at a record that cannot be checked at all.  The round is the record's
-        # position, since its own "t" may be what is malformed.
+        # The replay stops at a record that cannot be checked at all.
         position, exc = checked.stop
         problems.append(f"round {position + 1}: record cannot be checked ({type(exc).__name__}: {exc})")
         return problems
@@ -687,7 +665,7 @@ def verify_trace(trace: dict) -> list:
         problems.append("summary: not an object")
         return problems
     aborted = "aborted" in summary
-    m = len(columns["t"])
+    m = len(columns["x"])
     if not (m == checker.dims.t or (aborted and m < checker.dims.t)):
         problems.append(f"per_round: {m} records but config.t is {checker.dims.t}")
     if aborted != (summary.get("best_crp") is None):
@@ -705,18 +683,19 @@ def verify_trace(trace: dict) -> list:
     return problems
 
 
-def _column_problem(columns) -> Optional[str]:
-    """What keeps a trace's ``per_round`` from being columns of one length, or None."""
+def _column_problem(columns, fields) -> Optional[str]:
+    """What keeps a trace's ``per_round`` from being the columns ``fields``, of one length, or None."""
     if not isinstance(columns, dict):
         return "not an object"
-    for key in RECORD_FIELDS:
+    for key in fields:
         if key not in columns:
             return f"no {key} column"
         if not isinstance(columns[key], list):
             return f"the {key} column is not a list"
-        if len(columns[key]) != len(columns["t"]):
-            return f"the {key} column holds {len(columns[key])} entries and the t column {len(columns['t'])}"
-    return None
+        if len(columns[key]) != len(columns["x"]):
+            return f"the {key} column holds {len(columns[key])} entries and the x column {len(columns['x'])}"
+    unexpected = sorted(columns.keys() - set(fields))
+    return f"unexpected {unexpected[0]} column" if unexpected else None
 
 
 def sweep(
@@ -728,13 +707,15 @@ def sweep(
     seed: int = 0,
     params: Optional[dict] = None,
     market_params: Optional[dict] = None,
+    errors: Optional[list] = None,
 ):
     """Grid of runs over horizons and repetitions; one row per run.
 
     Rep ``k`` of any horizon uses seed ``seed + k`` so repetitions differ
     but the whole sweep is reproducible.  ``violations`` counts a run's
     invariant violations.  A failing run contributes a row with its error
-    message and the sweep continues.  An empty horizon list or ``reps < 1``
+    message, its exception is appended to ``errors`` (when given), and the
+    sweep continues.  An empty horizon list or ``reps < 1``
     raises ``ValueError``: such a sweep would run nothing.
     """
     if not t_values:
@@ -757,6 +738,8 @@ def sweep(
                 row["violations"] = len(result.summary["invariant_violations"])
             except (ValueError, SolverFailure) as exc:
                 row["error"] = str(exc)
+                if errors is not None:
+                    errors.append(exc)
             row["runtime_ms"] = 1000.0 * (time.perf_counter() - tick)
             rows.append(row)
     return rows

@@ -90,11 +90,12 @@ def test_verify_reports_a_part_that_is_not_an_object(saved_trace, capsys, reshap
 
 def test_verify_rejects_an_older_schema(saved_trace, capsys):
     doc = json.loads(saved_trace.read_text())
-    doc["trace"]["schema"] = "portfolio-trace/2"
-    saved_trace.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["verify", str(saved_trace)]) == EXIT_BAD_INPUT
-    assert "its schema is 'portfolio-trace/2'" in capsys.readouterr().err
+    for schema in ("portfolio-trace/2", "portfolio-trace/3"):
+        doc["trace"]["schema"] = schema
+        saved_trace.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(saved_trace)]) == EXIT_BAD_INPUT
+        assert f"its schema is {schema!r}" in capsys.readouterr().err
 
 
 def test_bad_configuration_exits_one(tmp_path):
@@ -277,6 +278,18 @@ def test_sweep_in_which_no_run_ran_writes_its_tables_and_exits_1(tmp_path, capsy
     assert f"T=16 seed=0: {message}" in captured.err and f"T=32 seed=0: {message}" in captured.err
     assert len(out.read_text().splitlines()) == 3
     assert len(json.loads((tmp_path / "rows.json").read_text())["rows"]) == 2
+
+
+def test_sweep_in_which_every_run_failed_in_the_solver_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("barrons.solver.MAX_NEWTON_ITERS", 1)
+    out = tmp_path / "rows.csv"
+    assert main([
+        "sweep", "--learner", "ada", "--market", "blowup", "--n", "2", "--t-values", "16,32", "--out", str(out),
+    ]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "2 runs, 2 failed" in captured.out
+    assert captured.err.count("newton iteration budget exhausted") == 2
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_sweep_in_which_some_runs_ran_exits_0(tmp_path, capsys):

@@ -26,6 +26,9 @@ from barrons.markets import MarketSpec, generate
 from barrons.solver import KKT_TOL, MAX_NEWTON_ITERS, SolverFailure
 
 DIMS = ProblemDims(2, 64)
+# The columns of a schema-4 body: every learner's, and those an ada body adds.
+PLAIN_COLUMNS = {"x", "r", "loss"}
+ADA_COLUMNS = PLAIN_COLUMNS | {"epoch", "beta", "alpha", "u", "restart"}
 
 
 @pytest.fixture(scope="module")
@@ -48,12 +51,12 @@ def test_run_validation():
 
 def test_trace_layout_and_summary(blowup_result):
     trace = blowup_result.trace_dict()
-    assert trace["schema"] == "portfolio-trace/3"
+    assert trace["schema"] == "portfolio-trace/4"
     assert trace["config"]["learner"] == "ada"
     assert trace["config"]["n"] == 2 and trace["config"]["t"] == 64
     assert trace["config"]["solver"] == {"kkt_tol": KKT_TOL, "max_newton_iters": MAX_NEWTON_ITERS}
     columns = trace["per_round"]
-    assert set(columns) == {"t", "epoch", "beta", "x", "r", "loss", "cum_loss", "alpha", "u", "restart"}
+    assert set(columns) == ADA_COLUMNS
     assert {len(column) for column in columns.values()} == {64}
     summary = trace["summary"]
     assert summary["rounds_played"] == 64
@@ -110,7 +113,7 @@ def test_verifier_reports_a_play_under_the_rate_floor(blowup_result):
     low = DIMS.floor * (1.0 - 1e-6)  # the rate exponent log_t(1/(n x)) just over 1
     plays[10] = [low, 1.0 - low] if plays[10][0] < plays[10][1] else [1.0 - low, low]
     problems = verify_trace(trace)
-    assert f"round {trace['per_round']['t'][10]}: rate schedule left [eta, e*eta]" in problems, problems
+    assert "round 11: rate schedule left [eta, e*eta]" in problems, problems
 
 
 @pytest.mark.parametrize("under, flagged", [(1e-13, False), (2.0 * FLOOR_TOL, True)])
@@ -120,9 +123,8 @@ def test_floor_and_rate_band_share_one_tolerance(blowup_result, under, flagged):
     trace = json.loads(blowup_result.body_json())
     low = DIMS.floor - under
     trace["per_round"]["x"][10] = [low, 1.0 - low]
-    t = trace["per_round"]["t"][10]
-    judged = [p for p in verify_trace(trace) if p.startswith(f"round {t}:") and ("floor" in p or "rate" in p)]
-    want = [f"round {t}: play coordinate {low!r} under the floor {DIMS.floor!r}", f"round {t}: rate schedule left [eta, e*eta]"]
+    judged = [p for p in verify_trace(trace) if p.startswith("round 11:") and ("floor" in p or "rate" in p)]
+    want = [f"round 11: play coordinate {low!r} under the floor {DIMS.floor!r}", "round 11: rate schedule left [eta, e*eta]"]
     assert judged == (want if flagged else []), judged
 
 
@@ -184,7 +186,7 @@ def test_verifier_catches_tampered_checked_field(blowup_results, learner, field,
     i = pick(columns)
     columns[field][i] = tamper(columns[field][i])
     problems = verify_trace(trace)
-    assert any(p.startswith(f"round {columns['t'][i]}:") and word in p for p in problems), problems
+    assert any(p.startswith(f"round {i + 1}:") and word in p for p in problems), problems
 
 
 @pytest.mark.parametrize(
@@ -207,30 +209,35 @@ def test_verifier_catches_nan_in_a_record(blowup_results, learner, field, value)
 
 
 @pytest.mark.parametrize(
-    "learner, field, value",
+    "learner, field, value, error",
     [
-        ("ons", "x", [-1.0, 2.0]),
-        ("ons", "x", [1.0]),
-        ("eg", "x", "abc"),
-        ("ada", "u", None),
-        ("ada", "epoch", "2"),
+        ("ons", "x", [-1.0, 2.0], "ValueError: nonpositive round wealth"),
+        ("ons", "x", [1.0], "ValueError: x does not hold 2 numbers"),
+        ("eg", "x", "abc", "ValueError: could not convert string to float"),
+        ("ada", "u", None, "ValueError: u does not hold 2 numbers"),
+        ("ada", "epoch", "2", "TypeError: epoch must be a number"),
         # Extreme integers, which overflow a float.
-        ("ada", "epoch", -2000),
-        ("ada", "epoch", 10**400),
-        ("ada", "loss", 10**400),
-        ("eg", "loss", 10**400),
+        ("ada", "epoch", -2000, "OverflowError: "),
+        ("ada", "epoch", 10**400, "OverflowError: "),
+        ("ada", "loss", 10**400, "OverflowError: "),
+        ("eg", "loss", 10**400, "OverflowError: "),
+        # A boolean is not a number, and a restart flag is a boolean, although Python takes True == 1.
+        ("ada", "loss", True, "TypeError: loss must be a number"),
+        ("eg", "loss", True, "TypeError: loss must be a number"),
+        ("ada", "epoch", True, "TypeError: epoch must be a number"),
+        ("ada", "restart", None, "TypeError: restart must be true or false"),
+        ("ada", "restart", 1, "TypeError: restart must be true or false"),
     ],
     ids=["ons-dead_play", "ons-one_coordinate", "eg-string_play",
          "ada-null_leader", "ada-string_epoch",
-         "ada-epoch_overflows_beta", "ada-huge_epoch", "ada-huge_loss", "eg-huge_loss"],
+         "ada-epoch_overflows_beta", "ada-huge_epoch", "ada-huge_loss", "eg-huge_loss",
+         "ada-true_loss", "eg-true_loss", "ada-true_epoch", "ada-null_restart", "ada-integer_restart"],
 )
-def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learner, field, value):
+def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learner, field, value, error):
     trace = json.loads(blowup_results[learner].body_json())
     trace["per_round"][field][10] = value
     problems = verify_trace(trace)
-    assert any(p.startswith("round 11:") for p in problems), problems
-    if isinstance(value, int):
-        assert problems[-1].startswith("round 11: record cannot be checked (OverflowError: "), problems
+    assert problems[-1].startswith(f"round 11: record cannot be checked ({error}"), problems
 
 
 @pytest.mark.parametrize("key, value", [("t", 10**400), ("n", None), ("learner", "newton")])
@@ -262,12 +269,10 @@ def test_verifier_catches_a_summary_field_the_records_contradict(blowup_result, 
     "field, value", [("beta", 0.123), ("epoch", 0), ("alpha", 0.3), ("u", [0.5, 0.5])], ids=["beta", "epoch", "alpha", "u"],
 )
 def test_verifier_checks_the_controller_fields_of_a_one_epoch_run(blowup_results, learner, field, value):
+    # A run of one epoch with no leader has no controller, so its body holds none of the controller's columns.
     trace = json.loads(blowup_results[learner].body_json())
-    column = trace["per_round"][field]
-    want = column[10]
-    column[10] = value
-    problems = verify_trace(trace)
-    assert f"round 11: {field} {value!r} is not the one-epoch run's {want!r}" in problems, problems
+    trace["per_round"][field] = [value] * DIMS.t
+    assert verify_trace(trace) == [f"per_round: unexpected {field} column"]
 
 
 @pytest.mark.parametrize(
@@ -276,7 +281,8 @@ def test_verifier_checks_the_controller_fields_of_a_one_epoch_run(blowup_results
         ("config", lambda c: {**c, "t": 128}, "per_round: 64 records but config.t is 128"),
         ("summary", lambda s: {**s, "aborted": "x"}, "summary: an aborted run has a best_crp"),
         ("summary", lambda s: {**s, "best_crp": None}, "summary: a complete run has no best_crp"),
-        ("per_round", lambda cols: {**cols, "t": cols["t"][:4] + [50] + cols["t"][5:]}, "round 50: recorded at position 5"),
+        # A record's round is its position: a body holds no round numbers to put out of order.
+        ("per_round", lambda cols: {**cols, "t": [1, 2, 3, 4, 50, *range(6, 65)]}, "per_round: unexpected t column"),
     ],
     ids=["horizon_past_records", "aborted_complete_run", "null_best_crp", "record_out_of_order"],
 )
@@ -323,10 +329,9 @@ def test_checker_records_a_violation_by_its_round(blowup_result):
     # A round whose ceiling no later check reads: neither it nor the next round restarts.
     bad = next(i for i in range(1, len(restart) - 1) if not (restart[i] or restart[i + 1]))
     columns["alpha"][bad] = 0.4999
-    t = columns["t"][bad]
 
     checked = TraceChecker(blowup_result.config).check_columns(columns)
-    assert len(checked.problems) == 1 and checked.problems[0].startswith(f"round {t}: recorded ceiling")
+    assert len(checked.problems) == 1 and checked.problems[0].startswith(f"round {bad + 1}: recorded ceiling")
 
 
 @pytest.mark.parametrize("n, t", [(2, 512), (5, 256), (20, 256), (50, 256)])
@@ -343,7 +348,7 @@ def test_checker_ceiling_is_bitwise_the_controllers(n, t):
         x, r = np.array(columns["x"][k]), np.array(columns["r"][k])
         history.append(r, x, loss_grad_arrays(x, r)[1])
         want = history.ceiling(np.array(columns["u"][k]))
-        assert np.float64(ceiling).tobytes() == np.float64(want).tobytes() == np.float64(columns["alpha"][k]).tobytes(), columns["t"][k]
+        assert np.float64(ceiling).tobytes() == np.float64(want).tobytes() == np.float64(columns["alpha"][k]).tobytes(), k + 1
         if columns["restart"][k]:
             history.clear()
 
@@ -353,7 +358,7 @@ def test_runner_checks_its_records_after_the_last_round(monkeypatch, blowup_resu
     restart = columns["restart"]
     # A round whose ceiling no later check reads: neither it nor the next round restarts.
     bad = next(i for i in range(1, len(restart) - 1) if not (restart[i] or restart[i + 1]))
-    k = columns["t"][bad]
+    k = bad + 1
     step = harness._AdaRun.step
 
     def step_recording_a_wrong_ceiling_on_round_k(self, rnd):
@@ -400,11 +405,24 @@ def test_load_rejects_foreign_json(tmp_path):
         load_trace(path)
 
 
-def test_a_schema_3_body_holds_the_records_as_columns(blowup_results):
+def test_a_schema_4_body_holds_the_learners_columns(blowup_results):
+    # What the harness derives or fixes is not stored: the round, the cumulative loss, a one-epoch run's controller.
     for learner, result in blowup_results.items():
         trace = json.loads(result.body_json())
-        assert trace["schema"] == "portfolio-trace/3", learner
+        assert trace["schema"] == "portfolio-trace/4", learner
         assert trace["per_round"] == result.per_round, learner
+        assert set(trace["per_round"]) == (ADA_COLUMNS if learner == "ada" else PLAIN_COLUMNS), learner
+
+
+def test_total_loss_adds_the_losses_from_the_first_round_on():
+    # On this run a compensated sum (math.fsum, or sum() from Python 3.12) rounds differently.
+    result = run_market("eg", MarketSpec("iid_lognormal", ProblemDims(3, 256), seed=1))
+    losses = result.per_round["loss"]
+    total = 0.0
+    for loss in losses:
+        total += loss
+    assert math.fsum(losses) != total
+    assert np.float64(result.summary["total_loss"]).tobytes() == np.float64(total).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -412,9 +430,10 @@ def test_a_schema_3_body_holds_the_records_as_columns(blowup_results):
     [
         (_rows, "per_round: not an object"),
         (lambda cols: {k: v for k, v in cols.items() if k != "loss"}, "per_round: no loss column"),
-        (lambda cols: {**cols, "x": cols["x"][:-1]}, "per_round: the x column holds 63 entries and the t column 64"),
+        (lambda cols: {**cols, "x": cols["x"][:-1]}, "per_round: the r column holds 64 entries and the x column 63"),
+        (lambda cols: {**cols, "cum_loss": cols["loss"]}, "per_round: unexpected cum_loss column"),
     ],
-    ids=["rows", "missing_column", "short_column"],
+    ids=["rows", "missing_column", "short_column", "unexpected_column"],
 )
 def test_verifier_reports_columns_of_the_wrong_shape(blowup_result, reshape, problem):
     trace = json.loads(blowup_result.body_json())
@@ -453,7 +472,7 @@ def test_partial_trace_persisted_on_solver_failure(tmp_path, monkeypatch):
     assert trace["summary"]["best_crp_loss"] is None
     columns = trace["per_round"]
     derived = {"grad_inf", "x_ratio", "u_ratio", "ratio_max", "ratio_max_prev"}
-    assert columns["t"] and not derived & columns.keys()
+    assert columns["x"] and not derived & columns.keys()
     assert verify_trace(trace) == []
 
 
