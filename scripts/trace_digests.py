@@ -48,15 +48,16 @@ A change to the checkers is proved on traces that fail them:
     python3 scripts/trace_digests.py --tamper > tamper.json
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
-blowup market at n=2 and T=64, applies each of the 56 entries of
+blowup market at n=2 and T=64, applies each of the 61 entries of
 ``TAMPERS`` (one field of one record, or the per-round columns, the
 summary or the config) to a fresh copy of the learner's body, and prints
 the full list of problems ``verify_trace`` finds in it (or the exception
 it raises).  A record's field is the entry of its column.  The entries
 trigger every message of the checker, of the record count, of the column
 shape and of the summary comparison, and repeat the NaN, floor-tolerance,
-malformed-record, boolean, extreme-integer, unexpected-column and
-setting-not-taken cases of the tests.
+malformed-record, boolean, extreme-integer, unexpected-column,
+setting-not-taken, setting-out-of-range and non-integral-size cases of the
+tests.
 """
 
 from __future__ import annotations
@@ -263,6 +264,12 @@ TAMPERS = [
     # A setting the learner does not take.
     ("ada", "setting_not_taken", None, "config", lambda c: {**c, "params": {**c["params"], "mix": 0.1}}),
     ("eg", "setting_not_taken", None, "config", lambda c: {**c, "params": {**c["params"], "gamma": 0.02}}),
+    # A setting outside its range (Python's json writes a NaN), and a size that is not an integral number.
+    ("ons", "nan_beta", None, "config", lambda c: {**c, "params": {**c["params"], "beta": math.nan}}),
+    ("eg", "negative_eta", None, "config", lambda c: {**c, "params": {**c["params"], "eta": -1}}),
+    ("eg", "zero_g_est", None, "config", lambda c: {**c, "params": {**c["params"], "g_est": 0}}),
+    ("ons", "fractional_n", None, "config", lambda c: {**c, "n": 2.5}),
+    ("ons", "string_horizon", None, "config", lambda c: {**c, "t": "64"}),
 ]
 
 def tampered(body: dict, index, field, change) -> dict:

@@ -110,16 +110,23 @@ def epoch_ceiling(grads: np.ndarray, xg: np.ndarray, leaders: np.ndarray) -> lis
     controller takes it: a product over more rows may round a row
     differently.  The block shares one subtraction, one absolute value and
     one max masked to the rows each leader saw, in a (b, m) buffer: b
-    matrix-vector products and O(b m) other work.
+    matrix-vector products and O(b m) other work.  A lone leader, as the
+    controller passes it every round, takes the same steps on its 1-D
+    gaps, with no buffer and no mask: the same floats, at less cost.
     """
     b, m = len(leaders), len(grads)
+    if b == 1:
+        gaps = np.dot(grads, leaders[0])
+        np.subtract(gaps, xg, out=gaps)
+        np.abs(gaps, out=gaps)
+        return [_cap(float(np.maximum.reduce(gaps, initial=0.0)))]
     first = m - b + 1  # rows the first leader saw
     gaps = np.zeros((b, m))
     for k in range(b):
         np.dot(grads[: first + k], leaders[k], out=gaps[k, : first + k])
     np.subtract(gaps, xg[None], out=gaps)  # a (1, m) xg skips the costlier broadcast of a 1-D one
     np.abs(gaps, out=gaps)
-    seen = np.tri(b, m, first - 1, dtype=bool) if b > 1 else True  # row k saw first + k rows; a lone leader, all
+    seen = np.tri(b, m, first - 1, dtype=bool)  # row k saw first + k rows
     # The ufunc's own reduce, as ndarray.max calls it, without the method's overhead.
     return list(map(_cap, np.maximum.reduce(gaps, axis=1, initial=0.0, where=seen).tolist()))
 
@@ -134,7 +141,7 @@ class EpochHistory:
     clearing the epoch cost O(n) however long the epoch is; only the leader
     refit (O(m n^2) per Newton iteration over m rounds) and the ceiling
     (`epoch_ceiling` with the latest leader alone: one O(m n)
-    matrix-vector product and a (1, m) buffer of gaps) read all rounds.  A
+    matrix-vector product and m gaps) read all rounds.  A
     history that outgrows its capacity doubles it.
     """
 

@@ -13,6 +13,7 @@ comparator every run's regret is measured against.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -40,6 +41,13 @@ __all__ = [
     "SoftBayesLearner",
     "UpGridLearner",
 ]
+
+
+def _finite_positive(name: str, value, optional: bool = True):
+    """``value`` if it is a finite positive number (or None, when ``optional``); otherwise ValueError naming ``name``."""
+    if not ((optional and value is None) or 0.0 < value < math.inf):  # NaN fails both comparisons
+        raise ValueError(f"{name} must be finite and positive{', or None' if optional else ''}, got {value!r}")
+    return value
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -119,11 +127,9 @@ class OnsLearner:
     name = "ons"
 
     def __init__(self, beta: float = 0.5, mix: float = 0.0):
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
         if not (0.0 <= mix < 1.0):
             raise ValueError("mix must lie in [0, 1)")
-        self.beta = beta
+        self.beta = _finite_positive("beta", beta, optional=False)
         self.mix = mix
 
     def start(self, dims: ProblemDims):
@@ -135,7 +141,7 @@ class OnsLearner:
     def step(self, rnd: MarketRound):
         played = (1.0 - self.mix) * self.x + self.mix / self.dims.n
         loss, grad = loss_grad_arrays(played, rnd.r)
-        self.cov = self.cov + np.outer(grad, grad)
+        self.cov = self.cov + np.multiply.outer(grad, grad)
         obj = omd_step_objective(grad, self.cov, self.x, self.beta)
         self.x = minimize_over_clipped_simplex(obj, nudge_interior(self.x, self.dims), self.dims)
         return played, loss
@@ -155,8 +161,8 @@ class EgLearner:
     def __init__(self, eta: Optional[float] = None, g_est: Optional[float] = None, mix: float = 0.0):
         if not (0.0 <= mix < 1.0):
             raise ValueError("mix must lie in [0, 1)")
-        self.eta_fixed = eta
-        self.g_est = g_est
+        self.eta_fixed = _finite_positive("eta", eta)
+        self.g_est = _finite_positive("g_est", g_est)
         self.mix = mix
 
     def start(self, dims: ProblemDims):
@@ -184,7 +190,7 @@ class OgdLearner:
     name = "ogd"
 
     def __init__(self, eta: Optional[float] = None):
-        self.eta_fixed = eta
+        self.eta_fixed = _finite_positive("eta", eta)
 
     def start(self, dims: ProblemDims):
         self.dims = dims
@@ -200,11 +206,17 @@ class OgdLearner:
 
 
 class SoftBayesLearner:
-    """Soft-Bayes mixing update on the full simplex."""
+    """Soft-Bayes mixing update on the full simplex.
+
+    The rate lies in (0, 1]: past 1 the factor ``1 - eta`` turns negative,
+    and so can a weight.
+    """
 
     name = "softbayes"
 
     def __init__(self, eta: Optional[float] = None):
+        if not (eta is None or 0.0 < eta <= 1.0):
+            raise ValueError(f"eta must lie in (0, 1], or be None, got {eta!r}")
         self.eta_fixed = eta
 
     def start(self, dims: ProblemDims):
@@ -224,7 +236,13 @@ class SoftBayesLearner:
 
 
 class UpGridLearner:
-    """Universal-portfolio quadrature run as an online learner."""
+    """Universal-portfolio quadrature run as an online learner.
+
+    Each grid portfolio's wealth is kept as its logarithm, and the play is
+    the grid's mean under the softmax of the log-wealths.  Wealths kept as
+    numbers underflow to zero once a portfolio falls some 745 nats behind
+    the leader, and such a portfolio could never weigh again.
+    """
 
     name = "up-grid"
 
@@ -235,12 +253,13 @@ class UpGridLearner:
         self.dims = dims
         res = self.resolution if self.resolution is not None else (0.01 if dims.n == 2 else 0.02)
         self.grid = _full_simplex_grid(dims.n, res)
-        self.wealth = np.ones(len(self.grid))
+        self.log_wealth = np.zeros(len(self.grid))
         return self
 
     def step(self, rnd: MarketRound):
-        played = self.wealth @ self.grid / self.wealth.sum()
+        weights = np.exp(self.log_wealth - self.log_wealth.max())
+        played = weights @ self.grid / weights.sum()
         loss, _ = loss_grad_arrays(played, rnd.r)
-        self.wealth = self.wealth * (self.grid @ rnd.r)
-        self.wealth /= self.wealth.max()
+        with np.errstate(divide="ignore"):  # a portfolio with no wealth on the round: log 0 = -inf
+            self.log_wealth = self.log_wealth + np.log(self.grid @ rnd.r)
         return played, loss

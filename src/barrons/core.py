@@ -127,13 +127,13 @@ def barrons_step(state: BarronsState, rnd: MarketRound):
     r = rnd.r
     if r.size != dims.n:
         raise ValueError(f"round has {r.size} assets, expected {dims.n}")
-    if r.max() != 1.0:
+    if np.maximum.reduce(r) != 1.0:  # r.max(), without the method's overhead
         raise ValueError("round must be normalized before stepping: max entry must be exactly 1")
 
     x_t = state.x
     loss, grad = loss_grad_arrays(x_t, r)
 
-    state.cov = state.cov + np.outer(grad, grad)
+    state.cov = state.cov + np.multiply.outer(grad, grad)  # np.outer's own multiply, without its wrapper
     state.log_max = np.maximum(state.log_max, np.log(1.0 / (dims.n * x_t)) / state.log_t)
     state.eta = state.eta_base * np.exp(state.log_max)
 

@@ -168,6 +168,14 @@ class CheckedRecords:
         return [message for _, message in self.issues]
 
 
+def _count(config: dict, key: str) -> int:
+    """``config[key]`` as an int: a JSON number of integral value (``2.0`` is 2), not a boolean or a string."""
+    value = config[key]
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ValueError(f"{key} must be an integral number, got {value!r}")
+    return int(value)
+
+
 class TraceChecker:
     """Every per-round invariant of the run whose config echo is ``config``, over all its records at once.
 
@@ -190,7 +198,7 @@ class TraceChecker:
     """
 
     def __init__(self, config: dict):
-        self.dims = dims = ProblemDims(int(config["n"]), int(config["t"]))
+        self.dims = dims = ProblemDims(_count(config, "n"), _count(config, "t"))
         self.learner = config.get("learner")
         learner = _build(self.learner, config.get("params", {}))
         self.floor = dims.floor if self.learner in _CLIPPED else 0.0

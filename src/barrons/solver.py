@@ -31,7 +31,15 @@ that ``domain.clipped_point`` has checked.
 
 Cost model.  A solve's time is a fixed cost at entry and exit plus its
 Newton iterations times a fixed cost per iteration; at small n both are
-counts of numpy calls, not arithmetic.  Each iteration makes one derivative
+counts of numpy calls, not arithmetic.  Fitted over ada runs on the
+blowup market at n=2 and T=512 (a 2-CPU x86-64 host, Python 3.11,
+numpy 2.4), a step solve costs about 33 us fixed and a leader solve
+about 41 us, plus about 26.5 us per Newton iteration.  So work that makes
+no bit of the answer stays off both: the stage record of
+``SolveDiagnostics`` (iterations, residual, accepted values) is written
+only when a caller passes one, ``np.errstate`` decorates ``_lapack_solve``
+instead of opening a ``with`` block per call, and a full line-search step
+adds ``ds`` instead of ``1.0 * ds``.  Each iteration makes one derivative
 pass at the current point: one gradient and one Hessian.  The regularized
 leader builds both from the per-round wealths it computed for the value at
 that point, when the line search accepted it; the line search also hands
@@ -180,16 +188,18 @@ def _reduced_system(h, g):
     With basis = [I; -1] every entry of the products has exactly two nonzero
     terms, so the slices give the same floats.  ``g[-1] - g[:-1]`` gives
     those of ``-(g[:-1] - g[-1])``, as IEEE subtraction is antisymmetric,
-    but for the sign of an exact zero.
+    but for the sign of an exact zero; it is taken with ``g[-1:]``, a
+    one-element array that broadcasts to the same floats as the scalar.
     """
     a = h[:-1] - h[-1]
-    return a[:, :-1] - a[:, -1:], g[-1] - g[:-1]
+    return a[:, :-1] - a[:, -1:], np.subtract(g[-1:], g[:-1])
 
 
 def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _lapack_solve(a, b):
     """``np.linalg.solve(a, b)`` for a float64 matrix and vector, without its wrapper.
 
@@ -197,10 +207,10 @@ def _lapack_solve(a, b):
     signature and under the same floating-point error state, so it returns
     the same floats and raises ``LinAlgError`` on a singular matrix.  The
     wrapper's per-call type and shape inspection costs more than a small
-    solve.
+    solve.  The error state is set by ``np.errstate`` as a decorator,
+    which costs less per call than its ``with`` block.
     """
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _solve1(a, b, signature="dd->d")
+    return _solve1(a, b, signature="dd->d")
 
 
 def _newton_direction(h, g, basis):
@@ -261,7 +271,7 @@ def _armijo(obj, s, floor, mu, ds, slope, step, phi0):
     noise = 1e-12 * (1.0 + abs(phi0))
     start = s.tolist()
     while step > 1e-16:
-        sn = s + step * ds
+        sn = s + ds if step == 1.0 else s + step * ds  # 1.0 * ds is ds, bit for bit
         trial = sn.tolist()
         if trial == start:
             # The step rounds away entirely; shorter ones will too.
@@ -309,8 +319,8 @@ def _affine_phase(obj, s, floor, basis, diag):
     iteration budget runs out.  ``g_start`` is the objective's gradient at
     the starting slacks, which the barrier path reuses.
     """
-    stage = {"mu": 0.0, "iters": 0, "residual": np.inf, "phi": []}
     if diag is not None:
+        stage = {"mu": 0.0, "iters": 0, "residual": np.inf, "phi": []}
         diag.stages.append(stage)
     x = floor + s  # the point of the slacks s, carried out of each line search
     phi = float(obj.evaluate(x))
@@ -319,7 +329,9 @@ def _affine_phase(obj, s, floor, basis, diag):
         g = obj.gradient(x)
         if g_start is None:
             g_start = g
-        resid = stage["residual"] = _kkt_violation(g, x, floor)
+        resid = _kkt_violation(g, x, floor)
+        if diag is not None:
+            stage["residual"] = resid
         if resid <= KKT_TOL:
             return x, g_start
         h = obj.hessian(x)
@@ -335,10 +347,10 @@ def _affine_phase(obj, s, floor, basis, diag):
             done = resid <= max(10.0 * KKT_TOL, 4.0 * pin)
             return (x if done else None), g_start
         s, x, phi = accepted
-        stage["iters"] += 1
-        stage["phi"].append(phi)
         if diag is not None:
             diag.newton_iters += 1
+            stage["iters"] += 1
+            stage["phi"].append(phi)
     return None, g_start
 
 
@@ -351,7 +363,7 @@ def _center(obj, s, floor, mu, tol, basis, diag):
     full precision.  The objective still sees ``floor + s``; only the
     barrier term needs the fine detail.
     """
-    stage = {"mu": mu, "iters": 0, "residual": np.inf, "phi": []}
+    phis = []  # the accepted penalized values, recorded under diagnostics only
     resid_norm = np.inf
     pin = 0.0
     phi0 = None  # penalized value at s, carried over from the line search that accepted s
@@ -389,18 +401,16 @@ def _center(obj, s, floor, mu, tol, basis, diag):
             raise SolverFailure("line search stalled", x, resid_norm, mu)
 
         s, x, phi0 = accepted
-        stage["iters"] += 1
-        stage["phi"].append(phi0)
         if diag is not None:
             diag.newton_iters += 1
+            phis.append(phi0)
     else:
         _, resid_norm = _stage_residual(obj, x, s, mu)
         if resid_norm > max(tol, 4.0 * pin):
             raise SolverFailure("newton iteration budget exhausted", x, resid_norm, mu)
 
-    stage["residual"] = resid_norm
     if diag is not None:
-        diag.stages.append(stage)
+        diag.stages.append({"mu": mu, "iters": len(phis), "residual": resid_norm, "phi": phis})
     return s
 
 

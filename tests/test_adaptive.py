@@ -270,6 +270,29 @@ def test_epoch_ceiling_blocks_are_bitwise_the_per_round_ceilings(n, length):
         assert 0.5 in want and min(want) < 0.5 and np.isnan(want).any()
 
 
+@pytest.mark.parametrize("n", (2, 5, 20, 50, 100))
+def test_a_lone_leader_ceiling_is_bitwise_its_row_of_a_block(n):
+    # The controller passes its latest leader alone, and the checker a block of an epoch's leaders.  Each
+    # leader alone, with the rows it saw, must give the bits of its row of the block, where NaN and infinite
+    # entries sit in the leaders and in the gradients.
+    rng = np.random.default_rng(900 + n)
+    m = 40
+    grads = -rng.uniform(0.01, 1.0, (m, n)) * np.linspace(0.02, 20.0, m)[:, None]  # gaps grow
+    xs = rng.dirichlet(np.ones(n), size=m)
+    leaders = rng.dirichlet(np.ones(n), size=m)
+    for k, value in zip((5, 9, 13), (np.nan, np.inf, -np.inf)):
+        leaders[k, rng.integers(n)] = value
+    for k, value in zip((30, 35), (np.inf, np.nan)):
+        grads[k, rng.integers(n)] = value
+    with np.errstate(all="ignore"):
+        xg = np.add.reduce(xs * grads, axis=1)
+        block = epoch_ceiling(grads, xg, leaders)
+        alone = [epoch_ceiling(grads[: k + 1], xg[: k + 1], leaders[k : k + 1]) for k in range(m)]
+    assert all(len(ceiling) == 1 and type(ceiling[0]) is float for ceiling in alone)
+    assert np.array([c[0] for c in alone]).tobytes() == np.array(block).tobytes()
+    assert 0.5 in block and min(block) < 0.5 and np.isnan(block).any()  # both branches of the cap, and NaN
+
+
 def test_epoch_history_rows_are_the_appended_rounds():
     rng = np.random.default_rng(23)
     n = 3

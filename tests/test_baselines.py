@@ -150,6 +150,37 @@ def test_step_objective_without_rates_is_bitwise_the_ons_objective(n):
         assert got.hessian(x).tobytes() == want.hessian(x).tobytes()
 
 
+@pytest.mark.parametrize("make, message", [
+    *[(lambda v=v: OnsLearner(beta=v), "beta must be finite and positive") for v in (np.nan, np.inf, 0.0, -1.0)],
+    *[(lambda v=v: EgLearner(eta=v), "eta must be finite and positive, or None") for v in (np.nan, np.inf, 0.0, -1.0)],
+    *[(lambda v=v: EgLearner(g_est=v), "g_est must be finite and positive, or None") for v in (np.nan, np.inf, 0.0, -1.0)],
+    *[(lambda v=v: OgdLearner(eta=v), "eta must be finite and positive, or None") for v in (np.nan, np.inf, 0.0, -0.5)],
+    *[(lambda v=v: SoftBayesLearner(eta=v), r"eta must lie in \(0, 1\], or be None") for v in (np.nan, np.inf, 0.0, 2.0)],
+], ids=[f"{name}={v}" for name in ("ons-beta", "eg-eta", "eg-g_est", "ogd-eta") for v in ("nan", "inf", "0", "neg")]
+    + [f"softbayes-eta={v}" for v in ("nan", "inf", "0", "2")])
+def test_learner_settings_outside_their_range_raise(make, message):
+    with pytest.raises(ValueError, match=f"^{message}, got"):
+        make()
+
+
+def test_learner_settings_at_the_edge_of_their_range_are_accepted():
+    assert SoftBayesLearner(eta=1.0).eta_fixed == 1.0
+    assert EgLearner(eta=None, g_est=None).g_est is None
+    assert OgdLearner().eta_fixed is None and OnsLearner(beta=1e-300).beta == 1e-300
+
+
+def test_up_grid_keeps_every_portfolio_in_play_past_underflow():
+    # Blowup at n=2, T=4096 with one flip at round 1536: wealths kept as numbers underflow to zero for the
+    # portfolios that lose the first regime, and the mixture then beat every CRP by 148.8 nats.  A mixture
+    # of CRPs on the full simplex loses at most T*log1p(-n*floor) less than the best clipped CRP.
+    dims = ProblemDims(2, 4096)
+    rounds = generate(MarketSpec("blowup", dims, params={"flip_period": 1536}))
+    learner = UpGridLearner().start(dims)
+    total = sum(learner.step(rnd)[1] for rnd in rounds)
+    _, crp_loss = best_crp(rounds, dims)
+    assert total - crp_loss >= dims.t * np.log1p(-dims.n * dims.floor) - 1e-6
+
+
 def test_learner_constructor_validation():
     with pytest.raises(ValueError, match="beta"):
         OnsLearner(beta=0.0)

@@ -313,6 +313,25 @@ def test_a_learner_flag_the_learner_does_not_take_exits_1(tmp_path, capsys, lear
     assert not out.exists()
 
 
+@pytest.mark.parametrize("learner, flag, value, message", [
+    ("ons", "--beta", "nan", "beta must be finite and positive, got nan"),
+    ("ons", "--beta", "inf", "beta must be finite and positive, got inf"),
+    ("softbayes", "--eta", "2", "eta must lie in (0, 1], or be None, got 2.0"),
+    ("eg", "--g-est", "0", "g_est must be finite and positive, or None, got 0.0"),
+    ("eg", "--g-est", "-1", "g_est must be finite and positive, or None, got -1.0"),
+    ("eg", "--eta", "-1", "eta must be finite and positive, or None, got -1.0"),
+    ("ogd", "--eta", "-0.5", "eta must be finite and positive, or None, got -0.5"),
+], ids=["ons-beta-nan", "ons-beta-inf", "softbayes-eta-2", "eg-g_est-0", "eg-g_est-neg", "eg-eta-neg", "ogd-eta-neg"])
+def test_a_learner_setting_outside_its_range_exits_1(tmp_path, capsys, learner, flag, value, message):
+    out = tmp_path / "trace.json"
+    assert main([
+        "run", "--learner", learner, flag, value, "--market", "blowup", "--n", "2", "--t-horizon", "64",
+        "--out", str(out),
+    ]) == EXIT_BAD_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--t-horizon", "10"), ("--eps", "0.125"), ("--flip-period", "4"), ("--sigma", "5"), ("--seed", "5"),
 ])

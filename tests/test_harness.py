@@ -240,12 +240,20 @@ def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learne
     assert problems[-1].startswith(f"round 11: record cannot be checked ({error}"), problems
 
 
-@pytest.mark.parametrize("key, value", [("t", 10**400), ("n", None), ("learner", "newton")])
+@pytest.mark.parametrize("key, value", [
+    ("t", 10**400), ("n", None), ("learner", "newton"), ("n", 2.5), ("n", "2"), ("n", True), ("t", "64"),
+])
 def test_verifier_reports_an_unusable_config(blowup_result, key, value):
     trace = json.loads(blowup_result.body_json())
     trace["config"][key] = value
     problems = verify_trace(trace)
     assert len(problems) == 1 and problems[0].startswith("config: unusable"), problems
+
+
+def test_verifier_reads_an_integral_float_size_as_that_integer(blowup_result):
+    trace = json.loads(blowup_result.body_json())
+    trace["config"]["n"], trace["config"]["t"] = 2.0, float(trace["config"]["t"])
+    assert verify_trace(trace) == []
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from barrons.core import omd_step_objective
 from barrons.domain import ProblemDims, nudge_interior, uniform_portfolio
 from barrons.solver import (
     KKT_TOL,
+    _armijo,
     Objective,
     SolveDiagnostics,
     SolverFailure,
@@ -22,6 +23,7 @@ from barrons.solver import (
     _kkt_violation,
     _lapack_solve,
     _null_basis,
+    _penalized,
     _reduced_system,
     _stage_residual,
     minimize_over_clipped_simplex,
@@ -524,3 +526,127 @@ def test_lapack_solve_is_bitwise_np_linalg_solve(n):
             else:
                 rhs[rng.integers(m)] = _NON_FINITE[trial % 3]
         assert _outcome(_lapack_solve, hz, rhs) == _outcome(np.linalg.solve, hz, rhs)
+
+
+def _armijo_with_the_step_product(obj, s, floor, mu, ds, slope, step, phi0):
+    # _armijo with every trial point taken as s + step * ds, the full step included.
+    noise = 1e-12 * (1.0 + abs(phi0))
+    start = s.tolist()
+    while step > 1e-16:
+        sn = s + step * ds
+        trial = sn.tolist()
+        if trial == start:
+            return None
+        if all(v > 0.0 for v in trial):
+            xn = floor + sn
+            phin = _penalized(obj, xn, sn, mu)
+            if phin <= phi0 + 1e-4 * step * slope + noise:
+                return sn, xn, phin
+        step *= 0.5
+    return None
+
+
+def _accepted_bits(result):
+    # The accepted slacks, point and value as one array (empty when the search gives up).
+    return np.array([]) if result is None else np.concatenate([result[0], result[1], [result[2]]])
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_armijo_full_step_is_bitwise_the_step_product(n):
+    floor = 1.0 / (n * 64)
+    rng = np.random.default_rng(600 + n)
+    for trial in range(60):
+        target = rng.dirichlet(np.ones(n))
+        obj = quadratic_objective(target)
+        s = rng.dirichlet(np.ones(n)) * (1.0 - n * floor)
+        ds = (target - floor - s) * 10.0 ** rng.uniform(-1.0, 0.3)
+        ds -= ds.mean()
+        if trial % 5 == 0:  # an exact zero and a negative zero in the step
+            ds[0], ds[-1] = 0.0, -0.0
+        if trial >= 40:  # a NaN or infinite step entry or slack
+            target_array = ds if trial % 2 else s
+            target_array[rng.integers(n)] = _NON_FINITE[trial % 3]
+        mu = 0.0 if trial % 3 else 1e-3
+        with np.errstate(all="ignore"):
+            phi0 = _penalized(obj, floor + s, s, mu)
+            slope = float(np.dot(obj.gradient(floor + s), ds))
+        args = (obj, s, floor, mu, ds, slope, 1.0, phi0)
+        got = _outcome(lambda *a: _accepted_bits(_armijo(*a)), *args)
+        assert got == _outcome(lambda *a: _accepted_bits(_armijo_with_the_step_product(*a)), *args)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 20))
+def test_reduced_right_hand_side_is_bitwise_the_scalar_difference(n):
+    rng = np.random.default_rng(650 + n)
+    for trial in range(60):
+        g = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 3.0), n)
+        if trial % 4 == 0:  # a difference of equal entries, whose zero's sign depends on the order
+            g[0] = g[-1]
+        elif trial % 4 == 1:  # exact zeros of both signs
+            g[0], g[-1] = -0.0, 0.0
+        if trial >= 40:  # a NaN or infinite entry, the last one included
+            g[rng.integers(n) if trial % 2 else -1] = _NON_FINITE[trial % 3]
+        with np.errstate(all="ignore"):
+            h = np.outer(g, g)
+            assert _bits(_reduced_system(h, g)[1]) == _bits(g[-1] - g[:-1])
+
+
+def _best_crp_case(rng, dims, floor_active):
+    # best_crp's objective (the leader objective with gamma 1e9) from uniform; a dominated asset puts the fit on the floor.
+    r_mat = rng.lognormal(0.0, 0.3, (4 * dims.n, dims.n))
+    if floor_active:
+        r_mat[:, 1:] *= 0.05
+    r_mat /= r_mat.max(axis=1, keepdims=True)
+    return leader_objective(r_mat, 1e9), uniform_portfolio(dims), None
+
+
+_CASES = {"step": _step_case, "ons": _ons_case, "leader": _leader_case, "best_crp": _best_crp_case}
+# (family, n, floor_active): the Newton iterations, the stages and the first barrier weight (None when the
+# affine phase alone ran) that SolveDiagnostics recorded when every solve kept a stage record.
+_SOLVE_RECORDS = {
+    ("step", 2, False): (2, 1, None),
+    ("step", 2, True): (96, 15, 1.0),
+    ("step", 5, False): (3, 1, None),
+    ("step", 5, True): (100, 15, 1.0),
+    ("step", 20, False): (3, 1, None),
+    ("step", 20, True): (92, 15, 1.0),
+    ("ons", 2, False): (1, 1, None),
+    ("ons", 2, True): (95, 13, 0.010014262945815788),
+    ("ons", 5, False): (1, 1, None),
+    ("ons", 5, True): (87, 11, 0.0005578781974078025),
+    ("ons", 20, False): (1, 1, None),
+    ("ons", 20, True): (103, 12, 0.0038586534946545015),
+    ("leader", 2, False): (3, 1, None),
+    ("leader", 5, False): (3, 1, None),
+    ("leader", 20, False): (3, 1, None),
+    ("best_crp", 2, False): (114, 14, 0.3956967103088651),
+    ("best_crp", 2, True): (111, 15, 1.0),
+    ("best_crp", 5, False): (116, 14, 0.2561753534259735),
+    ("best_crp", 5, True): (113, 15, 1.0),
+    ("best_crp", 20, False): (122, 14, 0.2788018378554364),
+    ("best_crp", 20, True): (121, 15, 1.0),
+}
+
+
+@pytest.mark.parametrize("family, n, floor_active", list(_SOLVE_RECORDS), ids=lambda v: str(v))
+def test_diagnostics_move_no_bit_of_a_solve(family, n, floor_active):
+    # The stage record is written only under diagnostics, so a solve with and without them must agree bit for
+    # bit, on the affine phase and on the barrier path alike, and the record must still read as it did.
+    dims = ProblemDims(n, 64)
+    obj, x_prev, _ = _CASES[family](np.random.default_rng(n), dims, floor_active)
+    warm = nudge_interior(x_prev, dims)
+    diag = SolveDiagnostics()
+    traced = minimize_over_clipped_simplex(obj, warm, dims, diagnostics=diag)
+    assert minimize_over_clipped_simplex(obj, warm, dims).tobytes() == traced.tobytes()
+
+    newton, stages, mu_first = _SOLVE_RECORDS[family, n, floor_active]
+    assert (diag.newton_iters, len(diag.stages), diag.fell_back) == (newton, stages, mu_first is not None)
+    assert sum(stage["iters"] for stage in diag.stages) == newton
+    assert all(len(stage["phi"]) == stage["iters"] for stage in diag.stages)
+    mus = [stage["mu"] for stage in diag.stages]
+    want = [0.0]
+    if mu_first is not None:  # each stage's weight a tenth of the last, down to the last weight
+        want.append(pytest.approx(mu_first, rel=1e-12))
+        while len(want) < stages:
+            want.append(max(mus[len(want) - 1] * 0.1, 1e-12))
+    assert mus == want
