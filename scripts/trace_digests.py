@@ -5,14 +5,16 @@
 The main grid is every learner on every market kind at n in {2, 5} and
 T in {64, 256}, all at market seed 3 (112 runs).  A second grid covers non-default settings at T=64 on every
 market kind and n in {2, 5}: each entry of ``NON_DEFAULT`` (learner
-parameters), 88 runs.  A third, wide grid runs at T=64 on every market
-kind: ada, barrons and ons at n=10 (12 runs), where the solver's reduced
-Newton system has nine columns and its step sums many terms, and ada and
-barrons at n=50 (8 runs), where the leader's Hessian is a 50-column gemm.
-ONS is left out at n=50, where its solves fall back to the slow barrier
-path.  Last come the benchmark's two inputs, ada and ons on blowup at n=2
-and T=512, so the proof covers the runs being timed.  The 222 runs take
-about 6 s on one core.  The package is imported from the ``src``
+parameters), 88 runs.  A third, wide grid runs on every market kind: ada,
+barrons and ons at n=10 and T=64 (12 runs), where the solver's reduced
+Newton system has nine columns and its step sums many terms, ada and
+barrons at n=50 and T=64 (8 runs), where the leader's Hessian is a
+50-column matrix product, and ada and barrons at n=100 and T=128 (8 runs;
+the horizon must exceed n), where the leader's Hessian is summed in blocks
+of rounds.  ONS is left out at n >= 50, where its solves fall back to the
+slow barrier path.  Last come the benchmark's two inputs, ada and ons on
+blowup at n=2 and T=512, so the proof covers the runs being timed.  The
+230 runs take about 6 s on one core.  The package is imported from the ``src``
 directory beside this script.
 
 For each run it prints the sha256 of the body's canonical rendering, the
@@ -48,7 +50,7 @@ A change to the checkers is proved on traces that fail them:
     python3 scripts/trace_digests.py --tamper > tamper.json
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
-blowup market at n=2 and T=64, applies each of the 61 entries of
+blowup market at n=2 and T=64, applies each of the 74 entries of
 ``TAMPERS`` (one field of one record, or the per-round columns, the
 summary or the config) to a fresh copy of the learner's body, and prints
 the full list of problems ``verify_trace`` finds in it (or the exception
@@ -56,8 +58,8 @@ it raises).  A record's field is the entry of its column.  The entries
 trigger every message of the checker, of the record count, of the column
 shape and of the summary comparison, and repeat the NaN, floor-tolerance,
 malformed-record, boolean, extreme-integer, unexpected-column,
-setting-not-taken, setting-out-of-range and non-integral-size cases of the
-tests.
+setting-not-taken, setting-out-of-range, boolean-setting, non-integral-size
+and off-market-relatives cases of the tests.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from barrons.solver import SolverFailure
 SEED = 3
 N_VALUES = (2, 5)
 T_VALUES = (64, 256)
-WIDE_GRID = ((("ada", "barrons", "ons"), 10), (("ada", "barrons"), 50))  # (learners, n), at T=64
+WIDE_GRID = ((("ada", "barrons", "ons"), 10, 64), (("ada", "barrons"), 50, 64), (("ada", "barrons"), 100, 128))  # (learners, n, T)
 BENCHMARK_RUNS = ("ada", "ons")  # perfbench's ada_blowup and ons_blowup: blowup, n=2, T=512
 
 # (learner, params)
@@ -192,12 +194,20 @@ def grid():
         for kind in MARKET_KINDS:
             for n in N_VALUES:
                 yield f"{learner}[{setting}]/{kind}/n={n}/T=64", (learner, kind, n, 64, params)
-    for learners, n in WIDE_GRID:
+    for learners, n, t in WIDE_GRID:
         for learner in learners:
             for kind in MARKET_KINDS:
-                yield f"{learner}/{kind}/n={n}/T=64", (learner, kind, n, 64)
+                yield f"{learner}/{kind}/n={n}/T={t}", (learner, kind, n, t)
     for learner in BENCHMARK_RUNS:
         yield f"{learner}/blowup/n=2/T=512", (learner, "blowup", 2, 512)
+
+
+def same_wealth_relatives(columns: dict, index: int) -> dict:
+    """The columns with record ``index``'s relatives (1, r1) made (1.01, r1 - 0.01 x0/x1): the play's wealth is kept."""
+    x, r = columns["x"][index], columns["r"][index]
+    relatives = list(columns["r"])
+    relatives[index] = [1.01 * r[0], r[1] - 0.01 * r[0] * x[0] / x[1]]
+    return {**columns, "r": relatives}
 
 
 _FLOOR = 1.0 / 128.0  # the clipped-simplex floor 1/(nT) at n=2, T=64
@@ -270,6 +280,16 @@ TAMPERS = [
     ("eg", "zero_g_est", None, "config", lambda c: {**c, "params": {**c["params"], "g_est": 0}}),
     ("ons", "fractional_n", None, "config", lambda c: {**c, "n": 2.5}),
     ("ons", "string_horizon", None, "config", lambda c: {**c, "t": "64"}),
+    # A boolean setting, which would pass for the number 0 or 1.
+    *[(learner, f"{value}_{key}".lower(), None, "config", lambda c, key=key, value=value: {**c, "params": {**c["params"], key: value}})
+      for learner, key, value in (("eg", "eta", True), ("eg", "g_est", True), ("ons", "beta", True), ("ons", "mix", False),
+                                  ("barrons", "eta", True))],
+    # Relatives that are not a market round: an infinite one, a largest one that is not 1 with the play's wealth
+    # kept, and a boolean in place of the 1.0.
+    *[(learner, "infinite_relative", 10, "r", lambda r: [math.inf, r[1]]) for learner in ("barrons", "ons", "eg")],
+    *[(learner, "same_wealth_relatives", None, "per_round", lambda cols: same_wealth_relatives(cols, 10))
+      for learner in ("ons", "eg")],
+    *[(learner, "true_relative", 10, "r", lambda r: [True, r[1]]) for learner in ("ada", "ons", "eg")],
 ]
 
 def tampered(body: dict, index, field, change) -> dict:

@@ -134,19 +134,19 @@ def epoch_ceiling(grads: np.ndarray, xg: np.ndarray, leaders: np.ndarray) -> lis
 class EpochHistory:
     """Rounds, gradients and ``<x_s, g_s>`` of the current epoch, in preallocated buffers.
 
-    The price relatives are kept twice: round-major, in a (capacity, n)
-    buffer, and epoch-major, in an (n, capacity) buffer whose row i holds
-    asset i's relatives over the epoch in contiguous memory.  The gradients
-    are kept round-major, in a (capacity, n) buffer.  Appending a round and
-    clearing the epoch cost O(n) however long the epoch is; only the leader
-    refit (O(m n^2) per Newton iteration over m rounds) and the ceiling
+    The price relatives are kept once, epoch-major, in an (n, capacity)
+    buffer whose row i holds asset i's relatives over the epoch in
+    contiguous memory; `rounds` is that buffer's transposed (m, n) view,
+    of which `leader_objective` keeps no copy.  The gradients are kept
+    round-major, in a (capacity, n) buffer.  Appending a round and clearing
+    the epoch cost O(n) however long the epoch is; only the leader refit
+    (O(m n^2) per Newton iteration over m rounds) and the ceiling
     (`epoch_ceiling` with the latest leader alone: one O(m n)
-    matrix-vector product and m gaps) read all rounds.  A
-    history that outgrows its capacity doubles it.
+    matrix-vector product and m gaps) read all rounds.  A history that
+    outgrows its capacity doubles it.
     """
 
     def __init__(self, capacity: int, n: int):
-        self._r = np.empty((capacity, n))
         self._rows = np.empty((n, capacity))
         self._g = np.empty((capacity, n))
         self._xg = np.empty(capacity)
@@ -156,10 +156,7 @@ class EpochHistory:
         i = self.size
         if i == len(self._xg):
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)], axis=1)
-            self._r, self._g, self._xg = (
-                np.concatenate([a, np.empty_like(a)]) for a in (self._r, self._g, self._xg)
-            )
-        self._r[i] = r
+            self._g, self._xg = (np.concatenate([a, np.empty_like(a)]) for a in (self._g, self._xg))
         self._rows[:, i] = r
         self._g[i] = g
         self._xg[i] = np.add.reduce(x * g)  # (x * g).sum(), fixed once round s is played
@@ -169,14 +166,9 @@ class EpochHistory:
         self.size = 0
 
     @property
-    def rows(self) -> np.ndarray:
-        """The epoch's price relatives as an (n, m) view with contiguous rows; valid until the next append or clear."""
-        return self._rows[:, : self.size]
-
-    @property
     def rounds(self) -> np.ndarray:
-        """The epoch's price relatives as an (m, n) view; valid until the next append or clear."""
-        return self._r[: self.size]
+        """The epoch's price relatives as an (m, n) view whose transpose has contiguous rows; valid until the next append or clear."""
+        return self._rows[:, : self.size].T
 
     def ceiling(self, u: np.ndarray) -> float:
         """``alpha(u, xs, grads)`` from the cached rows: 1/2 capped by max_s |<u, g_s> - <x_s, g_s>|."""
@@ -209,24 +201,48 @@ def ada_init(dims: ProblemDims, cfg: Optional[AdaConfig] = None) -> AdaState:
     return AdaState(dims, cfg)
 
 
-def leader_objective(rounds: np.ndarray, gamma: float, rows: Optional[np.ndarray] = None) -> Objective:
+# Most entries of the (rounds, asset pairs) product one Hessian block sums: floor(2^19 / n^2) rounds per block.
+_HESSIAN_BLOCK = 1 << 19
+
+
+def leader_objective(rounds: np.ndarray, gamma: float) -> Objective:
     """Cumulative log-loss over `rounds` plus a barrier of weight 1/gamma.
 
-    `rounds` is (m, n), and `rows` its transpose with contiguous rows, as
-    `EpochHistory.rows` keeps it; without `rows`, `rounds` is transposed
-    once here.  At a point u, the wealths ``rounds @ u`` and the scaled
-    rows ``rows / wealth`` (O(m n) each) are shared by the value, the
-    gradient (a pairwise sum along each contiguous scaled row, accurate
+    `rounds` is (m, n).  At a point u, the wealths ``rounds @ u`` and the
+    scaled rows ``rounds.T / wealth`` (O(m n) each) are shared by the value,
+    the gradient (a pairwise sum along each contiguous scaled row, accurate
     over thousands of correlated terms) and the Hessian
     (``scaled @ scaled.T``, O(m n^2)).  They are kept for the last point
     seen, keyed on its bytes, so a solver's value, gradient and Hessian at
     one iterate compute them once, and a point changed in place is a new
-    point.  `rounds` and `rows` must not change while the objective is in
-    use.
+    point.  `rounds` must not change while the objective is in use.
+
+    The wealths are computed in the layout `rounds` comes in.  When
+    ``rounds.T`` has contiguous rows, as `EpochHistory.rounds` gives it,
+    the rows are ``rounds.T`` itself and the wealths ``np.dot(u, rows)``.
+    Otherwise (`best_crp`, a round-major array) the rows are one
+    contiguous copy of ``rounds.T`` and the wealths ``np.dot(rounds, u)``.
+    The two may differ in their last bits; the second keeps `best_crp`'s
+    leader fields, which the first moves by up to 2e-9 relative at n=50.
+
+    The Hessian sums its product over blocks of floor(2^19 / n^2) rounds
+    (52 at n=100, 209 at n=50, 131072 at n=2), block by block in round
+    order; an epoch that fits one block takes the single matrix product.
+    With numpy's OpenBLAS 0.3.31 on a 2-CPU x86-64 host, at n=100 the
+    single product over 458 to 16384 rounds, like blocks of 128 or 256
+    rounds, rounded differently on 1 and 2 threads, and blocks of 16 to 64
+    rounds did not; at n=50 and n=20 every block up to 256 rounds and the
+    single product agreed.  So the Hessian's bits, and a trace's, were
+    measured not to depend on the thread count with that BLAS; another
+    BLAS may split its sums otherwise, and this is not promised for it.
     """
     r_mat = np.asarray(rounds, dtype=float)
-    if rows is None:
-        rows = np.ascontiguousarray(r_mat.T)
+    rows = r_mat.T
+    held = rows.strides[1] == rows.itemsize  # the caller's epoch-major rows
+    if not held:
+        rows = np.ascontiguousarray(rows)
+    m, n = r_mat.shape
+    block = max(1, _HESSIAN_BLOCK // (n * n))
     inv_gamma = 1.0 / gamma
     last = [None, None, None]  # bytes of the last point, its wealths, its scaled rows (or None)
 
@@ -234,7 +250,7 @@ def leader_objective(rounds: np.ndarray, gamma: float, rows: Optional[np.ndarray
     def wealth(u):
         key = u.tobytes()
         if key != last[0]:
-            last[:] = key, np.dot(r_mat, u), None
+            last[:] = key, np.dot(u, rows) if held else np.dot(r_mat, u), None
         return last[1]
 
     def scaled_rows(u):
@@ -254,34 +270,32 @@ def leader_objective(rounds: np.ndarray, gamma: float, rows: Optional[np.ndarray
     def hessian(u):
         u = np.asarray(u, dtype=float)
         scaled = scaled_rows(u)
-        h = np.dot(scaled, scaled.T)
+        first = scaled[:, :block]  # the whole epoch when it fits one block
+        h = np.dot(first, first.T)
+        for lo in range(block, m, block):
+            part = scaled[:, lo : lo + block]
+            h += np.dot(part, part.T)
         h.ravel()[:: u.size + 1] += inv_gamma / (u * u)
         return h
 
     return Objective(value, gradient, hessian)
 
 
-def regularized_leader(
-    rounds,
-    gamma: float,
-    warm_start: np.ndarray,
-    dims: ProblemDims,
-    rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def regularized_leader(rounds, gamma: float, warm_start: np.ndarray, dims: ProblemDims) -> np.ndarray:
     """Minimizer of epoch log-loss plus barrier over the clipped simplex, as a read-only array.
 
     `rounds` is an (m, n) array, used without a copy, or a sequence of
-    rounds; `rows` is its transpose with contiguous rows when the caller
-    keeps one (see `leader_objective`).  The barrier term keeps the leader
-    a multiple of gamma away from the faces, which is what makes
-    consecutive leaders stable round to round.
+    rounds; `leader_objective` says how its layout sets the wealths' and
+    the Hessian's bits.  The barrier term keeps the leader a multiple of
+    gamma away from the faces, which is what makes consecutive leaders
+    stable round to round.
     """
     r_mat = np.asarray(rounds, dtype=float)
     if len(r_mat) == 0:
         raise ValueError("need at least one round to fit a leader")
     if r_mat.ndim != 2 or r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must be vectors of {dims.n} price relatives")
-    obj = leader_objective(r_mat, gamma, rows)
+    obj = leader_objective(r_mat, gamma)
     return minimize_over_clipped_simplex(obj, nudge_interior(warm_start, dims), dims)
 
 
@@ -315,7 +329,7 @@ def ada_step(state: AdaState, rnd: MarketRound):
     history.append(rnd.r, played, grad)
 
     warm = state.u if state.u is not None else uniform_portfolio(state.dims)
-    state.u = regularized_leader(history.rounds, state.cfg.gamma, warm, state.dims, rows=history.rows)
+    state.u = regularized_leader(history.rounds, state.cfg.gamma, warm, state.dims)
     state.last_u = state.u
 
     ceiling = history.ceiling(state.u)

@@ -36,6 +36,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -126,7 +127,7 @@ def _floats(arr) -> list:
 
 # The checks of a record in the order they run: within a round, problems follow this order.
 _CHECKS = (
-    "play_sum", "play_floor", "loss", "play_step", "beta", "budget", "sequence", "leader_sum",
+    "relatives", "play_sum", "play_floor", "loss", "play_step", "beta", "budget", "sequence", "leader_sum",
     "leader_floor", "ceiling", "ceiling_range", "restart", "rate", "leader_band", "ratio_max", "earlier",
 )
 _ORDER = {name: i for i, name in enumerate(_CHECKS)}
@@ -219,9 +220,12 @@ class TraceChecker:
             self.log_t = np.log(dims.t)
 
     def _vectors(self, column: list, key: str) -> np.ndarray:
+        """The column ``key`` of vectors as an (m, n) array of floats; a boolean is not a number."""
         arr = np.array(column, dtype=float)
         if column and arr.shape != (len(column), self.dims.n):
             raise ValueError(f"{key} does not hold {self.dims.n} numbers")
+        if bool in set(map(type, chain.from_iterable(column))):
+            raise TypeError(f"{key} must hold numbers, not booleans")
         return arr.reshape(len(column), self.dims.n)
 
     @staticmethod
@@ -285,6 +289,9 @@ class TraceChecker:
             issues.extend((int(i), _ORDER[check], f"round {i + 1}: {message(i)}") for i in rows)
 
         with np.errstate(all="ignore"):
+            # A market round's relatives are finite and nonnegative, and the largest is exactly 1 (`MarketRound`).
+            fail("relatives", np.flatnonzero(~((np.minimum.reduce(r, axis=1) >= 0.0) & (np.maximum.reduce(r, axis=1) == 1.0))),
+                 lambda i: f"relatives {r[i].tolist()!r} are not a market round (finite, nonnegative, largest exactly 1)")
             sums = np.add.reduce(x, axis=1)  # each row summed as np.add.reduce sums it alone
             self._check_points(fail, "play", x, sums, self.floor)
             wealth = np.matmul(x[:, None, :], r[:, :, None])[:, 0, 0]  # each x @ r, by the same dot product
@@ -295,7 +302,8 @@ class TraceChecker:
             loss = -np.log(wealth)
             grad = -r / wealth[:, None]
             recorded, rec_loss = cols["loss"]
-            fail("loss", np.flatnonzero(~(np.abs(loss - rec_loss) <= 1e-12 * np.maximum(1.0, np.abs(loss)))),
+            # A loss that is not finite matches nothing, not even within a tolerance it makes infinite.
+            fail("loss", np.flatnonzero(~(np.isfinite(loss) & (np.abs(loss - rec_loss) <= 1e-12 * np.maximum(1.0, np.abs(loss))))),
                  lambda i: f"recorded loss {recorded[i]!r} != recomputed {loss[i].item()!r}")
             grad_inf = np.abs(grad).max(axis=1).tolist()
             for i in np.flatnonzero(np.isnan(grad_inf)):
@@ -471,13 +479,19 @@ LEARNER_NAMES = tuple(_LEARNERS)
 
 
 def _build(learner: str, params: dict):
-    """The learner ``learner`` with the settings ``params``; a setting it does not take raises ValueError."""
+    """The learner ``learner`` with the settings ``params``; a setting it does not take, or a boolean, raises ValueError.
+
+    Every learner setting is a number or None, and a boolean would pass
+    for the number 0 or 1.
+    """
     if learner not in _LEARNERS:
         raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_NAMES}")
     takes = inspect.signature(_LEARNERS[learner]).parameters
     for name in sorted(params):
         if name not in takes:
             raise ValueError(f"{learner} takes no setting {name!r}; it takes {', '.join(takes)}")
+        if type(params[name]) is bool:
+            raise ValueError(f"{learner} setting {name!r} must be a number, got {params[name]!r}")
     return _LEARNERS[learner](**params)
 
 

@@ -294,6 +294,8 @@ def test_a_lone_leader_ceiling_is_bitwise_its_row_of_a_block(n):
 
 
 def test_epoch_history_rows_are_the_appended_rounds():
+    # The relatives are kept once: `rounds` is the transposed view of the one epoch-major buffer, whose
+    # rows stay contiguous as the buffer grows, and a cleared history reuses it.
     rng = np.random.default_rng(23)
     n = 3
     history = EpochHistory(2, n)  # doubles to 4, then to 8
@@ -303,13 +305,69 @@ def test_epoch_history_rows_are_the_appended_rounds():
             r = rng.uniform(0.01, 1.0, n)
             history.append(r, rng.dirichlet(np.ones(n)), -r)
             appended.append(r)
-            want = np.stack(appended)
-            assert history.rows.shape == (n, len(appended))
-            assert history.rows.strides[1] == history.rows.itemsize  # contiguous rows
-            assert np.array_equal(history.rows, want.T)
-            assert np.array_equal(history.rounds, want) and len(history.rounds) == len(appended)
+            rounds = history.rounds
+            assert rounds.shape == (len(appended), n) and np.array_equal(rounds, np.stack(appended))
+            assert np.shares_memory(rounds, history._rows)
+            assert rounds.T.base is history._rows and np.array_equal(rounds.T, history._rows[:, : len(appended)])
+            assert rounds.T.strides[1] == rounds.itemsize  # contiguous rows
         history.clear()
-        assert history.rows.shape == (n, 0) and history.rounds.shape == (0, n)
+        assert history.rounds.shape == (0, n)
+    assert set(vars(history)) == {"_rows", "_g", "_xg", "size"}  # no second copy of the relatives
+
+
+def _epoch_history(rng, n: int, m: int) -> EpochHistory:
+    """A history of m random rounds at n, grown from a capacity of 4 so its rows are longer than m."""
+    history = EpochHistory(4, n)
+    for _ in range(m):
+        r = rng.uniform(0.05, 1.0, n)
+        r[rng.integers(n)] = 1.0
+        history.append(r, np.full(n, 1.0 / n), -r)
+    return history
+
+
+@pytest.mark.parametrize("n", (2, 5, 20, 50, 100))
+def test_leader_wealths_are_taken_in_the_layout_given(n):
+    # Held rows (the controller's epoch-major buffer) give the wealths np.dot(u, rows), and a round-major
+    # array np.dot(rounds, u); the two may differ in their last bits.
+    rng = np.random.default_rng(60 + n)
+    gamma = 1.0 / 25.0
+    rounds = _epoch_history(rng, n, 3 * n + 7).rounds
+    r_mat = np.ascontiguousarray(rounds)
+    u = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+    for given, wealth in ((rounds, np.dot(u, rounds.T)), (r_mat, np.dot(r_mat, u))):
+        obj = leader_objective(given, gamma)
+        value = float(-np.log(wealth).sum() - (1.0 / gamma) * np.log(u).sum())
+        gradient = -np.ascontiguousarray(r_mat.T / wealth).sum(axis=1) - (1.0 / gamma) / u
+        assert np.float64(obj.evaluate(u)).tobytes() == np.float64(value).tobytes()
+        assert obj.gradient(u).tobytes() == gradient.tobytes()
+
+
+def _blocked_hessian(rows, wealth, u, gamma, block):
+    # The in-order sum of the (n, n) products of blocks of `block` rounds, then the barrier's diagonal.  Each
+    # product is np.dot of a block's view of the scaled rows: @ or a contiguous copy of a block may round
+    # differently.
+    scaled = rows / wealth
+    parts = [scaled[:, lo : lo + block] for lo in range(0, scaled.shape[1], block)]
+    h = np.dot(parts[0], parts[0].T)
+    for part in parts[1:]:
+        h = h + np.dot(part, part.T)
+    return h + np.diag((1.0 / gamma) / (u * u))
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 300), (2, 131072), (5, 64), (5, 20971), (20, 1310), (50, 64), (50, 209),
+                                  (100, 458)])
+def test_leader_hessian_sums_blocks_of_two_to_the_19_over_n_squared_rounds(n, m):
+    # floor(2^19 / n^2) rounds per block: an epoch that fits one block takes the single product, and at
+    # n=100 (52 rounds per block) 458 rounds are the in-order sum of nine block products.
+    block = 2**19 // n**2
+    rng = np.random.default_rng(80 + n + m)
+    gamma = 1.0 / 25.0
+    rounds = _epoch_history(rng, n, m).rounds
+    r_mat = np.ascontiguousarray(rounds)
+    u = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+    for given, wealth in ((rounds, np.dot(u, rounds.T)), (r_mat, np.dot(r_mat, u))):
+        want = _blocked_hessian(rounds.T, wealth, u, gamma, block if m > block else m)
+        assert leader_objective(given, gamma).hessian(u).tobytes() == want.tobytes()
 
 
 def test_leader_gradient_matches_fsum():

@@ -219,7 +219,6 @@ def test_trace_body_does_not_depend_on_python_optimize(tmp_path):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: at n=100 the leader Hessian's gemm rounds differently on 1 and 2 BLAS threads")
 def test_trace_body_does_not_depend_on_the_blas_thread_count(tmp_path):
     # ada on iid_lognormal at n=100, T=512, seed 0: the body with one OpenBLAS thread and with two.
     digests = []

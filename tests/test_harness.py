@@ -227,17 +227,56 @@ def test_verifier_catches_nan_in_a_record(blowup_results, learner, field, value)
         ("ada", "epoch", True, "TypeError: epoch must be a number"),
         ("ada", "restart", None, "TypeError: restart must be true or false"),
         ("ada", "restart", 1, "TypeError: restart must be true or false"),
+        # A vector column holds numbers, and a boolean is not one, in place of a relative of 1.0 or elsewhere.
+        *[(learner, "r", [True, 0.03125], "TypeError: r must hold numbers, not booleans") for learner in ("ada", "ons", "eg")],
+        ("barrons", "x", [True, False], "TypeError: x must hold numbers, not booleans"),
+        ("ada", "u", [0.5, True], "TypeError: u must hold numbers, not booleans"),
     ],
     ids=["ons-dead_play", "ons-one_coordinate", "eg-string_play",
          "ada-null_leader", "ada-string_epoch",
          "ada-epoch_overflows_beta", "ada-huge_epoch", "ada-huge_loss", "eg-huge_loss",
-         "ada-true_loss", "eg-true_loss", "ada-true_epoch", "ada-null_restart", "ada-integer_restart"],
+         "ada-true_loss", "eg-true_loss", "ada-true_epoch", "ada-null_restart", "ada-integer_restart",
+         "ada-true_relative", "ons-true_relative", "eg-true_relative", "barrons-boolean_play", "ada-true_leader"],
 )
 def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learner, field, value, error):
     trace = json.loads(blowup_results[learner].body_json())
     trace["per_round"][field][10] = value
     problems = verify_trace(trace)
     assert problems[-1].startswith(f"round 11: record cannot be checked ({error}"), problems
+
+
+@pytest.mark.parametrize("learner", ["ada", "barrons", "ons", "eg"])
+@pytest.mark.parametrize(
+    "relatives",
+    [
+        lambda r, x: [math.inf, r[1]],
+        lambda r, x: [1.01 * r[0], r[1] - 0.01 * r[0] * x[0] / x[1]],  # the play's wealth is kept
+        lambda r, x: [0.5 * r[0], r[1]],
+        lambda r, x: [r[0], -r[1]],
+        lambda r, x: [r[0], math.nan],
+        lambda r, x: [-math.inf, r[1]],
+    ],
+    ids=["infinite", "same_wealth", "largest_under_one", "negative", "nan", "minus_infinity"],
+)
+def test_verifier_reports_relatives_that_are_not_a_market_round(blowup_results, learner, relatives):
+    # A market round is finite and nonnegative, and its largest relative is exactly 1, as `MarketRound` holds it.
+    trace = json.loads(blowup_results[learner].body_json())
+    columns = trace["per_round"]
+    columns["r"][10] = relatives(columns["r"][10], columns["x"][10])
+    problems = verify_trace(trace)
+    assert problems[0] == (
+        f"round 11: relatives {columns['r'][10]!r} are not a market round (finite, nonnegative, largest exactly 1)"
+    ), problems
+
+
+@pytest.mark.parametrize("learner", ["ada", "barrons", "ons", "eg"])
+def test_a_finite_loss_does_not_match_one_that_is_not_finite(blowup_results, learner):
+    # An infinite relative makes the recomputed loss -inf, and with it a tolerance of 1e-12 |loss| that is
+    # infinite too: the loss test must still fail.
+    trace = json.loads(blowup_results[learner].body_json())
+    columns = trace["per_round"]
+    columns["r"][10] = [math.inf, columns["r"][10][1]]
+    assert f"round 11: recorded loss {columns['loss'][10]!r} != recomputed -inf" in verify_trace(trace)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -490,6 +529,24 @@ def test_verify_reports_a_setting_the_learner_does_not_take(learner, setting):
     trace["config"]["params"][setting] = 0.02
     (problem,) = verify_trace(trace)
     assert problem.startswith(f"config: unusable ({learner} takes no setting {setting!r}; it takes ")
+
+
+@pytest.mark.parametrize("value", (True, False))
+@pytest.mark.parametrize(
+    "learner, setting",
+    [("eg", "eta"), ("eg", "g_est"), ("eg", "mix"), ("ons", "beta"), ("ons", "mix"), ("barrons", "eta"), ("barrons", "beta"),
+     ("softbayes", "eta"), ("ogd", "eta"), ("up-grid", "resolution"), ("ada", "beta"), ("ada", "eta"), ("ada", "gamma")],
+)
+def test_a_boolean_setting_is_rejected_by_its_name(learner, setting, value):
+    # JSON's true and false would pass for the numbers 1 and 0.  The run refuses them, and verify reports
+    # the config unusable.
+    message = f"{learner} setting {setting!r} must be a number, got {value!r}"
+    with pytest.raises(ValueError) as raised:
+        run_market(learner, MarketSpec("blowup", DIMS), params={setting: value})
+    assert str(raised.value) == message
+    trace = json.loads(run_market(learner, MarketSpec("blowup", DIMS)).body_json())
+    trace["config"]["params"][setting] = value
+    assert verify_trace(trace) == [f"config: unusable ({message})"]
 
 
 def test_bad_learner_params_propagate():
