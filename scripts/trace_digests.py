@@ -50,7 +50,7 @@ A change to the checkers is proved on traces that fail them:
     python3 scripts/trace_digests.py --tamper > tamper.json
 
 ``--tamper`` skips the grid.  It runs ada, barrons, ons and eg on the
-blowup market at n=2 and T=64, applies each of the 74 entries of
+blowup market at n=2 and T=64, applies each of the 79 entries of
 ``TAMPERS`` (one field of one record, or the per-round columns, the
 summary or the config) to a fresh copy of the learner's body, and prints
 the full list of problems ``verify_trace`` finds in it (or the exception
@@ -290,6 +290,10 @@ TAMPERS = [
     *[(learner, "same_wealth_relatives", None, "per_round", lambda cols: same_wealth_relatives(cols, 10))
       for learner in ("ons", "eg")],
     *[(learner, "true_relative", 10, "r", lambda r: [True, r[1]]) for learner in ("ada", "ons", "eg")],
+    # A vector entry spelled as a string, which float() reads back to the recorded number.
+    *[(learner, "string_relative", 10, "r", lambda r: [repr(r[0]), r[1]]) for learner in ("ada", "ons", "eg")],
+    ("barrons", "string_play", 10, "x", lambda x: [repr(x[0]), x[1]]),
+    ("ada", "string_leader", 10, "u", lambda u: [repr(u[0]), u[1]]),
 ]
 
 def tampered(body: dict, index, field, change) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -137,13 +138,14 @@ class EpochHistory:
     The price relatives are kept once, epoch-major, in an (n, capacity)
     buffer whose row i holds asset i's relatives over the epoch in
     contiguous memory; `rounds` is that buffer's transposed (m, n) view,
-    of which `leader_objective` keeps no copy.  The gradients are kept
+    and `leader_objective` reads the rows in place.  The gradients are kept
     round-major, in a (capacity, n) buffer.  Appending a round and clearing
     the epoch cost O(n) however long the epoch is; only the leader refit
     (O(m n^2) per Newton iteration over m rounds) and the ceiling
     (`epoch_ceiling` with the latest leader alone: one O(m n)
     matrix-vector product and m gaps) read all rounds.  A history that
-    outgrows its capacity doubles it.
+    outgrows its capacity doubles it.  ``len(history)`` is the number of
+    rounds held.
     """
 
     def __init__(self, capacity: int, n: int):
@@ -151,6 +153,9 @@ class EpochHistory:
         self._g = np.empty((capacity, n))
         self._xg = np.empty(capacity)
         self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
 
     def append(self, r: np.ndarray, x: np.ndarray, g: np.ndarray):
         i = self.size
@@ -169,6 +174,16 @@ class EpochHistory:
     def rounds(self) -> np.ndarray:
         """The epoch's price relatives as an (m, n) view whose transpose has contiguous rows; valid until the next append or clear."""
         return self._rows[:, : self.size].T
+
+    def leader_objective(self, gamma: float) -> Objective:
+        """The module's `leader_objective` over the epoch's rounds, read in place; valid until the next append or clear.
+
+        The wealths are ``np.matmul(u, rows)`` over the held (n, m) rows,
+        which copies nothing; the module function's ``np.dot(rounds, u)``
+        over a round-major copy may differ from them in the last bits.
+        """
+        rows = self._rows[:, : self.size]
+        return _log_loss_objective(rows, lambda u: np.matmul(u, rows), gamma)
 
     def ceiling(self, u: np.ndarray) -> float:
         """``alpha(u, xs, grads)`` from the cached rows: 1/2 capped by max_s |<u, g_s> - <x_s, g_s>|."""
@@ -201,48 +216,39 @@ def ada_init(dims: ProblemDims, cfg: Optional[AdaConfig] = None) -> AdaState:
     return AdaState(dims, cfg)
 
 
-# Most entries of the (rounds, asset pairs) product one Hessian block sums: floor(2^19 / n^2) rounds per block.
+# The Hessian is one matrix product up to this many assets, and above it a sum over blocks of
+# floor(2^19 / n^2) rounds (see `_log_loss_objective`).
+_ONE_PRODUCT_MAX_N = 96
 _HESSIAN_BLOCK = 1 << 19
 
 
-def leader_objective(rounds: np.ndarray, gamma: float) -> Objective:
-    """Cumulative log-loss over `rounds` plus a barrier of weight 1/gamma.
+def _log_loss_objective(rows: np.ndarray, wealths, gamma: float) -> Objective:
+    """Cumulative log-loss over the rounds held asset by asset in `rows`, plus a barrier of weight 1/gamma.
 
-    `rounds` is (m, n).  At a point u, the wealths ``rounds @ u`` and the
-    scaled rows ``rounds.T / wealth`` (O(m n) each) are shared by the value,
-    the gradient (a pairwise sum along each contiguous scaled row, accurate
-    over thousands of correlated terms) and the Hessian
-    (``scaled @ scaled.T``, O(m n^2)).  They are kept for the last point
-    seen, keyed on its bytes, so a solver's value, gradient and Hessian at
-    one iterate compute them once, and a point changed in place is a new
-    point.  `rounds` must not change while the objective is in use.
+    `rows` is (n, m) with contiguous rows, and ``wealths(u)`` gives the m
+    wealths ``rows.T @ u``.  At a point u, the wealths and the scaled rows
+    ``rows / wealth`` (O(m n) each) are shared by the value, the gradient
+    (a pairwise sum along each contiguous scaled row, accurate over
+    thousands of correlated terms) and the Hessian (``scaled @ scaled.T``,
+    O(m n^2)).  They are kept for the last point seen, keyed on its bytes,
+    so a solver's value, gradient and Hessian at one iterate compute them
+    once, and a point changed in place is a new point.  `rows` must not
+    change while the objective is in use.
 
-    The wealths are computed in the layout `rounds` comes in.  When
-    ``rounds.T`` has contiguous rows, as `EpochHistory.rounds` gives it,
-    the rows are ``rounds.T`` itself and the wealths ``np.dot(u, rows)``.
-    Otherwise (`best_crp`, a round-major array) the rows are one
-    contiguous copy of ``rounds.T`` and the wealths ``np.dot(rounds, u)``.
-    The two may differ in their last bits; the second keeps `best_crp`'s
-    leader fields, which the first moves by up to 2e-9 relative at n=50.
-
-    The Hessian sums its product over blocks of floor(2^19 / n^2) rounds
-    (52 at n=100, 209 at n=50, 131072 at n=2), block by block in round
-    order; an epoch that fits one block takes the single matrix product.
-    With numpy's OpenBLAS 0.3.31 on a 2-CPU x86-64 host, at n=100 the
-    single product over 458 to 16384 rounds, like blocks of 128 or 256
-    rounds, rounded differently on 1 and 2 threads, and blocks of 16 to 64
-    rounds did not; at n=50 and n=20 every block up to 256 rounds and the
-    single product agreed.  So the Hessian's bits, and a trace's, were
-    measured not to depend on the thread count with that BLAS; another
-    BLAS may split its sums otherwise, and this is not promised for it.
+    Up to 96 assets the Hessian is the single matrix product.  Above, it
+    sums the products of blocks of floor(2^19 / n^2) rounds (55 at n=97,
+    52 at n=100, 13 at n=200) in round order, and an epoch that fits one
+    block takes the single product.  With numpy's OpenBLAS 0.3.31 on a
+    2-CPU x86-64 host, the single product over 201 to 4096 rounds rounded
+    alike on 1 and 2 threads at every n from 2 to 96, and differently at
+    n=97 and at every larger n that is not a multiple of 8 (up to 255);
+    the block sums rounded alike at every n from 2 to 256.  So the
+    Hessian's bits, and a trace's, were measured not to depend on the
+    thread count with that BLAS.  Another BLAS may split its sums
+    otherwise, and this is not promised for it.
     """
-    r_mat = np.asarray(rounds, dtype=float)
-    rows = r_mat.T
-    held = rows.strides[1] == rows.itemsize  # the caller's epoch-major rows
-    if not held:
-        rows = np.ascontiguousarray(rows)
-    m, n = r_mat.shape
-    block = max(1, _HESSIAN_BLOCK // (n * n))
+    n, m = rows.shape
+    block = m if n <= _ONE_PRODUCT_MAX_N else max(1, _HESSIAN_BLOCK // (n * n))
     inv_gamma = 1.0 / gamma
     last = [None, None, None]  # bytes of the last point, its wealths, its scaled rows (or None)
 
@@ -250,7 +256,7 @@ def leader_objective(rounds: np.ndarray, gamma: float) -> Objective:
     def wealth(u):
         key = u.tobytes()
         if key != last[0]:
-            last[:] = key, np.dot(u, rows) if held else np.dot(r_mat, u), None
+            last[:] = key, wealths(u), None
         return last[1]
 
     def scaled_rows(u):
@@ -281,21 +287,38 @@ def leader_objective(rounds: np.ndarray, gamma: float) -> Objective:
     return Objective(value, gradient, hessian)
 
 
+def leader_objective(rounds, gamma: float) -> Objective:
+    """Cumulative log-loss over the (m, n) round-major `rounds` plus a barrier of weight 1/gamma.
+
+    The rows are one contiguous copy of ``rounds.T``, and the wealths
+    ``np.dot(rounds, u)`` over a C-ordered `rounds` (copied first when it
+    is not), so the bits do not depend on the layout `rounds` comes in.
+    `best_crp` takes this objective; the wealths of the controller's
+    `EpochHistory.leader_objective` may differ in their last bits, which
+    moves `best_crp`'s weights by up to 2e-9 relative at n=50.
+    `_log_loss_objective` says what the objective shares between its
+    value, gradient and Hessian, and how the Hessian sums its product.
+    """
+    r_mat = np.ascontiguousarray(rounds, dtype=float)
+    return _log_loss_objective(np.ascontiguousarray(r_mat.T), partial(np.dot, r_mat), gamma)
+
+
 def regularized_leader(rounds, gamma: float, warm_start: np.ndarray, dims: ProblemDims) -> np.ndarray:
     """Minimizer of epoch log-loss plus barrier over the clipped simplex, as a read-only array.
 
-    `rounds` is an (m, n) array, used without a copy, or a sequence of
-    rounds; `leader_objective` says how its layout sets the wealths' and
-    the Hessian's bits.  The barrier term keeps the leader a multiple of
-    gamma away from the faces, which is what makes consecutive leaders
-    stable round to round.
+    `rounds` is the controller's `EpochHistory`, whose own objective reads
+    its rows in place, or an (m, n) array or a sequence of rounds, taken
+    by `leader_objective`; the two may differ in their last bits.  The
+    barrier term keeps the leader a multiple of gamma away from the faces,
+    which is what makes consecutive leaders stable round to round.
     """
-    r_mat = np.asarray(rounds, dtype=float)
+    held = isinstance(rounds, EpochHistory)
+    r_mat = rounds.rounds if held else np.asarray(rounds, dtype=float)
     if len(r_mat) == 0:
         raise ValueError("need at least one round to fit a leader")
     if r_mat.ndim != 2 or r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must be vectors of {dims.n} price relatives")
-    obj = leader_objective(r_mat, gamma)
+    obj = rounds.leader_objective(gamma) if held else leader_objective(r_mat, gamma)
     return minimize_over_clipped_simplex(obj, nudge_interior(warm_start, dims), dims)
 
 
@@ -329,7 +352,7 @@ def ada_step(state: AdaState, rnd: MarketRound):
     history.append(rnd.r, played, grad)
 
     warm = state.u if state.u is not None else uniform_portfolio(state.dims)
-    state.u = regularized_leader(history.rounds, state.cfg.gamma, warm, state.dims)
+    state.u = regularized_leader(history, state.cfg.gamma, warm, state.dims)
     state.last_u = state.u
 
     ceiling = history.ceiling(state.u)

@@ -125,6 +125,12 @@ def _floats(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+def _only_numbers(values, message: str):
+    """Raise TypeError(message) unless every value is an int or a float; Python takes a boolean for 0 or 1, JSON does not."""
+    if not all(issubclass(kind, (int, float)) and kind is not bool for kind in set(map(type, values))):
+        raise TypeError(message)
+
+
 # The checks of a record in the order they run: within a round, problems follow this order.
 _CHECKS = (
     "relatives", "play_sum", "play_floor", "loss", "play_step", "beta", "budget", "sequence", "leader_sum",
@@ -220,19 +226,17 @@ class TraceChecker:
             self.log_t = np.log(dims.t)
 
     def _vectors(self, column: list, key: str) -> np.ndarray:
-        """The column ``key`` of vectors as an (m, n) array of floats; a boolean is not a number."""
+        """The column ``key`` of vectors as an (m, n) array of floats; a boolean or a string is not a number."""
         arr = np.array(column, dtype=float)
         if column and arr.shape != (len(column), self.dims.n):
             raise ValueError(f"{key} does not hold {self.dims.n} numbers")
-        if bool in set(map(type, chain.from_iterable(column))):
-            raise TypeError(f"{key} must hold numbers, not booleans")
+        _only_numbers(chain.from_iterable(column), f"{key} must hold numbers")
         return arr.reshape(len(column), self.dims.n)
 
     @staticmethod
     def _numbers(values: list, key: str):
-        """The column ``key``, as given and as an array of floats; a boolean is not a number."""
-        if not all(issubclass(kind, (int, float)) and kind is not bool for kind in set(map(type, values))):
-            raise TypeError(f"{key} must be a number")
+        """The column ``key``, as given and as an array of floats; a boolean or a string is not a number."""
+        _only_numbers(values, f"{key} must be a number")
         return values, np.array(values, dtype=float)
 
     def _convert(self, columns) -> dict:

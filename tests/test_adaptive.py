@@ -18,8 +18,10 @@ from barrons.adaptive import (
     leader_objective,
     regularized_leader,
 )
+from barrons.baselines import best_crp
 from barrons.domain import MarketRound, ProblemDims, uniform_portfolio
 from barrons.markets import MarketSpec, generate
+from barrons.solver import minimize_over_clipped_simplex
 from grid_oracle import leader_values
 
 DIMS = ProblemDims(2, 64)
@@ -306,12 +308,13 @@ def test_epoch_history_rows_are_the_appended_rounds():
             history.append(r, rng.dirichlet(np.ones(n)), -r)
             appended.append(r)
             rounds = history.rounds
+            assert len(history) == len(appended)
             assert rounds.shape == (len(appended), n) and np.array_equal(rounds, np.stack(appended))
             assert np.shares_memory(rounds, history._rows)
             assert rounds.T.base is history._rows and np.array_equal(rounds.T, history._rows[:, : len(appended)])
             assert rounds.T.strides[1] == rounds.itemsize  # contiguous rows
         history.clear()
-        assert history.rounds.shape == (0, n)
+        assert history.rounds.shape == (0, n) and len(history) == 0
     assert set(vars(history)) == {"_rows", "_g", "_xg", "size"}  # no second copy of the relatives
 
 
@@ -327,19 +330,38 @@ def _epoch_history(rng, n: int, m: int) -> EpochHistory:
 
 @pytest.mark.parametrize("n", (2, 5, 20, 50, 100))
 def test_leader_wealths_are_taken_in_the_layout_given(n):
-    # Held rows (the controller's epoch-major buffer) give the wealths np.dot(u, rows), and a round-major
-    # array np.dot(rounds, u); the two may differ in their last bits.
+    # The controller's history gives the wealths np.matmul(u, rows) over its held rows, and an array of rounds,
+    # C- or Fortran-ordered, np.dot(rounds, u) over a C-ordered copy; the two may differ in their last bits.
     rng = np.random.default_rng(60 + n)
     gamma = 1.0 / 25.0
-    rounds = _epoch_history(rng, n, 3 * n + 7).rounds
-    r_mat = np.ascontiguousarray(rounds)
+    history = _epoch_history(rng, n, 3 * n + 7)
+    r_mat = np.ascontiguousarray(history.rounds)
     u = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
-    for given, wealth in ((rounds, np.dot(u, rounds.T)), (r_mat, np.dot(r_mat, u))):
-        obj = leader_objective(given, gamma)
+    for obj, wealth in ((history.leader_objective(gamma), np.matmul(u, history.rounds.T)),
+                        (leader_objective(r_mat, gamma), np.dot(r_mat, u)),
+                        (leader_objective(np.asfortranarray(r_mat), gamma), np.dot(r_mat, u)),
+                        (leader_objective(history.rounds, gamma), np.dot(r_mat, u))):
         value = float(-np.log(wealth).sum() - (1.0 / gamma) * np.log(u).sum())
         gradient = -np.ascontiguousarray(r_mat.T / wealth).sum(axis=1) - (1.0 / gamma) / u
         assert np.float64(obj.evaluate(u)).tobytes() == np.float64(value).tobytes()
         assert obj.gradient(u).tobytes() == gradient.tobytes()
+
+
+@pytest.mark.parametrize("n", (2, 5, 50))
+def test_a_fortran_ordered_array_keeps_the_best_crp_bits(n):
+    # best_crp stacks its rounds C-ordered; the same rounds in Fortran order, or as the history's transposed
+    # view, give the leader (gamma = 1e9, as best_crp fits it) and its Hessian the same bits.
+    rng = np.random.default_rng(70 + n)
+    dims = ProblemDims(n, 4 * n + 9)
+    history = _epoch_history(rng, n, dims.t)
+    r_mat = np.ascontiguousarray(history.rounds)
+    weights, _ = best_crp(list(r_mat), dims)
+    u = uniform_portfolio(dims)
+    want = leader_objective(r_mat, 1e9).hessian(u).tobytes()
+    for given in (np.asfortranarray(r_mat), history.rounds):
+        assert regularized_leader(given, 1e9, u, dims).tobytes() == regularized_leader(r_mat, 1e9, u, dims).tobytes()
+        assert minimize_over_clipped_simplex(leader_objective(given, 1e9), u, dims).tobytes() == weights.tobytes()
+        assert leader_objective(given, 1e9).hessian(u).tobytes() == want
 
 
 def _blocked_hessian(rows, wealth, u, gamma, block):
@@ -354,20 +376,21 @@ def _blocked_hessian(rows, wealth, u, gamma, block):
     return h + np.diag((1.0 / gamma) / (u * u))
 
 
-@pytest.mark.parametrize("n, m", [(2, 1), (2, 300), (2, 131072), (5, 64), (5, 20971), (20, 1310), (50, 64), (50, 209),
-                                  (100, 458)])
-def test_leader_hessian_sums_blocks_of_two_to_the_19_over_n_squared_rounds(n, m):
-    # floor(2^19 / n^2) rounds per block: an epoch that fits one block takes the single product, and at
-    # n=100 (52 rounds per block) 458 rounds are the in-order sum of nine block products.
-    block = 2**19 // n**2
+@pytest.mark.parametrize("n, m, block", [(2, 1, 1), (2, 300, 300), (5, 2048, 2048), (20, 1310, 1310), (50, 2048, 2048),
+                                         (96, 300, 300), (97, 55, 55), (97, 300, 55), (100, 458, 52)])
+def test_leader_hessian_is_one_product_up_to_96_assets_and_a_block_sum_above(n, m, block):
+    # Up to 96 assets the Hessian is the single product however long the epoch; above, blocks of
+    # floor(2^19 / n^2) rounds (55 at n=97, 52 at n=100) are summed in order, and an epoch of one block is
+    # the single product.  The held rows and a round-major array sum alike.
     rng = np.random.default_rng(80 + n + m)
     gamma = 1.0 / 25.0
-    rounds = _epoch_history(rng, n, m).rounds
-    r_mat = np.ascontiguousarray(rounds)
+    history = _epoch_history(rng, n, m)
+    r_mat = np.ascontiguousarray(history.rounds)
     u = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
-    for given, wealth in ((rounds, np.dot(u, rounds.T)), (r_mat, np.dot(r_mat, u))):
-        want = _blocked_hessian(rounds.T, wealth, u, gamma, block if m > block else m)
-        assert leader_objective(given, gamma).hessian(u).tobytes() == want.tobytes()
+    for obj, wealth in ((history.leader_objective(gamma), np.matmul(u, history.rounds.T)),
+                        (leader_objective(r_mat, gamma), np.dot(r_mat, u))):
+        want = _blocked_hessian(history.rounds.T, wealth, u, gamma, block)
+        assert obj.hessian(u).tobytes() == want.tobytes()
 
 
 def test_leader_gradient_matches_fsum():

@@ -208,6 +208,11 @@ def test_verifier_catches_nan_in_a_record(blowup_results, learner, field, value)
     assert any(p.startswith("round 11:") for p in problems), problems
 
 
+def _spelled(vector: list) -> list:
+    """The recorded vector with its first entry spelled as a string, which float() reads back to the same number."""
+    return [repr(vector[0]), *vector[1:]]
+
+
 @pytest.mark.parametrize(
     "learner, field, value, error",
     [
@@ -227,20 +232,26 @@ def test_verifier_catches_nan_in_a_record(blowup_results, learner, field, value)
         ("ada", "epoch", True, "TypeError: epoch must be a number"),
         ("ada", "restart", None, "TypeError: restart must be true or false"),
         ("ada", "restart", 1, "TypeError: restart must be true or false"),
-        # A vector column holds numbers, and a boolean is not one, in place of a relative of 1.0 or elsewhere.
-        *[(learner, "r", [True, 0.03125], "TypeError: r must hold numbers, not booleans") for learner in ("ada", "ons", "eg")],
-        ("barrons", "x", [True, False], "TypeError: x must hold numbers, not booleans"),
-        ("ada", "u", [0.5, True], "TypeError: u must hold numbers, not booleans"),
+        # A vector column holds numbers, and a boolean is not one, in place of a relative of 1.0 or elsewhere; nor
+        # is a string, even one that spells the recorded number.
+        *[(learner, "r", [True, 0.03125], "TypeError: r must hold numbers") for learner in ("ada", "ons", "eg")],
+        ("barrons", "x", [True, False], "TypeError: x must hold numbers"),
+        ("ada", "u", [0.5, True], "TypeError: u must hold numbers"),
+        *[(learner, "r", _spelled, "TypeError: r must hold numbers") for learner in ("ada", "ons", "eg")],
+        ("barrons", "x", _spelled, "TypeError: x must hold numbers"),
+        ("ada", "u", _spelled, "TypeError: u must hold numbers"),
     ],
     ids=["ons-dead_play", "ons-one_coordinate", "eg-string_play",
          "ada-null_leader", "ada-string_epoch",
          "ada-epoch_overflows_beta", "ada-huge_epoch", "ada-huge_loss", "eg-huge_loss",
          "ada-true_loss", "eg-true_loss", "ada-true_epoch", "ada-null_restart", "ada-integer_restart",
-         "ada-true_relative", "ons-true_relative", "eg-true_relative", "barrons-boolean_play", "ada-true_leader"],
+         "ada-true_relative", "ons-true_relative", "eg-true_relative", "barrons-boolean_play", "ada-true_leader",
+         "ada-string_relative", "ons-string_relative", "eg-string_relative", "barrons-string_play", "ada-string_leader"],
 )
 def test_verifier_reports_a_malformed_record_by_its_round(blowup_results, learner, field, value, error):
     trace = json.loads(blowup_results[learner].body_json())
-    trace["per_round"][field][10] = value
+    recorded = trace["per_round"][field][10]
+    trace["per_round"][field][10] = value(recorded) if callable(value) else value
     problems = verify_trace(trace)
     assert problems[-1].startswith(f"round 11: record cannot be checked ({error}"), problems
 
