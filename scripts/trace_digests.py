@@ -29,21 +29,31 @@ controller fields), compare equal when they hold the same config, records
 and summary.  Run it at two commits and diff the outputs: equal output
 means identical trace bodies that both verifiers accept alike.
 
-A change that may move the leader in its last bits (the leader refit's
-summation order, say) changes every body digest as soon as one ceiling
-moves by an ulp.  Two options prove such a change instead:
+A change that may move the leader or the play in their last bits (the
+leader refit's summation order, or a solve's warm start, say) changes
+every body digest as soon as one value moves by an ulp.  Two options
+prove such a change instead:
 
     python3 scripts/trace_digests.py --bodies parent_bodies > parent.json   # at the parent
     python3 scripts/trace_digests.py --against parent_bodies > change.json  # at the change
 
 ``--bodies DIR`` writes each run's body, as the run serializes it, to DIR.
-``--against DIR`` adds to each run an ``against`` entry: whether its
-canonical rendering is identical to that of the body in DIR, whether it
-is once the fields that depend on the leader are blanked (per round ``u``
-and ``alpha``; in the summary ``best_crp``, ``best_crp_loss`` and
-``regret``), and the largest relative move of each of those fields
-(``regret`` also as an absolute move).  A summary of every run goes to
-standard error.
+``--against DIR`` adds to each run an ``against`` entry with:
+
+- ``identical``: whether its canonical rendering is identical to that of
+  the body in DIR;
+- ``identical_except_leader``: whether it is once the fields that depend
+  on the leader are blanked (per round ``u`` and ``alpha``; in the
+  summary ``best_crp``, ``best_crp_loss`` and ``regret``);
+- ``identical_controller``: for each controller column the body holds
+  (``epoch``, ``beta`` and ``restart``), whether it is identical;
+- ``moves``: the largest relative move of each leader field and of the
+  play's ``x`` and ``loss`` (``regret`` also as an absolute move,
+  ``regret_abs``).
+
+A summary goes to standard error: how many runs are identical, identical
+but for the leader, and identical in all their controller columns, and
+the largest move of each field over every run.
 
 A change to the checkers is proved on traces that fail them:
 
@@ -104,6 +114,10 @@ NON_DEFAULT = [
 # Fields whose values depend on the leader, per round and in the summary.
 LEADER_RECORD_FIELDS = ("u", "alpha")
 LEADER_SUMMARY_FIELDS = ("best_crp", "best_crp_loss", "regret")
+# Per-round fields of the play, whose moves --against reports beside the leader's.
+PLAY_RECORD_FIELDS = ("x", "loss")
+# Per-round fields of the restart controller, which --against reports as identical or not.
+CONTROLLER_RECORD_FIELDS = ("epoch", "beta", "restart")
 
 
 def rows(columns: dict) -> list:
@@ -146,25 +160,30 @@ def _flat(value) -> list:
 
 
 def _without_leader(body: dict):
-    """The body's canonical rendering with every leader field set to None, and those fields' values."""
+    """The body's canonical rendering with every leader field set to None, the values of the play and
+    leader fields, and the columns of the controller fields the body holds."""
     body = as_rows(body)
-    pulled = {field: [] for field in LEADER_RECORD_FIELDS + LEADER_SUMMARY_FIELDS}
+    pulled = {field: [] for field in PLAY_RECORD_FIELDS + LEADER_RECORD_FIELDS + LEADER_SUMMARY_FIELDS}
+    controller = {field: [rec[field] for rec in body["per_round"]]
+                  for field in CONTROLLER_RECORD_FIELDS if body["per_round"] and field in body["per_round"][0]}
     for rec in body["per_round"]:
-        for field in LEADER_RECORD_FIELDS:
+        for field in PLAY_RECORD_FIELDS + LEADER_RECORD_FIELDS:
             if field in rec:
                 pulled[field] += _flat(rec[field])
-                rec[field] = None
+                if field in LEADER_RECORD_FIELDS:
+                    rec[field] = None
     for field in LEADER_SUMMARY_FIELDS:
         if field in body["summary"]:
             pulled[field] += _flat(body["summary"][field])
             body["summary"][field] = None
-    return json.dumps(body, sort_keys=True, separators=(",", ":")), pulled
+    return json.dumps(body, sort_keys=True, separators=(",", ":")), pulled, controller
 
 
 def compare(body: str, old_body: str) -> dict:
-    """How ``body`` differs from ``old_body`` in the canonical rendering: identical, identical but for the leader fields, and by how much."""
-    rest, new = _without_leader(json.loads(body))
-    old_rest, old = _without_leader(json.loads(old_body))
+    """How ``body`` differs from ``old_body`` in the canonical rendering: identical, identical but for the leader
+    fields, whether each controller field is identical, and how far the play and leader fields moved."""
+    rest, new, controller = _without_leader(json.loads(body))
+    old_rest, old, old_controller = _without_leader(json.loads(old_body))
     same_shape = all(
         len(new[f]) == len(old[f]) and all((a is None) == (b is None) for a, b in zip(new[f], old[f]))
         for f in new
@@ -178,7 +197,10 @@ def compare(body: str, old_body: str) -> dict:
     return {
         "identical": canonical(json.loads(body)) == canonical(json.loads(old_body)),
         "identical_except_leader": same_shape and rest == old_rest,
-        "leader_moves": moves,
+        "identical_controller": {
+            field: controller.get(field) == old_controller.get(field) for field in controller.keys() | old_controller.keys()
+        },
+        "moves": moves,
     }
 
 
@@ -356,17 +378,21 @@ def main(argv=None) -> int:
 
 
 def summarize(out: dict):
-    """Print to standard error how many runs kept their bodies and the largest move of each leader field."""
+    """Print to standard error how many runs kept their bodies and controller fields, and the largest move of each
+    play and leader field."""
     against = [e["against"] for e in out.values() if "against" in e]
     compared = [a for a in against if "missing" not in a]
     largest: dict = {}
     for a in compared:
-        for field, move in a["leader_moves"].items():
+        for field, move in a["moves"].items():
             largest[field] = max(largest.get(field, 0.0), move)
+    controlled = [a["identical_controller"] for a in compared if a["identical_controller"]]
     print(
         f"{len(out)} runs, {len(compared)} compared ({len(against) - len(compared)} without a body to compare), "
         f"{sum(a['identical'] for a in compared)} identical, "
-        f"{sum(a['identical_except_leader'] for a in compared)} identical except the leader fields",
+        f"{sum(a['identical_except_leader'] for a in compared)} identical except the leader fields, "
+        f"{sum(all(c.values()) for c in controlled)} of the {len(controlled)} with controller fields "
+        f"identical in {', '.join(CONTROLLER_RECORD_FIELDS)}",
         file=sys.stderr,
     )
     for field, move in sorted(largest.items()):

@@ -25,9 +25,10 @@ from .domain import (
     MarketRound,
     ProblemDims,
     nudge_interior,
+    predicted_start,
     uniform_portfolio,
 )
-from .solver import Objective, minimize_over_clipped_simplex
+from .solver import Objective, minimize_over_clipped_simplex, newton_displacement
 
 __all__ = [
     "AdaConfig",
@@ -145,7 +146,9 @@ class EpochHistory:
     (`epoch_ceiling` with the latest leader alone: one O(m n)
     matrix-vector product and m gaps) read all rounds.  A history that
     outgrows its capacity doubles it.  ``len(history)`` is the number of
-    rounds held.
+    rounds held.  ``hessian`` is the last Hessian that the epoch's leader
+    objective computed, None before the first; `leader_start` predicts
+    the next leader from it.
     """
 
     def __init__(self, capacity: int, n: int):
@@ -153,6 +156,7 @@ class EpochHistory:
         self._g = np.empty((capacity, n))
         self._xg = np.empty(capacity)
         self.size = 0
+        self.hessian: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.size
@@ -169,6 +173,7 @@ class EpochHistory:
 
     def clear(self):
         self.size = 0
+        self.hessian = None
 
     @property
     def rounds(self) -> np.ndarray:
@@ -183,7 +188,33 @@ class EpochHistory:
         over a round-major copy may differ from them in the last bits.
         """
         rows = self._rows[:, : self.size]
-        return _log_loss_objective(rows, lambda u: np.matmul(u, rows), gamma)
+        obj = _log_loss_objective(rows, lambda u: np.matmul(u, rows), gamma)
+        hessian = obj.hessian
+
+        def kept_hessian(u):
+            self.hessian = hessian(u)
+            return self.hessian
+
+        obj.hessian = kept_hessian
+        return obj
+
+    def leader_start(self, u: np.ndarray, dims: ProblemDims) -> np.ndarray:
+        """Warm start for the leader refit after an append, from `u`, the leader of the rounds before it.
+
+        At that leader the objective's gradient over the earlier rounds is
+        zero up to ``KKT_TOL`` (and a multiple of the ones), so the refit's
+        gradient there is the appended round's, ``-a`` with
+        ``a = r / <r, u>``, and its Hessian is the earlier one plus
+        ``outer(a, a)``.  The start is ``u`` plus the zero-sum Newton
+        displacement for ``-a`` against the last `hessian` plus
+        ``outer(a, a)``, or the nudged `u` when no Hessian is held or the
+        prediction is not strictly inside the clipped simplex.
+        """
+        if self.hessian is None:
+            return nudge_interior(u, dims)
+        r = self._rows[:, self.size - 1]
+        a = r / np.dot(r, u)
+        return predicted_start(u + newton_displacement(self.hessian + np.multiply.outer(a, a), -a), u, dims)
 
     def ceiling(self, u: np.ndarray) -> float:
         """``alpha(u, xs, grads)`` from the cached rows: 1/2 capped by max_s |<u, g_s> - <x_s, g_s>|."""
@@ -308,9 +339,12 @@ def regularized_leader(rounds, gamma: float, warm_start: np.ndarray, dims: Probl
 
     `rounds` is the controller's `EpochHistory`, whose own objective reads
     its rows in place, or an (m, n) array or a sequence of rounds, taken
-    by `leader_objective`; the two may differ in their last bits.  The
-    barrier term keeps the leader a multiple of gamma away from the faces,
-    which is what makes consecutive leaders stable round to round.
+    by `leader_objective`; the two may differ in their last bits.  A
+    history's solve starts from `EpochHistory.leader_start`, which takes
+    `warm_start` for the leader of all its rounds but the last; an array's
+    starts from the nudged `warm_start`.  The barrier term keeps the leader
+    a multiple of gamma away from the faces, which is what makes
+    consecutive leaders stable round to round.
     """
     held = isinstance(rounds, EpochHistory)
     r_mat = rounds.rounds if held else np.asarray(rounds, dtype=float)
@@ -318,8 +352,11 @@ def regularized_leader(rounds, gamma: float, warm_start: np.ndarray, dims: Probl
         raise ValueError("need at least one round to fit a leader")
     if r_mat.ndim != 2 or r_mat.shape[1] != dims.n:
         raise ValueError(f"rounds must be vectors of {dims.n} price relatives")
-    obj = rounds.leader_objective(gamma) if held else leader_objective(r_mat, gamma)
-    return minimize_over_clipped_simplex(obj, nudge_interior(warm_start, dims), dims)
+    if held:
+        obj, start = rounds.leader_objective(gamma), rounds.leader_start(warm_start, dims)
+    else:
+        obj, start = leader_objective(r_mat, gamma), nudge_interior(warm_start, dims)
+    return minimize_over_clipped_simplex(obj, start, dims)
 
 
 def alpha(u: np.ndarray, xs: np.ndarray, grads: np.ndarray) -> float:

@@ -18,10 +18,10 @@ from .domain import (
     MarketRound,
     ProblemDims,
     loss_grad_arrays,
-    nudge_interior,
+    predicted_start,
     uniform_portfolio,
 )
-from .solver import Objective, minimize_over_clipped_simplex
+from .solver import Objective, minimize_over_clipped_simplex, newton_displacement
 
 __all__ = [
     "BarronsState",
@@ -138,5 +138,24 @@ def barrons_step(state: BarronsState, rnd: MarketRound):
     state.eta = state.eta_base * np.exp(state.log_max)
 
     obj = omd_step_objective(grad, state.cov, x_t, state.beta, state.eta)
-    state.x = minimize_over_clipped_simplex(obj, nudge_interior(x_t, dims), dims)
+    state.x = minimize_over_clipped_simplex(obj, _predicted_step(obj, grad, x_t, state.eta, dims), dims)
     return loss, grad
+
+
+def _predicted_step(obj: Objective, grad: np.ndarray, x_t: np.ndarray, eta: np.ndarray, dims: ProblemDims):
+    """Warm start for the step's solve: ``x_t + d1 + d2``, or the nudged play when that leaves the simplex.
+
+    At the play ``x_t`` the step objective's gradient is ``grad`` and its
+    Hessian ``h = obj.hessian(x_t)``, so ``d1``, the zero-sum Newton
+    displacement there, is the minimizer of the objective's quadratic
+    model.  The one term beyond that model is the separable barrier, whose
+    third derivative is ``-2 / (eta x^3)``: at ``x_t + d1`` it leaves the
+    gradient ``-d1^2 / (eta x_t^3)`` (up to a multiple of the ones), and
+    ``d2`` is the zero-sum Newton displacement for it against the same
+    ``h``.  The solve then usually certifies the start with no Newton
+    iteration.
+    """
+    h = obj.hessian(x_t)
+    d1 = newton_displacement(h, grad)
+    d2 = newton_displacement(h, -(d1 * d1) / (eta * x_t**3))
+    return predicted_start(x_t + d1 + d2, x_t, dims)

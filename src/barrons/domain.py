@@ -30,6 +30,7 @@ __all__ = [
     "loss_grad_arrays",
     "uniform_portfolio",
     "nudge_interior",
+    "predicted_start",
 ]
 
 SUM_TOL = 1e-9     # allowed slack on sum(x) == 1
@@ -157,6 +158,20 @@ def nudge_interior(x: np.ndarray, dims: ProblemDims) -> np.ndarray:
     Solver warm starts must be strictly inside the clipped simplex; a point
     returned by a previous solve can sit on the floor to machine precision.
     The mix pushes every coordinate a safe margin above the floor without
-    moving the point meaningfully.
+    moving the point meaningfully.  The learners start their solves from a
+    predicted point and fall back to this one (see `predicted_start`);
+    best CRP fits and ONS steps start from it.
     """
     return (1.0 - _NUDGE_MIX) * np.asarray(x, dtype=float) + _NUDGE_MIX * (1.0 / dims.n)
+
+
+def predicted_start(prediction: np.ndarray, x: np.ndarray, dims: ProblemDims) -> np.ndarray:
+    """`prediction` when it lies strictly inside the clipped simplex, else ``nudge_interior(x, dims)``.
+
+    Strictly inside is what the solver asks of a warm start: the weights
+    sum to one within ``SUM_TOL`` and each lies above the floor.  A NaN or
+    infinite weight fails the sum, so such a prediction falls back too.
+    """
+    if abs(np.add.reduce(prediction) - 1.0) <= SUM_TOL and min(prediction.tolist()) > dims.floor:
+        return prediction
+    return nudge_interior(x, dims)

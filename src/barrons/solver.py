@@ -7,8 +7,9 @@ has two phases:
 - The affine phase runs first: feasible-start Newton on the hyperplane
   ``sum(x) == 1`` with no barrier term (Boyd and Vandenberghe, *Convex
   Optimization*, section 10.2).  When the minimizer is interior, as it is
-  for the learners' steps and leaders, this converges in two or three
-  iterations and its answer must pass the KKT check of ``_kkt_violation``.
+  for the learners' steps and leaders, this converges in a few
+  iterations (see the warm-start contract below) and its answer must pass
+  the KKT check of ``_kkt_violation``.
   The phase gives up as soon as a full Newton step would cut some
   coordinate's distance to the floor to 1 % of its value or less, and on
   any exit short of that check.
@@ -29,13 +30,34 @@ strictly convex there.  Points are plain float arrays of n weights: a solve
 reads its warm start without writing it, and returns a new read-only array
 that ``domain.clipped_point`` has checked.
 
+Warm-start contract.  The warm start must be strictly feasible, and it
+sets only the cost of a solve: from any such start the answer is a point
+that passes the same KKT certificate, so two starts give answers that
+agree to within what the certificate resolves (3e-13 relative or less
+for the learners' solves over the grid of ``scripts/trace_digests.py``),
+not bit for bit.  The solver knows nothing of where a start comes from.
+The learners pass a prediction of the answer, made with
+``newton_displacement`` from derivatives they already hold: the
+mirror-descent step from its closed-form gradient and Hessian at the
+play (``core._predicted_step``), the leader refit from the previous
+refit's Hessian and the appended round (``EpochHistory.leader_start``).
+A prediction that is not strictly inside the clipped simplex falls back
+to the previous answer nudged inward (``domain.predicted_start``), which
+is also where ONS steps and best-CRP fits start.  On the blowup market at
+n=2 and T=512 a step then certifies its start with no Newton iteration
+(1.88 from the nudged play) and a leader refit takes 1.82 (2.82 from the
+nudged leader); on iid markets at n=5 to 50 the step takes none and the
+leader about 1.9 (2.9).
+
 Cost model.  A solve's time is a fixed cost at entry and exit plus its
 Newton iterations times a fixed cost per iteration; at small n both are
 counts of numpy calls, not arithmetic.  Fitted over ada runs on the
 blowup market at n=2 and T=512 (a 2-CPU x86-64 host, Python 3.11,
-numpy 2.4), a step solve costs about 33 us fixed and a leader solve
-about 41 us, plus about 26.5 us per Newton iteration.  So work that makes
-no bit of the answer stays off both: the stage record of
+numpy 2.4, the best of 15 repetitions of each solve), a step solve that
+certifies its predicted start costs about 22 us, and a leader solve
+about 30 us fixed plus about 28 us per Newton iteration; a step's
+prediction costs about 20 us more, and a leader's about 13 us.  So work
+that makes no bit of the answer stays off both: the stage record of
 ``SolveDiagnostics`` (iterations, residual, accepted values) is written
 only when a caller passes one, ``np.errstate`` decorates ``_lapack_solve``
 instead of opening a ``with`` block per call, and a full line-search step
@@ -79,6 +101,7 @@ __all__ = [
     "SolverFailure",
     "SolveDiagnostics",
     "minimize_over_clipped_simplex",
+    "newton_displacement",
 ]
 
 # Read at call time; the module docstring says what each one sets.
@@ -213,8 +236,17 @@ def _lapack_solve(a, b):
     return _solve1(a, b, signature="dd->d")
 
 
-def _newton_direction(h, g, basis):
-    """Newton step inside the zero-sum subspace and its directional slope."""
+def newton_displacement(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The zero-sum Newton displacement for the gradient `g` and the Hessian `h`.
+
+    The ``d`` with ``sum(d) == 0`` that minimizes ``<g, d> + d' h d / 2``:
+    ``B y`` with ``B`` the zero-sum basis and ``y`` the solution of the
+    reduced system ``B' h B y = -B' g``.  When that system is singular or
+    its solution is not finite, a ridge of 1e-10 times the reduced
+    Hessian's mean diagonal (at least 1e-10) is added.  The solver steps
+    along it, and the learners' warm-start predictors call it on Hessians
+    and gradients of their own.
+    """
     hz, rhs = _reduced_system(h, g)
     try:
         y = _lapack_solve(hz, rhs)
@@ -224,7 +256,12 @@ def _newton_direction(h, g, basis):
         ridge = 1e-10 * max(1.0, float(np.trace(hz)) / hz.shape[0])
         y = _lapack_solve(hz + ridge * np.eye(hz.shape[0]), rhs)
     # np.dot gives the bits of @ with less call overhead.  The last coordinate sums n - 1 terms: keep the product's order.
-    ds = np.dot(basis, y)
+    return np.dot(_null_basis(g.size), y)
+
+
+def _newton_direction(h, g):
+    """Newton step inside the zero-sum subspace and its directional slope."""
+    ds = newton_displacement(h, g)
     return ds, float(np.dot(g, ds))
 
 
@@ -309,7 +346,7 @@ def _kkt_violation(g, x, floor) -> float:
     return max(float(np.abs(dev[~on_floor]).max()), float(np.max(-dev[on_floor], initial=0.0)))
 
 
-def _affine_phase(obj, s, floor, basis, diag):
+def _affine_phase(obj, s, floor, diag):
     """Feasible-start Newton on the hyperplane sum(x) == 1, with no barrier.
 
     Returns ``(point, g_start)``.  The point ``floor + slacks`` passes the
@@ -339,7 +376,7 @@ def _affine_phase(obj, s, floor, basis, diag):
         if resid <= 4.0 * pin:
             return x, g_start
 
-        ds, slope = _newton_direction(h, g, basis)
+        ds, slope = _newton_direction(h, g)
         if slope >= 0.0 or _cuts_a_slack(s, ds):
             return None, g_start
         accepted = _armijo(obj, s, floor, 0.0, ds, slope, 1.0, phi)
@@ -354,7 +391,7 @@ def _affine_phase(obj, s, floor, basis, diag):
     return None, g_start
 
 
-def _center(obj, s, floor, mu, tol, basis, diag):
+def _center(obj, s, floor, mu, tol, diag):
     """Newton iterations for one barrier stage.  Returns the centered slacks.
 
     Iterates on the slack vector ``s = x - floor`` rather than on x: when a
@@ -381,7 +418,7 @@ def _center(obj, s, floor, mu, tol, basis, diag):
 
         h = h_obj.copy()  # the objective may hand out a Hessian it keeps
         h.ravel()[:: s.size + 1] += barrier_curv
-        ds, slope = _newton_direction(h, g, basis)
+        ds, slope = _newton_direction(h, g)
         if slope >= 0.0:
             # Numerically indefinite reduced Hessian; fall back to steepest
             # descent inside the subspace.
@@ -428,14 +465,14 @@ def _first_barrier_weight(g, s, dims) -> float:
     return min(_MU_INIT, max(comp / dims.n, _MU_MIN))
 
 
-def _barrier_path(obj, s, g, dims, basis, diag):
+def _barrier_path(obj, s, g, dims, diag):
     """Log-barrier path from the slacks `s`, where the gradient is `g`, down to the last barrier weight."""
     floor = dims.floor
     mu = _first_barrier_weight(g, s, dims)
     while True:
         final = mu <= _MU_MIN
         tol = KKT_TOL if final else max(KKT_TOL, 1e-3 * mu)
-        s = _center(obj, s, floor, mu, tol, basis, diag)
+        s = _center(obj, s, floor, mu, tol, diag)
         if final:
             return s
         mu = max(mu * _MU_SHRINK, _MU_MIN)
@@ -472,11 +509,10 @@ def minimize_over_clipped_simplex(
     if not min(x.tolist()) > floor:
         raise ValueError("warm start must be strictly above the clipped-simplex floor")
 
-    basis = _null_basis(dims.n)
     start = x - floor
-    x, g_start = _affine_phase(obj, start, floor, basis, diagnostics)
+    x, g_start = _affine_phase(obj, start, floor, diagnostics)
     if x is None:
         if diagnostics is not None:
             diagnostics.fell_back = True
-        x = floor + _barrier_path(obj, start, g_start, dims, basis, diagnostics)
+        x = floor + _barrier_path(obj, start, g_start, dims, diagnostics)
     return clipped_point(x / np.add.reduce(x), dims)

@@ -1,8 +1,23 @@
-"""Shared pytest wiring for the acceptance report."""
+"""Shared pytest wiring: the acceptance report, and a solver starved into failing."""
 
 import pytest
 
+from barrons.domain import nudge_interior
+
 ACCEPTANCE_LINES: list = []
+
+
+@pytest.fixture
+def starved_solver(monkeypatch):
+    """One Newton iteration per solve, from the nudged starts that the learners' predicted starts fall back to.
+
+    From its predicted starts ada solves most rounds of the blowup market at n=2 in one Newton iteration or
+    none; from the nudged ones one iteration is too few, and a barrier stage of its second round raises
+    ``SolverFailure``.
+    """
+    monkeypatch.setattr("barrons.solver.MAX_NEWTON_ITERS", 1)
+    for module in ("barrons.core", "barrons.adaptive"):
+        monkeypatch.setattr(f"{module}.predicted_start", lambda prediction, x, dims: nudge_interior(x, dims))
 
 
 @pytest.fixture

@@ -315,7 +315,7 @@ def test_epoch_history_rows_are_the_appended_rounds():
             assert rounds.T.strides[1] == rounds.itemsize  # contiguous rows
         history.clear()
         assert history.rounds.shape == (0, n) and len(history) == 0
-    assert set(vars(history)) == {"_rows", "_g", "_xg", "size"}  # no second copy of the relatives
+    assert set(vars(history)) == {"_rows", "_g", "_xg", "size", "hessian"}  # no second copy of the relatives
 
 
 def _epoch_history(rng, n: int, m: int) -> EpochHistory:

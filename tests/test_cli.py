@@ -124,8 +124,7 @@ def test_usage_errors_exit_one_with_argparses_message(capsys, flags, message):
     assert info.value.code == EXIT_OK
 
 
-def test_solver_failure_exits_two(tmp_path, monkeypatch):
-    monkeypatch.setattr("barrons.solver.MAX_NEWTON_ITERS", 1)
+def test_solver_failure_exits_two(tmp_path, starved_solver):
     assert main([
         "run", "--learner", "ada", "--market", "blowup", "--n", "2",
         "--t-horizon", "16",
@@ -279,8 +278,7 @@ def test_sweep_in_which_no_run_ran_writes_its_tables_and_exits_1(tmp_path, capsy
     assert len(json.loads((tmp_path / "rows.json").read_text())["rows"]) == 2
 
 
-def test_sweep_in_which_every_run_failed_in_the_solver_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("barrons.solver.MAX_NEWTON_ITERS", 1)
+def test_sweep_in_which_every_run_failed_in_the_solver_exits_2(tmp_path, starved_solver, capsys):
     out = tmp_path / "rows.csv"
     assert main([
         "sweep", "--learner", "ada", "--market", "blowup", "--n", "2", "--t-values", "16,32", "--out", str(out),

@@ -12,6 +12,7 @@ from barrons.domain import (
     loss_grad_arrays,
     normalize_round,
     nudge_interior,
+    predicted_start,
     uniform_portfolio,
 )
 
@@ -177,3 +178,14 @@ def test_nudge_interior_clears_the_floor():
     assert nudged.min() > dims.floor
     assert abs(nudged.sum() - 1.0) <= 1e-15
     assert np.abs(nudged - x).max() <= 1e-6
+
+
+def test_predicted_start_falls_back_to_the_nudged_point_unless_strictly_inside():
+    dims = ProblemDims(3, 16)
+    x = np.array([0.5, 0.3, 0.2])
+    inside = np.array([0.6, 0.3, 0.1])
+    assert predicted_start(inside, x, dims) is inside
+    on_floor = np.array([0.7, 0.3 - dims.floor, dims.floor])
+    off_sum = np.array([0.6, 0.3, 0.1 + 1e-6])
+    for outside in (on_floor, off_sum, np.array([1.1, 0.0, -0.1]), np.array([np.nan, 0.5, 0.5]), np.array([np.inf, 0.5, 0.5])):
+        assert predicted_start(outside, x, dims).tobytes() == nudge_interior(x, dims).tobytes()

@@ -520,9 +520,8 @@ def test_regret_matches_wealth_ratio():
         assert result.summary["regret"] == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
-def test_partial_trace_persisted_on_solver_failure(tmp_path, monkeypatch):
+def test_partial_trace_persisted_on_solver_failure(tmp_path, starved_solver):
     out = tmp_path / "aborted.json"
-    monkeypatch.setattr("barrons.solver.MAX_NEWTON_ITERS", 1)
     with pytest.raises(SolverFailure):
         run_market("ada", MarketSpec("blowup", ProblemDims(2, 16)), out_path=out)
     trace = load_trace(out)

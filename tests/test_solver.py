@@ -367,7 +367,7 @@ def test_affine_first_agrees_with_barrier_path(family, n, floor_active, seed):
     diag = SolveDiagnostics()
     got = minimize_over_clipped_simplex(obj, warm, dims, diagnostics=diag)
     start = warm - dims.floor
-    s = _barrier_path(obj, start, obj.gradient(dims.floor + start), dims, _null_basis(n), None)
+    s = _barrier_path(obj, start, obj.gradient(dims.floor + start), dims, None)
     barrier = (dims.floor + s) / (dims.floor + s).sum()
 
     assert np.abs(got - barrier).max() <= 1e-9
